@@ -2,9 +2,10 @@
 
 For lines the fix modifies or deletes, the explaining commit is the one
 blame reports for that line. Add-only fixes have no such lines; those
-anchor on the nearest executable line above each insertion point, with
-the scan window widening in 5-line steps when the immediate window holds
-only comments and symbols. A file with no executable line above the
+anchor on the nearest executable line above each insertion point, found
+with one read and one scan of the file and blamed with one git call. An
+anchor more than 5 lines above the insertion carries a note saying how
+far the window had to extend. A file with no executable line above the
 insertion at all anchors on the commit that added the file.
 
 When several distinct commits share the blame, a judge picks one. The
@@ -23,6 +24,7 @@ from typing import Callable
 from . import gitio
 from .bugs import BugRecord, BugSpec, FaultLocation, categorize_bug
 from .errors import (
+    FileNotInSnapshot,
     JudgeError,
     NewFileNoHistory,
     NoFallbackAnchor,
@@ -41,7 +43,7 @@ class BlameEntry:
     commit_id: str
     author_time: int
     is_fallback: bool = False
-    anchor_note: str = ""   # set when the fallback window had to be extended
+    anchor_note: str = ""   # set when the anchor lies beyond FALLBACK_WINDOW
     commit_line: int = 0    # the line's number in commit_id's file version
     commit_path: str = ""   # the file's path in commit_id's version
 
@@ -144,9 +146,10 @@ def fallback_blame(repo: Path | str, ref: str, path: str, insert_line: int,
     window holds none, NewFileNoHistory when the file is absent from
     the snapshot.
     """
-    if not gitio.path_exists_at(repo, ref, path):
-        raise NewFileNoHistory(f"{path} does not exist in {ref}")
-    text = gitio.file_at(repo, ref, path)
+    try:
+        text = gitio.file_at(repo, ref, path)
+    except FileNotInSnapshot:
+        raise NewFileNoHistory(f"{path} does not exist in {ref}") from None
     numbers = executable_line_numbers(text)
     lo = max(1, insert_line - window)
     anchor = None
@@ -179,18 +182,17 @@ def resolve_insertion(repo: Path | str, ref: str, path: str,
                       insert_line: int) -> BlameEntry:
     """fallback_blame with the window-extension policy applied.
 
-    The window grows in 5-line steps until an executable line appears.
-    If nothing above the insertion is executable, the anchor is the
-    commit that added the file.
+    The window reaches up to line 1, so the anchor is the nearest
+    executable line above the insertion however far up it sits; one
+    more than FALLBACK_WINDOW lines away gets an anchor_note. If nothing
+    above the insertion is executable, the anchor is the commit that
+    added the file.
     """
-    window = FALLBACK_WINDOW
-    while True:
-        try:
-            return fallback_blame(repo, ref, path, insert_line, window=window)
-        except NoFallbackAnchor:
-            if insert_line - window <= 1:
-                break
-            window += FALLBACK_WINDOW
+    try:
+        return fallback_blame(repo, ref, path, insert_line,
+                              window=max(FALLBACK_WINDOW, insert_line - 1))
+    except NoFallbackAnchor:
+        pass
     add_commit = gitio.file_add_commit(repo, ref, path)
     return BlameEntry(
         file_path=path,

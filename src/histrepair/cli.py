@@ -244,7 +244,7 @@ def cmd_repair(cfg: CampaignConfig, bug_id: str, heuristic: str) -> int:
 
 
 def cmd_batch(cfg: CampaignConfig) -> int:
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor, as_completed
 
     records = load_manifest(cfg.manifest)
     cfg.freeze_into(cfg.out_dir)
@@ -270,8 +270,11 @@ def cmd_batch(cfg: CampaignConfig) -> int:
         except Exception as exc:
             return (rec.spec.bug_id, heuristic, "", f"{type(exc).__name__}: {exc}")
 
+    # progress lines follow completion order, so a slow job hides nothing
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        for bug_id, heuristic, termination, error in pool.map(one, jobs):
+        pending = [pool.submit(one, job) for job in jobs]
+        for future in as_completed(pending):
+            bug_id, heuristic, termination, error = future.result()
             done += 1
             if error is not None:
                 failures.append((bug_id, heuristic, error))

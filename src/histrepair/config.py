@@ -9,7 +9,7 @@ copy of the effective configuration so results stay auditable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from pathlib import Path
 
@@ -99,8 +99,35 @@ class CampaignConfig:
         return frozen
 
 
+# every key a campaign YAML may hold, per map; anything else is a typo
+_KNOWN_KEYS = {
+    "": {f.name for f in fields(CampaignConfig)},
+    "guards": {f.name for f in fields(GuardConfig)},
+    "provider": {f.name for f in fields(ProviderSettings)},
+    "budgets": set(DEFAULT_BUDGETS),
+}
+
+
+def _reject_unknown_keys(raw, path: Path) -> None:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"campaign config {path} is not a mapping")
+    for section, known in _KNOWN_KEYS.items():
+        mapping = raw.get(section) if section else raw
+        if not isinstance(mapping, dict):
+            continue
+        for key in mapping:
+            if key not in known:
+                where = f"{section}.{key}" if section else key
+                raise ConfigError(f"unknown key {where!r} in campaign config {path}")
+
+
 def load_campaign(path: Path | str, overrides: dict | None = None) -> CampaignConfig:
-    """Load a campaign YAML, applying flag overrides on top."""
+    """Load a campaign YAML, applying flag overrides on top.
+
+    Unknown keys at the top level and in the guards, provider and
+    budgets maps raise ConfigError, so a typo cannot silently fall back
+    to a default.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -108,6 +135,7 @@ def load_campaign(path: Path | str, overrides: dict | None = None) -> CampaignCo
         raw = yaml.safe_load(path.read_text()) or {}
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
+    _reject_unknown_keys(raw, path)
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
 

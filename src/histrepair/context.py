@@ -15,7 +15,6 @@ inputs produce equal bytes.
 
 from __future__ import annotations
 
-import difflib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +26,7 @@ from .blame import BlameEntry
 from .bugs import BugSpec
 from .errors import (
     DetectorFailure,
+    FileNotInSnapshot,
     FnPairUnavailable,
     NotInFunction,
     TemplateError,
@@ -128,50 +128,65 @@ def extract_fn_all(repo: Path | str, commit_id: str,
     return FnAll(entries=tuple(entries))
 
 
-def _preimage_line(old_text: str, new_text: str, new_line: int) -> int | None:
-    """Map a 1-based line of new_text back to old_text, or None if added."""
-    old_lines = old_text.splitlines()
-    new_lines = new_text.splitlines()
-    matcher = difflib.SequenceMatcher(None, old_lines, new_lines, autojunk=False)
-    target = new_line - 1
-    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
-        if not j1 <= target < j2:
-            continue
-        if tag == "equal":
-            return i1 + (target - j1) + 1
-        if tag == "replace":
-            return i1 + min(target - j1, i2 - i1 - 1) + 1
-        return None  # insert: the line has no pre-image
-    return None
+def _preimage_line(hunks: list[gitio.Hunk], new_line: int) -> int | None:
+    """Map a 1-based line of the new version back through -U0 hunks.
+
+    A line the hunks add has no pre-image (None); a line a hunk
+    replaces maps to the same offset in the old range, clamped to its
+    last line; any other line shifts by the hunks before it.
+    """
+    shift = 0
+    for h in hunks:
+        if new_line < h.new_start + max(h.new_count, 1):
+            if h.new_count and new_line >= h.new_start:
+                if not h.old_count:
+                    return None
+                return h.old_start + min(new_line - h.new_start, h.old_count - 1)
+            break
+        shift += h.old_count - h.new_count
+    return new_line + shift
 
 
 def extract_fn_pair(repo: Path | str, commit_id: str, entry: BlameEntry,
                     language: str = "c_family") -> FnPair:
     """Before/after snapshots of the function holding the blamed line.
 
-    Before comes from the commit's parent at the line's pre-image;
-    after is matched by name in the commit's own version. A function
-    introduced by the commit has no before side. Raises
-    FnPairUnavailable when the line sits outside any function on both
-    sides.
+    Before comes from the commit's parent at the line's pre-image,
+    mapped through the hunks of `git diff` between parent and commit:
+    the alignment git blame used to attribute the line. After is
+    matched by name in the commit's own version. A function introduced
+    by the commit has no before side. Raises FnPairUnavailable when the
+    line sits outside any function on both sides. Each version is read
+    once and scanned for spans at most once.
     """
     path = entry.commit_path or entry.file_path
     line = entry.commit_line or entry.line_number
     after_text = gitio.file_at(repo, commit_id, path)
     parent = gitio.first_parent(repo, commit_id)
-    parent_has_file = parent is not None and gitio.path_exists_at(repo, parent, path)
+    before_text = None
+    if parent is not None:
+        try:
+            before_text = gitio.file_at(repo, parent, path)
+        except FileNotInSnapshot:
+            pass
 
     before: FunctionSnapshot | None = None
     after: FunctionSnapshot | None = None
+    before_spans: list[spans.FunctionSpan] | None = None
 
-    if parent_has_file:
-        before_text = gitio.file_at(repo, parent, path)  # type: ignore[arg-type]
-        pre_line = _preimage_line(before_text, after_text, line)
+    if before_text is not None:
+        hunks = gitio.diff_hunks(repo, parent, commit_id, path)  # type: ignore[arg-type]
+        pre_line = _preimage_line(hunks, line)
         if pre_line is not None:
             try:
-                before = _snapshot(path, before_text, _span_at(before_text, pre_line, language))
+                before_spans = spans.all_spans(before_text, language)
+                span = spans.innermost_span(before_spans, pre_line)
+            except DetectorFailure:
+                span = spans.window_span(before_text, pre_line)
             except NotInFunction:
-                before = None
+                span = None
+            if span is not None:
+                before = _snapshot(path, before_text, span)
         if before is not None:
             # match the after side by name, preferring the span that
             # still contains the blamed line (overloads)
@@ -190,10 +205,10 @@ def extract_fn_pair(repo: Path | str, commit_id: str, entry: BlameEntry,
         raise FnPairUnavailable(
             f"{path}:{line} is outside any function in both versions"
         ) from None
-    if parent_has_file:
-        before_text = gitio.file_at(repo, parent, path)  # type: ignore[arg-type]
-        named = [s for s in spans.all_spans(before_text, language)
-                 if s.name == after.name]
+    if before_text is not None:
+        if before_spans is None:
+            before_spans = spans.all_spans(before_text, language)
+        named = [s for s in before_spans if s.name == after.name]
         if named:
             before = _snapshot(path, before_text, named[0])
     return FnPair(before=before, after=after)

@@ -1,13 +1,14 @@
 """Thin wrapper around the git command line plus the blame parser.
 
 All repository access goes through the git binary: blame in porcelain
-form, file content at a revision, changed-file sets, diffs, and commit
-metadata. Nothing here mutates a repository except worktree creation,
-which is confined to `snapshot_worktree`.
+form, file content at a revision, changed-file sets, diffs and their
+hunk headers, and commit metadata. Nothing here mutates a repository
+except worktree creation, which is confined to `snapshot_worktree`.
 """
 
 from __future__ import annotations
 
+import re
 import subprocess
 import tempfile
 from contextlib import contextmanager
@@ -163,6 +164,41 @@ def commit_diff(repo: Path | str, commit: str, context_lines: int = 3) -> str:
     """Unified diff of `commit` against its first parent (or empty tree)."""
     parent = first_parent(repo, commit) or EMPTY_TREE
     return run_git(repo, "diff", f"-U{context_lines}", parent, commit)
+
+
+@dataclass(frozen=True)
+class Hunk:
+    """One -U0 hunk header: the old and the new line range it replaces."""
+
+    old_start: int
+    old_count: int
+    new_start: int
+    new_count: int
+
+
+_HUNK_HEADER = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
+
+
+def parse_hunk_headers(diff_text: str) -> list[Hunk]:
+    """Hunks of a unified diff in order; an omitted count means 1."""
+    hunks = []
+    for line in diff_text.splitlines():
+        m = _HUNK_HEADER.match(line)
+        if m:
+            a, b, c, d = m.groups()
+            hunks.append(Hunk(int(a), int(b or 1), int(c), int(d or 1)))
+    return hunks
+
+
+def diff_hunks(repo: Path | str, old: str, new: str, path: str) -> list[Hunk]:
+    """Zero-context hunks of `path` between two commits.
+
+    The algorithm and the hunk layout are pinned so that user diff
+    settings cannot change how lines of `new` align with lines of `old`.
+    """
+    out = run_git(repo, "diff", "-U0", "--inter-hunk-context=0", "--no-color",
+                  "--no-ext-diff", "--diff-algorithm=myers", old, new, "--", path)
+    return parse_hunk_headers(out)
 
 
 def file_add_commit(repo: Path | str, ref: str, path: str) -> str:

@@ -16,8 +16,11 @@ allowlist so observations are reproducible.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import re
 import shutil
+import signal
 import subprocess
 import tempfile
 import uuid
@@ -261,7 +264,11 @@ def _provision_container(bug_id: str, repo_path: Path, snapshot_ref: str,
 def exec_command(handle: SandboxHandle, command: str,
                  timeout: float = DEFAULT_COMMAND_TIMEOUT,
                  step_index: int = 0) -> CommandResult:
-    """Run one command in the sandbox worktree and capture both streams."""
+    """Run one command in the sandbox worktree and capture both streams.
+
+    On timeout the command's whole process group is killed before its
+    output is collected, so no child outlives the step.
+    """
     if not handle.alive:
         raise SandboxDead(f"sandbox for {handle.bug_id} is not alive")
     script = _SHELL_PRELUDE + command
@@ -278,27 +285,26 @@ def exec_command(handle: SandboxHandle, command: str,
     import time as _time
     start = _time.monotonic()
     try:
-        proc = subprocess.run(
-            argv, capture_output=True, text=True, timeout=timeout, **kwargs,
-        )
-        result = CommandResult(
-            stdout=proc.stdout, stderr=proc.stderr,
-            exit_code=proc.returncode,
-            duration=_time.monotonic() - start,
-        )
-    except subprocess.TimeoutExpired as exc:
-        def _text(stream) -> str:
-            if stream is None:
-                return ""
-            return stream.decode(errors="replace") if isinstance(stream, bytes) else stream
-        result = CommandResult(
-            stdout=_text(exc.stdout), stderr=_text(exc.stderr),
-            exit_code=TIMEOUT_EXIT_CODE,
-            duration=_time.monotonic() - start,
-            timed_out=True,
-        )
+        # the shell leads a new process group, so a timeout can kill
+        # everything it started, pipelines and background jobs included
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, start_new_session=True, **kwargs) as proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=timeout)
+                timed_out = False
+            except subprocess.TimeoutExpired:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+                stdout, stderr = proc.communicate()
+                timed_out = True
     except (OSError, subprocess.SubprocessError) as exc:
         raise SandboxDead(f"sandbox execution failed: {exc}") from exc
+    result = CommandResult(
+        stdout=stdout, stderr=stderr,
+        exit_code=TIMEOUT_EXIT_CODE if timed_out else proc.returncode,
+        duration=_time.monotonic() - start,
+        timed_out=timed_out,
+    )
     handle._log.append((step_index, command, result))
     return result
 

@@ -173,7 +173,12 @@ def function_names(text: str, language: str = "c_family") -> list[str]:
 
 def enclosing_span(text: str, line: int, language: str = "c_family") -> FunctionSpan:
     """The innermost function span containing 1-based `line`."""
-    hits = [s for s in all_spans(text, language) if s.contains(line)]
+    return innermost_span(all_spans(text, language), line)
+
+
+def innermost_span(found: list[FunctionSpan], line: int) -> FunctionSpan:
+    """The innermost span of an all_spans result containing `line`."""
+    hits = [s for s in found if s.contains(line)]
     if not hits:
         raise NotInFunction(f"line {line} is not inside any function")
     return min(hits, key=lambda s: s.end_line - s.start_line)

@@ -161,6 +161,40 @@ def test_resolve_insertion_falls_back_to_file_add(make_repo):
     )
 
 
+@pytest.mark.parametrize("above, insert_line, anchor_line", [
+    ("int version = 1;\n", 1003, 1),  # the anchor sits above the header
+    ("", 1002, None),                  # nothing executable: file add commit
+])
+def test_resolve_insertion_below_long_header_is_one_read_one_scan(
+        make_repo, monkeypatch, above, insert_line, anchor_line):
+    header = "/*\n" + "".join(f" * license line {i}\n" for i in range(1000)) + " */\n"
+    repo, shas = make_repo([{"f.c": above + header + "int x = 2;\n"}])
+    spawned, scans = [], []
+    real_run, real_scan = blame.gitio.subprocess.run, blame.executable_line_numbers
+
+    def counting_run(argv, *args, **kwargs):
+        spawned.append(argv)
+        return real_run(argv, *args, **kwargs)
+
+    def counting_scan(text):
+        scans.append(len(text))
+        return real_scan(text)
+    monkeypatch.setattr(blame.gitio.subprocess, "run", counting_run)
+    monkeypatch.setattr(blame, "executable_line_numbers", counting_scan)
+    entry = blame.resolve_insertion(repo, shas[0], "f.c", insert_line)
+    monkeypatch.undo()
+
+    assert len(spawned) <= 3, spawned
+    assert len(scans) == 1
+    assert entry.commit_id == shas[0]
+    if anchor_line is None:
+        assert entry.line_number == 1
+        assert entry.anchor_note.startswith("no executable line above insertion")
+    else:
+        assert entry.line_number == anchor_line
+        assert entry.anchor_note == f"window extended to {insert_line - anchor_line} lines"
+
+
 def test_blameless_summary_majority_fallback(make_repo):
     repo, shas = make_repo([
         {"f.c": "int a = 1;\nint b = 2;\n"},

@@ -1,10 +1,12 @@
 """End-to-end CLI behavior on the bundled toy campaign."""
 
 import json
+import threading
+from types import SimpleNamespace
 
 import pytest
 
-from histrepair import synth
+from histrepair import cli, synth
 from histrepair.cli import main
 
 BUG = synth.TOY_BUG_ID
@@ -188,6 +190,34 @@ def test_batch_continues_past_failing_jobs(toy_campaign, capsys):
     assert len(list(records_dir.glob("*.jsonl"))) == 3
 
 
+def test_batch_prints_progress_in_completion_order(toy_campaign, capsys, monkeypatch):
+    # the first-submitted job may only finish once every other job's
+    # progress line is out, so it must be printed last
+    first = "non_history"
+    others_printed = threading.Event()
+    lines: list[str] = []
+
+    def fake_job(cfg, rec, heuristic):
+        if heuristic == first:
+            others_printed.wait(timeout=10)
+        return SimpleNamespace(termination="CompletedSignal")
+
+    def spy_print(*args, **kwargs):
+        print(*args, **kwargs)
+        if args and str(args[0]).startswith("["):
+            lines.append(str(args[0]))
+            if len(lines) == 3:
+                others_printed.set()
+
+    monkeypatch.setattr(cli, "run_one_job", fake_job)
+    monkeypatch.setattr(cli, "print", spy_print, raising=False)
+    code, out, _ = invoke("batch", "--config", str(toy_campaign["campaign"]),
+                          "--workers", "2", capsys=capsys)
+    assert code == 0
+    assert lines[-1] == f"[4/4] {BUG} {first}: CompletedSignal"
+    assert [line.split("]")[0] for line in lines] == ["[1/4", "[2/4", "[3/4", "[4/4"]
+
+
 # --- report -----------------------------------------------------------------
 
 def test_report_after_batch(toy_campaign, capsys):
@@ -233,6 +263,31 @@ def test_invalid_yaml_exits_2(tmp_path, capsys):
     code, _, err = invoke("study", "--config", str(bad), capsys=capsys)
     assert code == 2
     assert "invalid YAML" in err
+
+
+@pytest.mark.parametrize("typo, key", [
+    ("guards:", "guard"),
+    ("  max_steps:", "guards.max_step"),
+    ("  scripts_dir:", "provider.script_dir"),
+])
+def test_unknown_config_key_exits_2_and_names_it(toy_campaign, capsys, typo, key):
+    text = toy_campaign["campaign"].read_text()
+    assert typo in text
+    bad_key = key.rsplit(".", 1)[-1]
+    indent = "  " if "." in key else ""
+    cfg = toy_campaign["root"] / "campaign_typo.yaml"
+    cfg.write_text(text.replace(typo, f"{indent}{bad_key}:", 1))
+    code, _, err = invoke("study", "--config", str(cfg), capsys=capsys)
+    assert code == 2
+    assert f"unknown key {key!r}" in err
+
+
+def test_unknown_budget_key_exits_2(toy_campaign, capsys):
+    cfg = toy_campaign["root"] / "campaign_budget.yaml"
+    cfg.write_text(toy_campaign["campaign"].read_text() + "budgets:\n  fl_dif: 100\n")
+    code, _, err = invoke("study", "--config", str(cfg), capsys=capsys)
+    assert code == 2
+    assert "unknown key 'budgets.fl_dif'" in err
 
 
 def test_empty_manifest_exits_2(toy_campaign, capsys):

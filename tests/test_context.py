@@ -153,6 +153,65 @@ def test_fn_pair_uses_commit_side_line_numbers(make_repo):
     assert pair.before is None  # root commit has no parent
 
 
+# old line each new line maps to, through one or more -U0 hunks
+PREIMAGE_CASES = {
+    # two lines inserted after old line 2
+    "pure insert": ([gitio.Hunk(2, 0, 3, 2)],
+                    {1: 1, 2: 2, 3: None, 4: None, 5: 3}),
+    # old lines 2-3 deleted after new line 1
+    "pure delete": ([gitio.Hunk(2, 2, 1, 0)], {1: 1, 2: 4, 3: 5}),
+    "replace shorter": ([gitio.Hunk(2, 3, 2, 1)], {1: 1, 2: 2, 3: 5}),
+    "replace longer": ([gitio.Hunk(2, 1, 2, 3)],
+                       {1: 1, 2: 2, 3: 2, 4: 2, 5: 3}),
+    "deleted first lines": ([gitio.Hunk(1, 2, 0, 0)], {1: 3, 2: 4}),
+    # an insert, a delete and a longer replace: lines before, between
+    # and after the hunks shift by the hunks before them
+    "three hunks": (
+        [gitio.Hunk(2, 0, 3, 1), gitio.Hunk(5, 2, 5, 0), gitio.Hunk(9, 1, 8, 2)],
+        {1: 1, 2: 2, 3: None, 4: 3, 5: 4, 6: 7, 7: 8, 8: 9, 9: 9, 10: 10, 11: 11},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREIMAGE_CASES))
+def test_preimage_line_through_hunks(case):
+    hunks, expected = PREIMAGE_CASES[case]
+    assert {n: context._preimage_line(hunks, n) for n in expected} == expected
+
+
+def test_preimage_line_from_headers_with_omitted_counts():
+    hunks = gitio.parse_hunk_headers("@@ -3 +3 @@\n@@ -6 +5,0 @@\n@@ -8,0 +8 @@\n")
+    assert [context._preimage_line(hunks, n) for n in range(1, 10)] == \
+        [1, 2, 3, 4, 5, 7, 8, None, 9]
+
+
+# the commit rewrites both bodies. git aligns g's new call with g's old
+# body, and blame attributes the call through that alignment; a
+# longest-block matcher pairs it with f's second a() call instead
+TWO_BODIES_BEFORE = "int f() {\n    a();\n    a();\n}\nint g() {\n    c();\n    b();\n}\n"
+TWO_BODIES_AFTER = "int f() {\n    c();\n}\nint g() {\n    a();\n}\n"
+
+
+def test_fn_pair_before_side_follows_git_hunk_alignment(make_repo):
+    repo, shas = make_repo([{"x.c": TWO_BODIES_BEFORE}, {"x.c": TWO_BODIES_AFTER}])
+    entry = entry_for(repo, shas[1], "x.c", 5)
+    assert entry.commit_id == shas[1]
+    pair = extract_fn_pair(repo, shas[1], entry)
+    assert pair.before.name == pair.after.name == "g"
+    assert pair.before.body_text == "int g() {\n    c();\n    b();\n}"
+    assert pair.after.body_text == "int g() {\n    a();\n}"
+
+
+def test_preimage_agrees_with_blame_on_unchanged_lines(make_repo):
+    repo, shas = make_repo([{"x.c": TWO_BODIES_BEFORE}, {"x.c": TWO_BODIES_AFTER}])
+    hunks = gitio.diff_hunks(repo, shas[0], shas[1], "x.c")
+    lines = gitio.blame_file_lines(repo, shas[1], "x.c", list(range(1, 7)))
+    kept = [bl for bl in lines if bl.commit_id == shas[0]]
+    assert len(kept) == 4
+    for bl in kept:
+        assert context._preimage_line(hunks, bl.final_line) == bl.orig_line
+
+
 # --- fl_diff ------------------------------------------------------------
 
 def test_fl_diff_matches_reference_git_diff(make_repo):

@@ -1,6 +1,8 @@
 """Sandbox provisioning, execution, wrappers, and teardown."""
 
 import os
+import time
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +95,46 @@ def test_command_timeout_reports_exit_124(handle):
     result = sb.exec_command(handle, "sleep 5", timeout=0.3)
     assert result.timed_out is True
     assert result.exit_code == sb.TIMEOUT_EXIT_CODE
+
+
+def _group_alive(pgid: int) -> bool:
+    """Whether process group `pgid` still has a member that is not a zombie."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    # an init that does not reap orphans leaves their zombies holding
+    # the group id; those are dead, so only other states count
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            return True
+    return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+@pytest.mark.parametrize("command", [
+    "sleep 3; echo done", "sleep 3 | cat", "(sleep 3 &); sleep 3",
+])
+def test_timeout_kills_the_whole_process_group(handle, tmp_path, command):
+    pgid_file = tmp_path / "pgid"
+    # field 5 of /proc/<pid>/stat is the process group id
+    result = sb.exec_command(
+        handle,
+        f"read -r _ _ _ _ pgid _ < /proc/$$/stat; echo $pgid > {pgid_file}; {command}",
+        timeout=0.5,
+    )
+    assert result.timed_out is True
+    assert "done" not in result.stdout
+    pgid = int(pgid_file.read_text())
+    assert pgid != os.getpgid(0), "the command must lead its own process group"
+    deadline = time.monotonic() + 2.0
+    while _group_alive(pgid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _group_alive(pgid)
 
 
 def test_test_wrapper_beats_shell_builtin(handle):
