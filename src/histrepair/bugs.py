@@ -229,45 +229,3 @@ def load_manifest(path: Path | str) -> list[BugRecord]:
             raise ConfigError(f"duplicate bug_id {rec.spec.bug_id}")
         seen.add(rec.spec.bug_id)
     return records
-
-
-def record_to_json(rec: BugRecord, base: Path) -> dict:
-    """Inverse of parse_record, with paths made relative to `base`."""
-
-    def rel(p: Path | None) -> str | None:
-        if p is None:
-            return None
-        try:
-            return str(p.relative_to(base))
-        except ValueError:
-            return str(p)
-
-    obj = {
-        "bug_id": rec.spec.bug_id,
-        "repo_path": rel(rec.repo_path),
-        "snapshot_ref": rec.spec.snapshot_ref,
-        "locations": [
-            {
-                "file": loc.file_path,
-                "lines": [{"line": ln.line, "kind": ln.kind} for ln in loc.lines],
-            }
-            for loc in rec.spec.locations
-        ],
-        "failing_tests": list(rec.spec.failing_tests),
-    }
-    if rec.bug_report_path is not None:
-        obj["bug_report_path"] = rel(rec.bug_report_path)
-    elif rec.spec.bug_report:
-        obj["bug_report"] = rec.spec.bug_report
-    if rec.fix_patch_path is not None:
-        obj["fix_patch_path"] = rel(rec.fix_patch_path)
-    obj.update(rec.extra)
-    return obj
-
-
-def save_manifest(records: list[BugRecord], path: Path | str) -> None:
-    path = Path(path)
-    base = path.parent
-    with path.open("w") as fh:
-        for rec in records:
-            fh.write(json.dumps(record_to_json(rec, base)) + "\n")

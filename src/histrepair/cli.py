@@ -24,7 +24,6 @@ from .bugs import BugRecord, fix_patch_from_diff, load_manifest
 from .config import CampaignConfig, load_campaign, make_provider
 from .context import (
     HEURISTICS,
-    TemplateSet,
     build_context,
     render_prompts,
     save_context,
@@ -56,12 +55,6 @@ def _find_record(cfg: CampaignConfig, bug_id: str) -> BugRecord:
     raise NotFound(f"bug {bug_id!r} is not in the manifest")
 
 
-def _templates(cfg: CampaignConfig) -> TemplateSet:
-    if cfg.template_dir is not None:
-        return TemplateSet.from_dir(cfg.template_dir)
-    return TemplateSet.default()
-
-
 def prepare_bundle(cfg: CampaignConfig, rec: BugRecord, heuristic: str):
     """Blame, extract, truncate and render for one (bug, heuristic).
 
@@ -69,7 +62,7 @@ def prepare_bundle(cfg: CampaignConfig, rec: BugRecord, heuristic: str):
     degrades to a notice line instead of failing the run.
     """
     repo_path = AGENT_REPO_PATH.get(cfg.backend, ".")
-    templates = _templates(cfg)
+    templates = cfg.templates
     if heuristic == "non_history":
         bundle = render_prompts(
             rec.spec, None, templates,

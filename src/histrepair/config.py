@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from decimal import Decimal
+from functools import cached_property
 from pathlib import Path
 
 import yaml
 
-from .context import DEFAULT_BUDGETS, HEURISTICS
+from .context import DEFAULT_BUDGETS, HEURISTICS, TemplateSet
 from .errors import ConfigError
 from .loop import DEFAULT_SENTINEL, GuardConfig
 from .provider import HttpProvider, PricingTable, ScriptedProvider
@@ -62,6 +63,17 @@ class CampaignConfig:
             raise ConfigError(f"unknown heuristic configs: {unknown}")
         if self.workers < 1:
             raise ConfigError("worker count must be >= 1")
+
+    @cached_property
+    def templates(self) -> TemplateSet:
+        """The prompt templates, compiled once and shared by every job.
+
+        A jinja2 Environment is safe to render from many threads once it
+        is set up, so batch workers share this one.
+        """
+        if self.template_dir is not None:
+            return TemplateSet.from_dir(self.template_dir)
+        return TemplateSet.default()
 
     def to_json(self) -> dict:
         return {

@@ -30,7 +30,6 @@ from .errors import (
 from .provider import PricingTable, Provider, TokenUsage, accumulate_cost
 
 DEFAULT_SENTINEL = "COMPLETE_REPAIR_SIGNAL"
-ALTERNATE_SENTINEL = "COMPLETE_TASK_AND_SUBMIT_FINAL_OUTPUT"
 
 # per-stream observation cap: keep the head and the tail, drop the middle
 OBS_HEAD = 6000
@@ -372,6 +371,5 @@ def comparable_record_lines(path: Path | str) -> list[str]:
             continue
         obj = json.loads(raw)
         obj.pop("wall_time", None)
-        obj.pop("duration", None)
         lines.append(json.dumps(obj, sort_keys=True))
     return lines

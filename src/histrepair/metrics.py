@@ -14,16 +14,19 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-
-import numpy as np
+from statistics import quantiles
 
 from .bugs import CATEGORIES
 from .context import HEURISTICS
 from .errors import EmptyScope, InsufficientData, UniverseMismatch
-from .stats import BONFERRONI_ALPHA, friedman_test, wilcoxon_signed_rank
+from .stats import (
+    BONFERRONI_ALPHA,
+    bonferroni_alpha,
+    friedman_test,
+    wilcoxon_signed_rank,
+)
 
 BASELINE = "non_history"
-HISTORY_CONFIGS = tuple(h for h in HEURISTICS if h != BASELINE)
 
 
 @dataclass(frozen=True)
@@ -144,13 +147,11 @@ def stratify(rows: list[OutcomeRow], value: str = "steps") -> dict:
         cells.setdefault(key, []).append(float(getattr(r, value)))
     out = {}
     for key, values in cells.items():
-        arr = np.asarray(values)
-        out[key] = Strata(
-            n=len(values),
-            median=float(np.median(arr)),
-            q1=float(np.percentile(arr, 25)),
-            q3=float(np.percentile(arr, 75)),
-        )
+        # inclusive quartiles interpolate like numpy's default percentile;
+        # one value is its own median and quartiles
+        q1, median, q3 = (quantiles(values, n=4, method="inclusive")
+                          if len(values) > 1 else values * 3)
+        out[key] = Strata(n=len(values), median=median, q1=q1, q3=q3)
     return out
 
 
@@ -269,11 +270,16 @@ def matched_set(rows: list[OutcomeRow]) -> list[str]:
 
 def stat_test_report(rows: list[OutcomeRow], metric: str,
                      category: str) -> StatTestReport:
-    """Run the Friedman/Wilcoxon battery over one category's matched set."""
+    """Run the Friedman/Wilcoxon battery over one category's matched set.
+
+    The Bonferroni divisor is the number of configs in the category
+    that are compared against the baseline.
+    """
     scoped = [r for r in rows if r.category == category]
     matched = matched_set(scoped)
     groups = by_config(scoped)
     configs = sorted(groups, key=HEURISTICS.index)
+    compared = sum(1 for cfg in configs if cfg != BASELINE)
     values = {
         cfg: {r.bug_id: getattr(r, metric) for r in groups[cfg]}
         for cfg in configs
@@ -281,6 +287,7 @@ def stat_test_report(rows: list[OutcomeRow], metric: str,
     report = StatTestReport(
         metric=metric, category=category, n_matched=len(matched),
         friedman_statistic=None, friedman_p=None,
+        alpha_corrected=float(bonferroni_alpha(compared)),
     )
     matrix = [[values[cfg][b] for cfg in configs] for b in matched]
     try:
@@ -343,10 +350,12 @@ def render_metrics_table(table: MetricsTable) -> str:
 
 
 def render_stat_reports(reports: list[StatTestReport]) -> str:
+    alphas = sorted({rep.alpha_corrected for rep in reports})
     lines = [
         "Significance tests on the matched set "
         "(bugs fixed by all four configurations).",
-        f"Bonferroni-corrected alpha: {float(BONFERRONI_ALPHA):.4f}",
+        "Bonferroni-corrected alpha: "
+        + ", ".join(f"{alpha:.4f}" for alpha in alphas),
         "",
     ]
     for rep in reports:
@@ -360,7 +369,7 @@ def render_stat_reports(reports: list[StatTestReport]) -> str:
         )
         if rep.pairwise_p:
             for cfg, p in rep.pairwise_p.items():
-                mark = "*" if p < float(BONFERRONI_ALPHA) else " "
+                mark = "*" if p < rep.alpha_corrected else " "
                 lines.append(f"    {cfg} vs {BASELINE}: p={p:.4g} {mark}")
         elif rep.friedman_p >= 0.05:
             lines.append("    (no pairwise tests: Friedman not significant)")

@@ -17,9 +17,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Protocol
 
-import requests
-
-from .errors import ConfigError, PricingMissing, ProviderFailure
+from .errors import PricingMissing, ProviderFailure
 
 # money carries six fractional digits, enough for sub-cent token prices
 CENT6 = Decimal("0.000001")
@@ -94,6 +92,10 @@ class HttpProvider:
     sleeper: Callable[[float], None] = time.sleep
 
     def complete(self, messages: list[dict], temperature: float = 0.0) -> ProviderReply:
+        # imported here so that commands which never call a live model
+        # do not pay for loading the HTTP stack
+        import requests
+
         key = os.environ.get(self.api_key_env, "")
         headers = {"Content-Type": "application/json"}
         if key:
@@ -153,10 +155,3 @@ def accumulate_cost(usage: TokenUsage, pricing: PricingTable, model: str) -> Dec
     cost = (Decimal(usage.input_tokens) * in_rate
             + Decimal(usage.output_tokens) * out_rate) / million
     return cost.quantize(CENT6)
-
-
-def load_pricing(path: Path | str) -> PricingTable:
-    try:
-        return PricingTable.from_dict(json.loads(Path(path).read_text()))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise ConfigError(f"cannot load pricing table from {path}: {exc}") from exc

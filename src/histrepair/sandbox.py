@@ -137,6 +137,7 @@ class SandboxHandle:
     _container_id: str = ""
     _env: dict = field(default_factory=dict)
     _log: list[tuple[int, str, CommandResult]] = field(default_factory=list)
+    _pgids: list[int] = field(default_factory=list)  # one group per command
     _manifest: dict | None = None
 
 
@@ -267,7 +268,8 @@ def exec_command(handle: SandboxHandle, command: str,
     """Run one command in the sandbox worktree and capture both streams.
 
     On timeout the command's whole process group is killed before its
-    output is collected, so no child outlives the step.
+    output is collected, so no child outlives the step. A background job
+    that outlives a command which returned normally dies at teardown.
     """
     if not handle.alive:
         raise SandboxDead(f"sandbox for {handle.bug_id} is not alive")
@@ -289,6 +291,7 @@ def exec_command(handle: SandboxHandle, command: str,
         # everything it started, pipelines and background jobs included
         with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                               text=True, start_new_session=True, **kwargs) as proc:
+            handle._pgids.append(proc.pid)
             try:
                 stdout, stderr = proc.communicate(timeout=timeout)
                 timed_out = False
@@ -398,6 +401,9 @@ def teardown(handle: SandboxHandle, persist_dir: Path | str) -> dict:
     log_file.write_text(render_command_log(handle))
 
     if handle.backend == "local":
+        for pgid in handle._pgids:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(pgid, signal.SIGKILL)
         if handle._root is not None:
             shutil.rmtree(handle._root, ignore_errors=True)
     else:

@@ -21,14 +21,12 @@ from typing import Callable
 from .errors import DetectorFailure, NotInFunction
 from .sourcetext import clean_source
 
-# a C-family signature: optional qualifiers, a name, an arg list, then
-# an opening brace on the same or a following line. Control-flow
-# keywords are excluded so `if (...) {` is not mistaken for a function.
+# control-flow keywords are excluded so `if (...) {` is not mistaken
+# for a function signature
 _CONTROL = {
     "if", "for", "while", "switch", "catch", "return",
     "else", "do", "try", "new", "synchronized",
 }
-_SIGNATURE = re.compile(r"(?:^|[\s*&])([A-Za-z_~][\w$]*)\s*\($")
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,9 @@ class FunctionSpan:
         return self.start_line <= line <= self.end_line
 
     def slice_text(self, text: str) -> str:
-        lines = text.splitlines()
+        # only "\n" ends a line, as in clean_source and git's numbering;
+        # str.splitlines would also break at form feeds and the like
+        lines = text.split("\n")
         return "\n".join(lines[self.start_line - 1:self.end_line])
 
 

@@ -5,7 +5,9 @@ signed-rank against the no-history baseline when Friedman rejects.
 Wilcoxon p-values are exact for n <= 25 (dynamic programming over the
 doubled-rank sum distribution, so average ranks from ties stay integer
 arithmetic) and use the normal approximation with continuity correction
-above that. Both tests are two-sided.
+above that. Both tests are two-sided. The chi-square and normal tails
+come from closed forms over `math.erfc`, so importing this module costs
+no numerical library.
 """
 
 from __future__ import annotations
@@ -14,14 +16,48 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from scipy.stats import chi2, norm
-
 from .errors import DegenerateAllZero, InsufficientData
 
 EXACT_CUTOFF = 25
 
-# three pairwise comparisons against the baseline
-BONFERRONI_ALPHA = Fraction(5, 100) / 3
+
+def bonferroni_alpha(comparisons: int) -> Fraction:
+    """Per-comparison alpha that keeps the family-wise rate at 0.05."""
+    return Fraction(5, 100) / max(comparisons, 1)
+
+
+# three pairwise comparisons against the baseline: all four configs
+BONFERRONI_ALPHA = bonferroni_alpha(3)
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """P(X >= x) for a chi-square variable with integer `df` >= 1.
+
+    Finite series of the regularized upper incomplete gamma function
+    Q(df/2, x/2): for even df, exp(-h) * sum_{i<df/2} h^i / i!; for odd
+    df, erfc(sqrt(h)) + exp(-h) * sum_{1<=i<=(df-1)/2} h^(i-1/2) / G(i+1/2),
+    with h = x/2. Every term is positive, so nothing cancels.
+    """
+    if x <= 0:
+        return 1.0
+    h = x / 2
+    if df % 2 == 0:
+        term = total = 1.0
+        for i in range(1, df // 2):
+            term *= h / i
+            total += term
+        return math.exp(-h) * total
+    total = 0.0
+    term = 2 * math.sqrt(h / math.pi)  # h^(1/2) / G(3/2)
+    for i in range(1, (df - 1) // 2 + 1):
+        total += term
+        term *= h / (i + 0.5)
+    return math.erfc(math.sqrt(h)) + math.exp(-h) * total
+
+
+def _norm_sf(z: float) -> float:
+    """P(Z >= z) for a standard normal Z."""
+    return math.erfc(z / math.sqrt(2)) / 2
 
 
 def average_ranks(values: Sequence) -> list[float]:
@@ -91,7 +127,7 @@ def wilcoxon_signed_rank(pairs: Sequence[tuple], alpha=BONFERRONI_ALPHA):
             p = 1.0
         else:
             z = (abs(delta) - 0.5) / sigma
-            p = min(1.0, 2 * float(norm.sf(z)))
+            p = min(1.0, 2 * _norm_sf(z))
     return statistic, p, p < alpha
 
 
@@ -120,5 +156,5 @@ def friedman_test(matrix: Sequence[Sequence]) -> tuple[float, float]:
     if denominator == 0:
         return 0.0, 1.0
     statistic = numerator / denominator
-    p = float(chi2.sf(statistic, k - 1))
+    p = _chi2_sf(statistic, k - 1)
     return statistic, p

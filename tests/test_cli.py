@@ -1,13 +1,19 @@
 """End-to-end CLI behavior on the bundled toy campaign."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import histrepair
 from histrepair import cli, synth
 from histrepair.cli import main
+from histrepair.context import TemplateSet
 
 BUG = synth.TOY_BUG_ID
 
@@ -322,3 +328,32 @@ def test_frozen_config_is_valid_json(toy_campaign, capsys):
     assert frozen["configs"] == ["non_history", "fn_all", "fn_pair", "fl_diff"]
     assert frozen["guards"]["max_steps"] == 50
     assert frozen["provider"]["mode"] == "scripted"
+
+
+# --- cold start -------------------------------------------------------------
+
+def test_batch_compiles_templates_once(toy_campaign, monkeypatch):
+    built = []
+    from_dir = TemplateSet.from_dir.__func__
+
+    def counting_from_dir(cls, template_dir):
+        built.append(template_dir)
+        return from_dir(cls, template_dir)
+
+    monkeypatch.setattr(TemplateSet, "from_dir", classmethod(counting_from_dir))
+    code, _, _ = invoke("batch", "--config", str(toy_campaign["campaign"]),
+                        "--workers", "2")
+    assert code == 0
+    records = list((toy_campaign["root"] / "out" / "records").glob("*.jsonl"))
+    assert len(records) == 4
+    assert len(built) == 1
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # scipy, numpy and requests cost over a second of every cold CLI call
+    src = str(Path(histrepair.__file__).resolve().parents[1])
+    probe = ("import sys, histrepair.cli; "
+             "print(sorted(m for m in ('numpy', 'requests', 'scipy') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "[]"

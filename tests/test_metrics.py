@@ -151,6 +151,19 @@ def test_stratify_on_cost():
     assert cell.median == 0.5
 
 
+def test_stratify_matches_numpy_percentiles():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(29)
+    for n in range(1, 40):
+        steps = [rng.randint(0, 60) for _ in range(n)]
+        rows = [row(f"b{i}", "fn_pair", True, steps=s) for i, s in enumerate(steps)]
+        cell = stratify(rows)[("SL", "fn_pair", "passed")]
+        assert cell.n == n
+        assert cell.median == pytest.approx(float(np.median(steps)))
+        assert cell.q1 == pytest.approx(float(np.percentile(steps, 25)))
+        assert cell.q3 == pytest.approx(float(np.percentile(steps, 75)))
+
+
 # --- trade-off frontier -----------------------------------------------------
 
 def test_frontier_hand_case():
@@ -288,6 +301,23 @@ def test_stat_report_skips_pairwise_when_friedman_flat():
     rendered = render_stat_reports([report])
     assert "no pairwise tests" in rendered
     assert "0.0167" in rendered
+
+
+def test_bonferroni_divisor_counts_the_configs_present():
+    # two configs, as in a non_history vs fn_pair campaign: one comparison,
+    # so the pairwise test is judged at 0.05, not at 0.05/3
+    rows = []
+    for i in range(6):
+        rows.append(row(f"m{i}", BASELINE, True, steps=20 + i))
+        rows.append(row(f"m{i}", "fn_pair", True, steps=10 + i))
+    report = stat_test_report(rows, "steps", "SL")
+    assert report.friedman_p < 0.05
+    # fn_pair wins on all 6 bugs: exact two-sided p = 2/2^6
+    assert report.pairwise_p == {"fn_pair": pytest.approx(2 / 64)}
+    assert report.alpha_corrected == 0.05
+    rendered = render_stat_reports([report])
+    assert "Bonferroni-corrected alpha: 0.0500" in rendered
+    assert "fn_pair vs non_history: p=0.03125 *" in rendered
 
 
 def test_stat_report_notes_insufficient_data():

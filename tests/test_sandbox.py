@@ -137,6 +137,26 @@ def test_timeout_kills_the_whole_process_group(handle, tmp_path, command):
     assert not _group_alive(pgid)
 
 
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_teardown_kills_background_jobs(toy, tmp_path):
+    handle = sb.provision(synth.TOY_BUG_ID, toy["repo"], toy["snapshot"],
+                          "local-python")
+    pgid_file = tmp_path / "pgid"
+    result = sb.exec_command(
+        handle,
+        f"read -r _ _ _ _ pgid _ < /proc/$$/stat; echo $pgid > {pgid_file}; "
+        "sleep 4 >/dev/null 2>&1 &",
+    )
+    assert result.exit_code == 0 and not result.timed_out
+    pgid = int(pgid_file.read_text())
+    assert _group_alive(pgid), "the background job outlives its command"
+    sb.teardown(handle, tmp_path / "artifacts")
+    deadline = time.monotonic() + 2.0
+    while _group_alive(pgid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _group_alive(pgid)
+
+
 def test_test_wrapper_beats_shell_builtin(handle):
     # bare `test` must run the adapter's test command, not bash's builtin
     # (the builtin exits silently; the wrapper prints the failing block)

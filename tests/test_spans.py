@@ -128,6 +128,14 @@ def test_slice_text_returns_exact_lines():
     assert span.slice_text(C_SOURCE) == "int add(int a, int b) {\n    return a + b;\n}"
 
 
+def test_slice_text_counts_only_newlines():
+    # a form feed is not a line break for clean_source or git
+    text = "int a() {\n    return 1;\n}\n\x0c\nint b() {\n    return 2;\n}\n"
+    span = spans.enclosing_span(text, 6, "c_family")
+    assert (span.name, span.start_line, span.end_line) == ("b", 5, 7)
+    assert span.slice_text(text) == "int b() {\n    return 2;\n}"
+
+
 def test_window_span_clamps_to_file():
     span = spans.window_span(C_SOURCE, 2, radius=20)
     assert span.name == "(window)"

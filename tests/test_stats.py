@@ -6,12 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import chi2, friedmanchisquare, rankdata, wilcoxon
+from scipy.stats import chi2, friedmanchisquare, norm, rankdata, wilcoxon
 
 from histrepair.errors import DegenerateAllZero, InsufficientData
 from histrepair.stats import (
     BONFERRONI_ALPHA,
+    _chi2_sf,
+    _norm_sf,
     average_ranks,
+    bonferroni_alpha,
     friedman_test,
     wilcoxon_signed_rank,
 )
@@ -203,3 +206,31 @@ def test_friedman_insufficient_data():
 def test_bonferroni_alpha_value():
     assert BONFERRONI_ALPHA == Fraction(1, 60)
     assert f"{float(BONFERRONI_ALPHA):.4f}" == "0.0167"
+
+
+def test_bonferroni_alpha_divides_by_comparisons():
+    assert bonferroni_alpha(3) == BONFERRONI_ALPHA
+    assert bonferroni_alpha(1) == Fraction(1, 20)
+    assert bonferroni_alpha(2) == Fraction(1, 40)
+
+
+# --- closed-form tails against scipy ------------------------------------------
+
+@pytest.mark.parametrize("df", [1, 2, 3, 4, 5])
+def test_chi2_sf_matches_scipy(df):
+    # Friedman statistics are rationals with small denominators
+    friedman_like = [Fraction(a, b) for b in (1, 3, 7, 12, 45) for a in range(0, 200, 7)]
+    xs = ([0.0, 1e-300, 1e-12, 1e-6, 0.5, 9.0, 30.0, 123.456]
+          + [float(f) for f in friedman_like]
+          + [950.0, 1000.0])
+    for x in xs:
+        ref = float(chi2.sf(x, df))
+        assert _chi2_sf(x, df) == pytest.approx(ref, rel=1e-12, abs=0), (df, x)
+    # far tail: still a positive, accurate number, not an underflow to 0
+    assert 0 < _chi2_sf(950.0, df) < 1e-200
+
+
+def test_normal_tail_matches_scipy():
+    for i in range(801):
+        z = i / 100
+        assert _norm_sf(z) == pytest.approx(float(norm.sf(z)), rel=1e-12, abs=0), z
