@@ -29,7 +29,7 @@ from .errors import (
     NewFileNoHistory,
     NoFallbackAnchor,
 )
-from .sourcetext import executable_line_numbers
+from .sourcetext import executable_line_numbers, source_lines
 
 FALLBACK_WINDOW = 5
 
@@ -81,11 +81,6 @@ def most_recent_judge_factory(repo: Path | str) -> CommitJudge:
         return max(range(len(candidates)), key=lambda i: (times[i], -i))
 
     return judge
-
-
-def first_candidate_judge(candidates: list[JudgeCandidate]) -> int:
-    """Trivial deterministic judge: first candidate in blame order."""
-    return 0
 
 
 @dataclass
@@ -213,7 +208,7 @@ def _judge_candidates(repo: Path | str, ref: str,
         for e in entries:
             if e.commit_id != sha:
                 continue
-            lines = gitio.file_at(repo, ref, e.file_path).splitlines()
+            lines = source_lines(gitio.file_at(repo, ref, e.file_path))
             lo = max(1, e.line_number - 3)
             hi = min(len(lines), e.line_number + 3)
             snippet = "\n".join(

@@ -43,9 +43,9 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_GUARD = 4
 
-# the path the agent is told the project lives at; stable per backend
-# so transcripts replay byte-identically across provisioned worktrees
-AGENT_REPO_PATH = {"local": ".", "container": "/work"}
+# the path the agent is told the project lives at; stable across
+# provisioned worktrees so transcripts replay byte-identically
+AGENT_REPO_PATH = "."
 
 
 def _find_record(cfg: CampaignConfig, bug_id: str) -> BugRecord:
@@ -61,12 +61,11 @@ def prepare_bundle(cfg: CampaignConfig, rec: BugRecord, heuristic: str):
     Returns (bundle, context-or-None). A fn_pair that cannot anchor
     degrades to a notice line instead of failing the run.
     """
-    repo_path = AGENT_REPO_PATH.get(cfg.backend, ".")
     templates = cfg.templates
     if heuristic == "non_history":
         bundle = render_prompts(
             rec.spec, None, templates,
-            repo_path=repo_path, sentinel=cfg.sentinel,
+            repo_path=AGENT_REPO_PATH, sentinel=cfg.sentinel,
         )
         return bundle, None
     summary = blame_mod.summarize_blame(rec.repo_path, rec.spec)
@@ -82,13 +81,13 @@ def prepare_bundle(cfg: CampaignConfig, rec: BugRecord, heuristic: str):
     except FnPairUnavailable as exc:
         bundle = render_prompts(
             rec.spec, None, templates,
-            repo_path=repo_path, sentinel=cfg.sentinel,
+            repo_path=AGENT_REPO_PATH, sentinel=cfg.sentinel,
             history_note=f"historical context unavailable: {exc}",
         )
         return bundle, None
     bundle = render_prompts(
         rec.spec, ctx, templates,
-        repo_path=repo_path, sentinel=cfg.sentinel,
+        repo_path=AGENT_REPO_PATH, sentinel=cfg.sentinel,
     )
     return bundle, ctx
 
@@ -120,10 +119,7 @@ def run_one_job(cfg: CampaignConfig, rec: BugRecord,
     if ctx is not None:
         save_context(ctx, context_dir / f"{stem}.context.json")
 
-    handle = sb.provision(
-        bug_id, rec.repo_path, rec.spec.snapshot_ref,
-        cfg.adapter, backend=cfg.backend,
-    )
+    handle = sb.provision(bug_id, rec.repo_path, rec.spec.snapshot_ref, cfg.adapter)
     try:
         harness = loop_mod.LoopHarness(
             provider=provider,

@@ -20,6 +20,7 @@ from .context import DEFAULT_BUDGETS, HEURISTICS, TemplateSet
 from .errors import ConfigError
 from .loop import DEFAULT_SENTINEL, GuardConfig
 from .provider import HttpProvider, PricingTable, ScriptedProvider
+from .sandbox import BUILTIN_ADAPTERS
 
 
 @dataclass
@@ -48,7 +49,7 @@ class CampaignConfig:
     guards: GuardConfig = field(default_factory=GuardConfig)
     provider: ProviderSettings = field(default_factory=ProviderSettings)
     adapter: str = "local-python"
-    backend: str = "local"
+    backend: str = "local"            # the only sandbox backend
     workers: int = 1
     template_dir: Path | None = None
     budgets: dict = field(default_factory=lambda: dict(DEFAULT_BUDGETS))
@@ -63,6 +64,17 @@ class CampaignConfig:
             raise ConfigError(f"unknown heuristic configs: {unknown}")
         if self.workers < 1:
             raise ConfigError("worker count must be >= 1")
+        if self.adapter not in BUILTIN_ADAPTERS:
+            raise ConfigError(
+                f"unknown adapter {self.adapter!r}; "
+                f"known: {', '.join(sorted(BUILTIN_ADAPTERS))}"
+            )
+        if self.backend != "local":
+            raise ConfigError(
+                f"unknown backend {self.backend!r}: 'local' is the only sandbox"
+                " backend; to isolate runs in a container, run histrepair"
+                " itself inside one"
+            )
 
     @cached_property
     def templates(self) -> TemplateSet:

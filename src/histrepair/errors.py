@@ -103,7 +103,7 @@ class PricingMissing(HistRepairError):
 # --- sandbox -----------------------------------------------------------------
 
 class ProvisionError(HistRepairError):
-    """Sandbox could not be provisioned; carries backend diagnostics."""
+    """Sandbox could not be provisioned: unknown adapter or failed checkout."""
 
 
 class SandboxDead(HistRepairError):

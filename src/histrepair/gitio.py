@@ -64,21 +64,8 @@ def snapshot_worktree(repo: Path | str, ref: str):
         run_git(repo, "worktree", "remove", "--force", str(target), check=False)
 
 
-def resolve_ref(repo: Path | str, ref: str) -> str:
-    out = run_git(repo, "rev-parse", "--verify", f"{ref}^{{commit}}")
-    return out.strip()
-
-
 def tree_hash(repo: Path | str, ref: str = "HEAD") -> str:
     return run_git(repo, "rev-parse", f"{ref}^{{tree}}").strip()
-
-
-def path_exists_at(repo: Path | str, ref: str, path: str) -> bool:
-    proc = subprocess.run(
-        ["git", "-C", str(repo), "cat-file", "-e", f"{ref}:{path}"],
-        capture_output=True, text=True,
-    )
-    return proc.returncode == 0
 
 
 def file_at(repo: Path | str, ref: str, path: str) -> str:
@@ -112,14 +99,6 @@ def commit_message(repo: Path | str, commit: str) -> str:
 
 def author_time(repo: Path | str, commit: str) -> int:
     return int(run_git(repo, "log", "-1", "--format=%at", commit).strip())
-
-
-def is_ancestor(repo: Path | str, ancestor: str, descendant: str) -> bool:
-    proc = subprocess.run(
-        ["git", "-C", str(repo), "merge-base", "--is-ancestor", ancestor, descendant],
-        capture_output=True, text=True,
-    )
-    return proc.returncode == 0
 
 
 @dataclass(frozen=True)
@@ -230,7 +209,8 @@ def parse_porcelain_blame(output: str) -> list[BlameLine]:
     the tab-prefixed content line. Unknown record types raise: silent
     tolerance would hide format drift.
     """
-    lines = output.splitlines()
+    # only "\n" ends a record: a form feed in a content line does not
+    lines = output.split("\n")
     result: list[BlameLine] = []
     i = 0
     while i < len(lines):

@@ -237,18 +237,10 @@ def run(bug_id: str, config: str, system_prompt: str, user_prompt: str,
 
         outcome: sb.TestOutcome | None = None
         if invokes_test(action.command):
-            if result.timed_out:
-                outcome = sb.TestOutcome(
-                    all_passed=False,
-                    failing_tests=("(test run timed out)",),
-                    raw_excerpt="",
-                )
-            else:
-                try:
-                    parser = sb.TEST_PARSERS[handle.adapter.test_output_parser]
-                    outcome = parser(result.stdout + "\n" + result.stderr)
-                except TestOutputParseError:
-                    outcome = sb.fail_closed_outcome(result.stdout + result.stderr)
+            try:
+                outcome = sb.test_outcome(result)
+            except TestOutputParseError:
+                outcome = sb.fail_closed_outcome(result.stdout + result.stderr)
             last_test = outcome
 
         signaled = harness.sentinel in action.command

@@ -258,10 +258,11 @@ class StatTestReport:
     pairwise_p: dict[str, float] = field(default_factory=dict)
     alpha_corrected: float = float(BONFERRONI_ALPHA)
     note: str = ""
+    configs: tuple[str, ...] = ()   # the configs the matched set spans
 
 
 def matched_set(rows: list[OutcomeRow]) -> list[str]:
-    """Bugs passed by all four configurations."""
+    """Bugs passed by every configuration present in `rows`."""
     groups = by_config(rows)
     _require_same_universe(groups)
     sets = [pass_set(g) for g in groups.values()]
@@ -288,6 +289,7 @@ def stat_test_report(rows: list[OutcomeRow], metric: str,
         metric=metric, category=category, n_matched=len(matched),
         friedman_statistic=None, friedman_p=None,
         alpha_corrected=float(bonferroni_alpha(compared)),
+        configs=tuple(configs),
     )
     matrix = [[values[cfg][b] for cfg in configs] for b in matched]
     try:
@@ -351,9 +353,10 @@ def render_metrics_table(table: MetricsTable) -> str:
 
 def render_stat_reports(reports: list[StatTestReport]) -> str:
     alphas = sorted({rep.alpha_corrected for rep in reports})
+    configs = [c for c in HEURISTICS if any(c in rep.configs for rep in reports)]
     lines = [
         "Significance tests on the matched set "
-        "(bugs fixed by all four configurations).",
+        f"(bugs fixed by every configuration: {', '.join(configs)}).",
         "Bonferroni-corrected alpha: "
         + ", ".join(f"{alpha:.4f}" for alpha in alphas),
         "",

@@ -146,22 +146,3 @@ def parse_unified_diff(text: str) -> Patch:
     if patch.file_count == 0:
         raise EmptyPatch("diff contains no file changes")
     return patch
-
-
-def render_unified_diff(patch: Patch) -> str:
-    """Render a Patch back to unified diff text (git-style paths)."""
-    out: list[str] = []
-    for fp in patch.files:
-        if fp.binary:
-            out.append(f"Binary files {fp.old_path} and {fp.new_path} differ")
-            continue
-        old = fp.old_path if fp.old_path == "/dev/null" else f"a/{fp.old_path}"
-        new = fp.new_path if fp.new_path == "/dev/null" else f"b/{fp.new_path}"
-        out.append(f"--- {old}")
-        out.append(f"+++ {new}")
-        for h in fp.hunks:
-            old_c = "" if h.old_count == 1 else f",{h.old_count}"
-            new_c = "" if h.new_count == 1 else f",{h.new_count}"
-            out.append(f"@@ -{h.old_start}{old_c} +{h.new_start}{new_c} @@")
-            out.extend(h.lines)
-    return "\n".join(out) + ("\n" if out else "")

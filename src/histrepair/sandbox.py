@@ -1,14 +1,10 @@
 """Isolated execution environments for repair runs.
 
-Each bug gets a private worktree checked out at the buggy snapshot,
-with `compile` and `test` wrapper commands installed ahead of PATH so
-the agent sees the same abstract toolset regardless of the project
-underneath. Two backends:
-
-* local: a temporary-directory clone. No container runtime needed;
-  this is what tests and the bundled fixtures use.
-* container: a docker container started from the adapter's image, with
-  the repository copied in. Requires the docker CLI.
+Each bug gets a private clone in a temporary directory, checked out at
+the buggy snapshot, with `compile` and `test` wrapper commands installed
+ahead of PATH so the agent sees the same abstract toolset regardless of
+the project underneath. There is no container backend: to isolate runs
+from the host, run histrepair itself inside a container.
 
 Commands run under a non-interactive bash with a pinned environment
 allowlist so observations are reproducible.
@@ -23,7 +19,7 @@ import shutil
 import signal
 import subprocess
 import tempfile
-import uuid
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,8 +46,6 @@ class ProjectAdapter:
     adapter_id: str
     compile_command: str
     test_relevant_command: str
-    test_output_parser: str
-    image: str = ""  # container image; unused by the local backend
 
 
 BUILTIN_ADAPTERS = {
@@ -59,15 +53,11 @@ BUILTIN_ADAPTERS = {
         adapter_id="local-python",
         compile_command="python3 -m compileall -q .",
         test_relevant_command="python3 run_tests.py",
-        test_output_parser="failing-block",
-        image="",
     ),
     "defects4j": ProjectAdapter(
         adapter_id="defects4j",
         compile_command="defects4j compile",
         test_relevant_command="defects4j test -r",
-        test_output_parser="failing-block",
-        image="defects4j:latest",
     ),
 }
 
@@ -118,23 +108,16 @@ def parse_failing_block(output: str) -> TestOutcome:
     )
 
 
-TEST_PARSERS = {
-    "failing-block": parse_failing_block,
-}
-
-
 @dataclass
 class SandboxHandle:
-    """One live sandbox: its worktree, adapter, backend and log."""
+    """One live sandbox: its worktree, adapter and log."""
 
     bug_id: str
-    backend: str                 # local | container
     worktree_path: Path
     adapter: ProjectAdapter
     alive: bool = True
     snapshot_ref: str = ""
     _root: Path | None = None            # temp root owning the worktree
-    _container_id: str = ""
     _env: dict = field(default_factory=dict)
     _log: list[tuple[int, str, CommandResult]] = field(default_factory=list)
     _pgids: list[int] = field(default_factory=list)  # one group per command
@@ -155,22 +138,13 @@ def _write_wrappers(bin_dir: Path, adapter: ProjectAdapter) -> None:
 
 
 def provision(bug_id: str, repo_path: Path | str, snapshot_ref: str,
-              adapter: ProjectAdapter | str,
-              backend: str = "local") -> SandboxHandle:
+              adapter: ProjectAdapter | str) -> SandboxHandle:
     """Create a fresh sandbox checked out at the buggy snapshot."""
     if isinstance(adapter, str):
         if adapter not in BUILTIN_ADAPTERS:
             raise ProvisionError(f"unknown adapter {adapter!r}")
         adapter = BUILTIN_ADAPTERS[adapter]
-    if backend == "local":
-        return _provision_local(bug_id, Path(repo_path), snapshot_ref, adapter)
-    if backend == "container":
-        return _provision_container(bug_id, Path(repo_path), snapshot_ref, adapter)
-    raise ProvisionError(f"unknown backend {backend!r}")
-
-
-def _provision_local(bug_id: str, repo_path: Path, snapshot_ref: str,
-                     adapter: ProjectAdapter) -> SandboxHandle:
+    repo_path = Path(repo_path)
     root = Path(tempfile.mkdtemp(prefix=f"histrepair-{bug_id}-"))
     worktree = root / "work"
     try:
@@ -209,56 +183,8 @@ def _provision_local(bug_id: str, repo_path: Path, snapshot_ref: str,
         "PYTHONDONTWRITEBYTECODE": "1",
     }
     return SandboxHandle(
-        bug_id=bug_id, backend="local", worktree_path=worktree,
+        bug_id=bug_id, worktree_path=worktree,
         adapter=adapter, snapshot_ref=snapshot_ref, _root=root, _env=env,
-    )
-
-
-def _provision_container(bug_id: str, repo_path: Path, snapshot_ref: str,
-                         adapter: ProjectAdapter) -> SandboxHandle:
-    if not adapter.image:
-        raise ProvisionError(f"adapter {adapter.adapter_id} declares no image")
-    name = f"histrepair-{bug_id}-{uuid.uuid4().hex[:8]}"
-    try:
-        subprocess.run(
-            ["docker", "run", "-d", "--name", name, adapter.image,
-             "sleep", "infinity"],
-            check=True, capture_output=True, text=True,
-        )
-        subprocess.run(
-            ["docker", "cp", f"{repo_path}/.", f"{name}:/work"],
-            check=True, capture_output=True, text=True,
-        )
-        subprocess.run(
-            ["docker", "exec", name, "git", "-C", "/work",
-             "checkout", "--detach", snapshot_ref],
-            check=True, capture_output=True, text=True,
-        )
-        wrapper_cmds = (
-            f"mkdir -p /sandbox-bin && "
-            f"printf '#!/usr/bin/env bash\\n%s\\n' '{adapter.compile_command}'"
-            f" > /sandbox-bin/compile && "
-            f"printf '#!/usr/bin/env bash\\n%s\\n' '{adapter.test_relevant_command}'"
-            f" > /sandbox-bin/test && chmod 755 /sandbox-bin/compile /sandbox-bin/test"
-        )
-        subprocess.run(
-            ["docker", "exec", name, "bash", "-c", wrapper_cmds],
-            check=True, capture_output=True, text=True,
-        )
-    except (subprocess.CalledProcessError, FileNotFoundError) as exc:
-        subprocess.run(["docker", "rm", "-f", name], capture_output=True)
-        detail = getattr(exc, "stderr", str(exc))
-        raise ProvisionError(f"container provisioning failed: {detail}") from exc
-    env = {
-        "PATH": "/sandbox-bin:/usr/local/bin:/usr/bin:/bin",
-        "HOME": "/root",
-        "LANG": "C.UTF-8",
-        "LC_ALL": "C.UTF-8",
-    }
-    return SandboxHandle(
-        bug_id=bug_id, backend="container", worktree_path=Path("/work"),
-        adapter=adapter, snapshot_ref=snapshot_ref,
-        _container_id=name, _env=env,
     )
 
 
@@ -273,24 +199,14 @@ def exec_command(handle: SandboxHandle, command: str,
     """
     if not handle.alive:
         raise SandboxDead(f"sandbox for {handle.bug_id} is not alive")
-    script = _SHELL_PRELUDE + command
-    if handle.backend == "local":
-        argv = ["bash", "--noprofile", "--norc", "-c", script]
-        kwargs = {"cwd": str(handle.worktree_path), "env": handle._env}
-    else:
-        env_flags = []
-        for k, v in handle._env.items():
-            env_flags += ["-e", f"{k}={v}"]
-        argv = ["docker", "exec", "-w", str(handle.worktree_path),
-                *env_flags, handle._container_id, "bash", "-c", script]
-        kwargs = {}
-    import time as _time
-    start = _time.monotonic()
+    argv = ["bash", "--noprofile", "--norc", "-c", _SHELL_PRELUDE + command]
+    start = time.monotonic()
     try:
         # the shell leads a new process group, so a timeout can kill
         # everything it started, pipelines and background jobs included
         with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              text=True, start_new_session=True, **kwargs) as proc:
+                              text=True, start_new_session=True,
+                              cwd=str(handle.worktree_path), env=handle._env) as proc:
             handle._pgids.append(proc.pid)
             try:
                 stdout, stderr = proc.communicate(timeout=timeout)
@@ -305,7 +221,7 @@ def exec_command(handle: SandboxHandle, command: str,
     result = CommandResult(
         stdout=stdout, stderr=stderr,
         exit_code=TIMEOUT_EXIT_CODE if timed_out else proc.returncode,
-        duration=_time.monotonic() - start,
+        duration=time.monotonic() - start,
         timed_out=timed_out,
     )
     handle._log.append((step_index, command, result))
@@ -315,21 +231,29 @@ def exec_command(handle: SandboxHandle, command: str,
 def run_test(handle: SandboxHandle,
              timeout: float = DEFAULT_COMMAND_TIMEOUT,
              step_index: int = 0) -> tuple[CommandResult, TestOutcome]:
-    """Run the adapter's relevant-test command and parse the outcome.
+    """Run the adapter's relevant-test command and judge its outcome.
 
-    A timed-out run is fail-closed without parsing. Unparseable output
-    raises TestOutputParseError; callers record it as not-passed.
+    Unparseable output raises TestOutputParseError; callers record it
+    as not-passed.
     """
     result = exec_command(handle, "test", timeout=timeout, step_index=step_index)
+    return result, test_outcome(result)
+
+
+def test_outcome(result: CommandResult) -> TestOutcome:
+    """The outcome of one test command: the single test-outcome policy.
+
+    A timed-out run fails closed without parsing; otherwise both streams
+    are parsed for the failing-test block, and TestOutputParseError
+    propagates when it is missing.
+    """
     if result.timed_out:
-        return result, TestOutcome(
+        return TestOutcome(
             all_passed=False,
             failing_tests=("(test run timed out)",),
             raw_excerpt=(result.stdout + result.stderr)[-2000:],
         )
-    parser = TEST_PARSERS[handle.adapter.test_output_parser]
-    outcome = parser(result.stdout + "\n" + result.stderr)
-    return result, outcome
+    return parse_failing_block(result.stdout + "\n" + result.stderr)
 
 
 def fail_closed_outcome(raw_output: str) -> TestOutcome:
@@ -343,27 +267,11 @@ def fail_closed_outcome(raw_output: str) -> TestOutcome:
 
 def final_patch(handle: SandboxHandle) -> str:
     """Unified diff of the worktree against the buggy snapshot."""
-    if handle.backend == "local":
-        if not handle.worktree_path.exists():
-            raise PatchUnavailable(f"worktree for {handle.bug_id} is gone")
-        # intent-to-add makes brand-new files visible to diff
-        gitio.run_git(handle.worktree_path, "add", "-N", ".")
-        return gitio.run_git(handle.worktree_path, "diff", "HEAD")
-    if not handle.alive:
-        raise PatchUnavailable(f"container for {handle.bug_id} is gone")
-    add = subprocess.run(
-        ["docker", "exec", handle._container_id, "git", "-C",
-         str(handle.worktree_path), "add", "-N", "."],
-        capture_output=True, text=True,
-    )
-    proc = subprocess.run(
-        ["docker", "exec", handle._container_id, "git", "-C",
-         str(handle.worktree_path), "diff", "HEAD"],
-        capture_output=True, text=True,
-    )
-    if add.returncode != 0 or proc.returncode != 0:
-        raise PatchUnavailable(proc.stderr or add.stderr)
-    return proc.stdout
+    if not handle.worktree_path.exists():
+        raise PatchUnavailable(f"worktree for {handle.bug_id} is gone")
+    # intent-to-add makes brand-new files visible to diff
+    gitio.run_git(handle.worktree_path, "add", "-N", ".")
+    return gitio.run_git(handle.worktree_path, "diff", "HEAD")
 
 
 def render_command_log(handle: SandboxHandle) -> str:
@@ -400,15 +308,11 @@ def teardown(handle: SandboxHandle, persist_dir: Path | str) -> dict:
     patch_file.write_text(patch_text)
     log_file.write_text(render_command_log(handle))
 
-    if handle.backend == "local":
-        for pgid in handle._pgids:
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(pgid, signal.SIGKILL)
-        if handle._root is not None:
-            shutil.rmtree(handle._root, ignore_errors=True)
-    else:
-        subprocess.run(["docker", "rm", "-f", handle._container_id],
-                       capture_output=True)
+    for pgid in handle._pgids:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(pgid, signal.SIGKILL)
+    if handle._root is not None:
+        shutil.rmtree(handle._root, ignore_errors=True)
     handle.alive = False
     handle._manifest = {"patch": str(patch_file), "log": str(log_file)}
     return handle._manifest

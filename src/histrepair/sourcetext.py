@@ -32,6 +32,18 @@ class CleanedSource:
         return len(self.content_lines)
 
 
+def source_lines(text: str) -> list[str]:
+    """The lines of `text` as git numbers them, line 1 at index 0.
+
+    Only "\n" ends a line: str.splitlines would also break at form
+    feeds and other Unicode separators. A final "\n" opens no new line.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def clean_source(text: str) -> CleanedSource:
     """Strip comments from `text`, preserving line structure.
 
@@ -126,17 +138,3 @@ def executable_line_numbers(text: str) -> set[int]:
         for idx, line in enumerate(cleaned.content_lines, start=1)
         if is_executable_line(line)
     }
-
-
-def nearest_executable_above(text: str, line: int, window: int = 5) -> int | None:
-    """First executable line scanning line-1 down to line-window.
-
-    The scan floor is clamped at 1. Returns the line number or None if
-    nothing executable exists in the window.
-    """
-    numbers = executable_line_numbers(text)
-    lo = max(1, line - window)
-    for cand in range(line - 1, lo - 1, -1):
-        if cand in numbers:
-            return cand
-    return None

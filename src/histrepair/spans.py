@@ -7,9 +7,10 @@ name and 1-based inclusive line span. Two are built in:
   text. Works for Java/C/C++/JS-shaped code.
 * python: def/async def headers + indentation blocks.
 
-Detectors are registered by name so a campaign config can pick one per
-project. When detection fails the caller degrades to a fixed window
-around the line; that policy lives with the caller, not here.
+A campaign's `language` key picks one by name. Lines are numbered as
+git numbers them (`sourcetext.source_lines`). When detection fails the
+caller degrades to a fixed window around the line; that policy lives
+with the caller, not here.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DetectorFailure, NotInFunction
-from .sourcetext import clean_source
+from .sourcetext import clean_source, source_lines
 
 # control-flow keywords are excluded so `if (...) {` is not mistaken
 # for a function signature
@@ -41,10 +42,7 @@ class FunctionSpan:
         return self.start_line <= line <= self.end_line
 
     def slice_text(self, text: str) -> str:
-        # only "\n" ends a line, as in clean_source and git's numbering;
-        # str.splitlines would also break at form feeds and the like
-        lines = text.split("\n")
-        return "\n".join(lines[self.start_line - 1:self.end_line])
+        return "\n".join(source_lines(text)[self.start_line - 1:self.end_line])
 
 
 def _c_family_spans(text: str) -> list[FunctionSpan]:
@@ -119,7 +117,7 @@ def _c_family_spans(text: str) -> list[FunctionSpan]:
 
 
 def _python_spans(text: str) -> list[FunctionSpan]:
-    lines = text.splitlines()
+    lines = source_lines(text)
     header = re.compile(r"^(\s*)(?:async\s+)?def\s+([A-Za-z_]\w*)\s*\(")
     spans: list[FunctionSpan] = []
     for idx, line in enumerate(lines):
@@ -146,14 +144,6 @@ _DETECTORS: dict[str, Callable[[str], list[FunctionSpan]]] = {
     "c_family": _c_family_spans,
     "python": _python_spans,
 }
-
-
-def register_detector(name: str, fn: Callable[[str], list[FunctionSpan]]) -> None:
-    _DETECTORS[name] = fn
-
-
-def detector_names() -> list[str]:
-    return sorted(_DETECTORS)
 
 
 def all_spans(text: str, language: str = "c_family") -> list[FunctionSpan]:
@@ -186,7 +176,7 @@ def innermost_span(found: list[FunctionSpan], line: int) -> FunctionSpan:
 
 def window_span(text: str, line: int, radius: int = 20) -> FunctionSpan:
     """Fixed window fallback when no detector span applies."""
-    total = len(text.splitlines())
+    total = len(source_lines(text))
     lo = max(1, line - radius)
     hi = min(total, line + radius)
     return FunctionSpan(name="(window)", start_line=lo, end_line=hi)

@@ -180,28 +180,6 @@ def build_ground_truth_repo(path: Path, rng: random.Random,
     return gt
 
 
-def add_comment_prefix_file(gt: GroundTruthRepo, name: str,
-                            comment_lines: int,
-                            code_lines: int) -> str:
-    """Add a file whose first `comment_lines` lines are non-executable.
-
-    Useful for exercising the fallback window extension: an insertion
-    just after the comment run anchors only beyond the 5-line window
-    (or nowhere, when code_lines is 0).
-    """
-    seq = len(gt.commits)
-    rows = [_comment_line() for _ in range(comment_lines)]
-    rows += [_code_line() for _ in range(code_lines)]
-    (gt.path / name).write_text("\n".join(t for t, _ in rows) + "\n")
-    sha = commit_all(gt.path, f"add {name}", seq)
-    gt.commits.append(sha)
-    gt.author_times[sha] = BASE_TIME + seq * 86_400
-    gt.files[name] = [TrackedLine(t, sha, ex) for t, ex in rows]
-    gt.file_add_commit[name] = sha
-    gt.head = sha
-    return sha
-
-
 def make_blameable_spec(gt: GroundTruthRepo, rng: random.Random,
                         bug_id: str) -> tuple[BugSpec, set[str]]:
     """A random modified/deleted-lines spec plus its expected commits."""

@@ -40,7 +40,7 @@ def test_blame_entries_match_construction_record(ground_truth_repo):
     rng = random.Random(7)
     for i in range(10):
         spec, expected_commits = synth.make_blameable_spec(gt, rng, f"b{i}")
-        summary = blame.summarize_blame(gt.path, spec, judge=blame.first_candidate_judge)
+        summary = blame.summarize_blame(gt.path, spec, judge=lambda candidates: 0)
         assert summary.blameability == "Blameable"
         assert set(summary.unique_commits) == expected_commits
         for entry in summary.entries:
@@ -57,23 +57,28 @@ def test_single_commit_resolution(make_repo):
 
 
 def test_judge_called_with_ordered_candidates(make_repo):
+    # a form feed is not a line break for git, so it is line 2 of 3
     repo, shas = make_repo([
-        {"f.c": "int a = 1;\nint b = 2;\n"},
-        {"f.c": "int a = 1;\nint b = 99;\n"},
+        {"f.c": "int a = 1;\n\x0c\nint b = 2;\n"},
+        {"f.c": "int a = 1;\n\x0c\nint b = 99;\n"},
     ])
     seen = {}
 
     def judge(candidates):
         seen["ids"] = [c.commit_id for c in candidates]
         seen["subjects"] = [c.subject for c in candidates]
+        seen["contexts"] = [c.contexts for c in candidates]
         return 1
 
     summary = blame.summarize_blame(
-        repo, spec_for(shas[1], "f.c", [1, 2]), judge=judge,
+        repo, spec_for(shas[1], "f.c", [1, 3]), judge=judge,
     )
-    # blame order: line 1 -> first commit, line 2 -> second commit
+    # blame order: line 1 -> first commit, line 3 -> second commit
     assert seen["ids"] == [shas[0], shas[1]]
     assert seen["subjects"] == ["snapshot 0", "snapshot 1"]
+    assert seen["contexts"][1] == (
+        "f.c:3\n    1 int a = 1;\n    2 \x0c\n    3 int b = 99;",
+    )
     assert summary.resolution_method == "judge"
     assert summary.resolved_commit == shas[1]
 
@@ -243,8 +248,8 @@ def test_insertion_window_matches_construction_oracle(ground_truth_repo):
 def test_summary_is_deterministic(ground_truth_repo):
     gt = ground_truth_repo
     spec, _ = synth.make_blameable_spec(gt, random.Random(3), "rep")
-    a = blame.summarize_blame(gt.path, spec, judge=blame.first_candidate_judge)
-    b = blame.summarize_blame(gt.path, spec, judge=blame.first_candidate_judge)
+    a = blame.summarize_blame(gt.path, spec, judge=lambda candidates: 0)
+    b = blame.summarize_blame(gt.path, spec, judge=lambda candidates: 0)
     assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
 
 

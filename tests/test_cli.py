@@ -296,6 +296,23 @@ def test_unknown_budget_key_exits_2(toy_campaign, capsys):
     assert "unknown key 'budgets.fl_dif'" in err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("adapter: local-python", "adapter: local-pyhton", "unknown adapter 'local-pyhton'"),
+    ("backend: local", "backend: container", "run histrepair itself inside"),
+    ("backend: local", "backend: vm", "'local' is the only sandbox backend"),
+], ids=["adapter-typo", "backend-container", "backend-vm"])
+def test_unknown_adapter_or_backend_exits_2_before_any_job(toy_campaign, capsys,
+                                                           old, new, message):
+    text = toy_campaign["campaign"].read_text()
+    assert old in text
+    cfg = toy_campaign["root"] / "campaign_sandbox.yaml"
+    cfg.write_text(text.replace(old, new))
+    code, _, err = invoke("batch", "--config", str(cfg), capsys=capsys)
+    assert code == 2
+    assert message in err
+    assert not (toy_campaign["root"] / "out" / "records").exists()
+
+
 def test_empty_manifest_exits_2(toy_campaign, capsys):
     (toy_campaign["root"] / "empty.jsonl").write_text("")
     cfg_text = toy_campaign["campaign"].read_text().replace(

@@ -50,6 +50,8 @@ committer-tz +0000
 def test_parse_porcelain_basic_fields():
     lines = gitio.parse_porcelain_blame(PORCELAIN)
     assert len(lines) == 2
+    form_feed = PORCELAIN.replace("\tint b = 2;", "\tint b = 2;\x0c int c = 3;")
+    assert gitio.parse_porcelain_blame(form_feed) == lines
     first = lines[0]
     assert first.commit_id == SHA_A
     assert first.orig_line == 2
@@ -206,12 +208,6 @@ def test_file_at_versions_and_missing(make_repo):
         gitio.file_at(repo, shas[0], "missing.txt")
 
 
-def test_path_exists_at(make_repo):
-    repo, shas = make_repo([{"a.txt": "1\n"}, {"a.txt": "1\n", "b.txt": "2\n"}])
-    assert gitio.path_exists_at(repo, shas[1], "b.txt")
-    assert not gitio.path_exists_at(repo, shas[0], "b.txt")
-
-
 def test_parse_hunk_headers_reads_omitted_counts_as_one():
     diff = (
         "diff --git a/x.c b/x.c\n--- a/x.c\n+++ b/x.c\n"
@@ -242,10 +238,11 @@ def test_diff_hunks_ignore_user_diff_settings(make_repo):
 
 
 def test_resolve_ref_and_errors(make_repo):
-    repo, shas = make_repo([{"a.txt": "1\n"}])
-    assert gitio.resolve_ref(repo, "HEAD") == shas[0]
+    repo, shas = make_repo([{"a.txt": "1\n"}, {"a.txt": "2\n"}])
+    assert gitio.tree_hash(repo, "HEAD") == gitio.tree_hash(repo, shas[1])
+    assert gitio.tree_hash(repo, "HEAD") != gitio.tree_hash(repo, shas[0])
     with pytest.raises(GitToolError) as err:
-        gitio.resolve_ref(repo, "no-such-ref")
+        gitio.tree_hash(repo, "no-such-ref")
     assert err.value.stderr
 
 
@@ -254,12 +251,6 @@ def test_commit_metadata(make_repo):
     assert gitio.commit_subject(repo, shas[0]) == "snapshot 0"
     assert gitio.commit_message(repo, shas[0]) == "snapshot 0"
     assert gitio.author_time(repo, shas[0]) == 1_600_000_000
-
-
-def test_is_ancestor(make_repo):
-    repo, shas = make_repo([{"a.txt": "1\n"}, {"a.txt": "2\n"}])
-    assert gitio.is_ancestor(repo, shas[0], shas[1])
-    assert not gitio.is_ancestor(repo, shas[1], shas[0])
 
 
 def test_snapshot_worktree_checks_out_and_cleans_up(make_repo):

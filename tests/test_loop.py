@@ -240,6 +240,21 @@ def test_completion_ignores_stale_failing_test(toy):
     assert "failing tests: test_add" in observations[0]
 
 
+def test_timed_out_or_unparsed_test_run_fails_closed(toy):
+    replies = [
+        reply(block("sleep 5; test")),
+        reply(block("test >/dev/null 2>&1")),
+        reply(block(f"echo {loop.DEFAULT_SENTINEL}")),
+    ]
+    record = run_with(toy, replies,
+                      guards=GuardConfig(max_steps=3, per_command_timeout=1.0))
+    obs = [m.content for m in record.transcript if m.role == "observation"]
+    assert "test outcome: failing tests: (test run timed out)" in obs[0]
+    assert "test outcome: failing tests: (unparsed test output)" in obs[1]
+    assert "completion signal ignored" in obs[2]
+    assert record.termination == "StepLimit"
+
+
 def test_malformed_reply_gets_one_retry(toy):
     sentinel = loop.DEFAULT_SENTINEL
     replies = [

@@ -316,6 +316,10 @@ def test_bonferroni_divisor_counts_the_configs_present():
     assert report.pairwise_p == {"fn_pair": pytest.approx(2 / 64)}
     assert report.alpha_corrected == 0.05
     rendered = render_stat_reports([report])
+    assert rendered.startswith(
+        "Significance tests on the matched set "
+        "(bugs fixed by every configuration: non_history, fn_pair).\n"
+    )
     assert "Bonferroni-corrected alpha: 0.0500" in rendered
     assert "fn_pair vs non_history: p=0.03125 *" in rendered
 

@@ -13,7 +13,7 @@ from histrepair.bugs import (
     fix_patch_from_diff,
 )
 from histrepair.errors import EmptyPatch
-from histrepair.patches import parse_unified_diff, render_unified_diff
+from histrepair.patches import parse_unified_diff
 
 TWO_FILE_DIFF = """\
 --- a/src/alpha.c
@@ -62,13 +62,6 @@ def test_old_line_numbers_tracks_removed_lines():
     # hunk starts at old line 10 with two context lines before the removal
     assert h1.old_line_numbers() == [12]
     assert patch.files[1].hunks[0].old_line_numbers() == [1]
-
-
-def test_render_parse_round_trip_is_stable():
-    patch = parse_unified_diff(TWO_FILE_DIFF)
-    rendered = render_unified_diff(patch)
-    again = render_unified_diff(parse_unified_diff(rendered))
-    assert rendered == again
 
 
 def test_parse_git_style_headers(make_repo):

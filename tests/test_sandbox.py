@@ -36,12 +36,9 @@ def test_provision_checks_out_exact_snapshot(toy, handle):
     assert "return a - b  # fast path" in calc
 
 
-def test_provision_unknown_adapter_and_backend(toy):
+def test_provision_unknown_adapter(toy):
     with pytest.raises(ProvisionError):
         sb.provision("b", toy["repo"], toy["snapshot"], "no-such-adapter")
-    with pytest.raises(ProvisionError):
-        sb.provision("b", toy["repo"], toy["snapshot"], "local-python",
-                     backend="vm")
 
 
 def test_provision_bad_ref(toy):

@@ -4,7 +4,6 @@ from histrepair.sourcetext import (
     clean_source,
     executable_line_numbers,
     is_executable_line,
-    nearest_executable_above,
 )
 
 # (raw line, expected classification) per the documented rule: strip
@@ -88,25 +87,3 @@ def test_executable_line_numbers_mixed_file():
         "}",                 # 6
     ]) + "\n"
     assert executable_line_numbers(src) == {1, 5}
-
-
-def test_nearest_executable_above_scans_window():
-    src = "\n".join([
-        "int a = 1;",   # 1 executable
-        "// b",         # 2
-        "// c",         # 3
-        "int d = 2;",   # 4 executable
-        "// e", "// f", "// g", "// h", "// i", "// j",  # 5-10
-    ]) + "\n"
-    assert nearest_executable_above(src, 5) == 4
-    assert nearest_executable_above(src, 4) == 1
-    assert nearest_executable_above(src, 2) == 1
-    assert nearest_executable_above(src, 1) is None
-    # six comment lines sit between line 11 and the nearest code
-    assert nearest_executable_above(src, 11, window=5) is None
-    assert nearest_executable_above(src, 11, window=10) == 4
-
-
-def test_nearest_executable_clamps_at_file_top():
-    src = "// only comment\nint x = 1;\n"
-    assert nearest_executable_above(src, 2, window=50) is None

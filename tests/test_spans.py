@@ -106,11 +106,18 @@ async def fetch(url):
 
 PY_EXPECTED = {("top", 1, 4), ("method", 7, 8), ("fetch", 10, 12)}
 
+# five lines as git numbers them; str.splitlines sees six
+FORM_FEED_PY = "def a():\n    return 1\n\x0c\ndef b():\n    return 2\n"
+
 
 def test_python_spans_match_hand_count():
     got = {(s.name, s.start_line, s.end_line)
            for s in spans.all_spans(PY_SOURCE, "python")}
     assert got == PY_EXPECTED
+    # a form feed is not a line break for git
+    got = {(s.name, s.start_line, s.end_line)
+           for s in spans.all_spans(FORM_FEED_PY, "python")}
+    assert got == {("a", 1, 2), ("b", 4, 5)}
 
 
 def test_python_enclosing_span():
@@ -141,16 +148,5 @@ def test_window_span_clamps_to_file():
     assert span.name == "(window)"
     assert span.start_line == 1
     assert span.end_line == len(C_SOURCE.splitlines())
-
-
-def test_register_custom_detector():
-    def whole_file(text):
-        return [spans.FunctionSpan("everything", 1, len(text.splitlines()))]
-
-    spans.register_detector("whole-file", whole_file)
-    try:
-        assert "whole-file" in spans.detector_names()
-        got = spans.all_spans("a\nb\n", "whole-file")
-        assert got[0].name == "everything"
-    finally:
-        spans._DETECTORS.pop("whole-file", None)
+    span = spans.window_span(FORM_FEED_PY, 4)
+    assert (span.start_line, span.end_line) == (1, 5)
