@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 from histrepair import blame, synth
-from histrepair.bugs import FaultLocation, LocalizedLine, load_manifest, fix_patch_from_diff
+from histrepair.bugs import FaultLocation, LocalizedLine, load_manifest
 from histrepair.patches import parse_unified_diff
 
 work = Path(tempfile.mkdtemp(prefix="demo-blame-"))
@@ -51,8 +51,7 @@ print(f"resolution: {summary.resolution_method}, "
 toy = synth.build_toy_campaign(work / "toy")
 records = load_manifest(toy["manifest"])
 patches = {
-    rec.spec.bug_id: fix_patch_from_diff(
-        parse_unified_diff(rec.fix_patch_path.read_text()))
+    rec.spec.bug_id: parse_unified_diff(rec.fix_patch_path.read_text())
     for rec in records
 }
 report = blame.run_availability_study(records, patches)

@@ -7,7 +7,7 @@ into repair metrics with significance tests.
 """
 
 from .blame import BlameEntry, BlameSummary, summarize_blame
-from .bugs import BugSpec, FaultLocation, FixPatch, categorize_bug, load_manifest
+from .bugs import BugSpec, FaultLocation, categorize_bug, load_manifest
 from .context import (
     HEURISTICS,
     HistoricalContext,
@@ -24,6 +24,7 @@ from .metrics import (
     tradeoff_frontier,
     unique_pass,
 )
+from .patches import Patch
 from .provider import HttpProvider, PricingTable, ScriptedProvider, accumulate_cost
 from .sandbox import ProjectAdapter, provision, run_test, teardown
 from .stats import friedman_test, wilcoxon_signed_rank
@@ -35,12 +36,12 @@ __all__ = [
     "BlameSummary",
     "BugSpec",
     "FaultLocation",
-    "FixPatch",
     "GuardConfig",
     "HEURISTICS",
     "HistoricalContext",
     "HttpProvider",
     "OutcomeRow",
+    "Patch",
     "PricingTable",
     "ProjectAdapter",
     "PromptBundle",

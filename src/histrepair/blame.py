@@ -29,8 +29,10 @@ from .errors import (
     NewFileNoHistory,
     NoFallbackAnchor,
 )
+from .patches import Patch
 from .sourcetext import executable_line_numbers, source_lines
 
+# an anchor farther than this above its insertion carries an anchor_note
 FALLBACK_WINDOW = 5
 
 
@@ -132,30 +134,24 @@ def blame_lines(repo: Path | str, ref: str,
     return entries
 
 
-def fallback_blame(repo: Path | str, ref: str, path: str, insert_line: int,
-                   window: int = FALLBACK_WINDOW) -> BlameEntry:
+def fallback_blame(repo: Path | str, ref: str, path: str,
+                   insert_line: int) -> BlameEntry:
     """Anchor an insertion point on the nearest executable line above it.
 
-    Scans insert_line-1 down to insert_line-window (floor 1) and blames
-    the first executable line found. Raises NoFallbackAnchor when the
-    window holds none, NewFileNoHistory when the file is absent from
-    the snapshot.
+    Scans insert_line-1 up to line 1 and blames the first executable
+    line found; one more than FALLBACK_WINDOW lines away gets an
+    anchor_note. Raises NoFallbackAnchor when no line above the
+    insertion is executable, NewFileNoHistory when the file is absent
+    from the snapshot.
     """
     try:
         text = gitio.file_at(repo, ref, path)
     except FileNotInSnapshot:
         raise NewFileNoHistory(f"{path} does not exist in {ref}") from None
     numbers = executable_line_numbers(text)
-    lo = max(1, insert_line - window)
-    anchor = None
-    for cand in range(insert_line - 1, lo - 1, -1):
-        if cand in numbers:
-            anchor = cand
-            break
+    anchor = next((n for n in range(insert_line - 1, 0, -1) if n in numbers), None)
     if anchor is None:
-        raise NoFallbackAnchor(
-            f"{path}: no executable line in [{lo}, {insert_line - 1}]"
-        )
+        raise NoFallbackAnchor(f"{path}: no executable line above {insert_line}")
     raw = gitio.blame_file_lines(repo, ref, path, [anchor])
     bl = raw[0]
     note = "" if insert_line - anchor <= FALLBACK_WINDOW else (
@@ -175,17 +171,13 @@ def fallback_blame(repo: Path | str, ref: str, path: str, insert_line: int,
 
 def resolve_insertion(repo: Path | str, ref: str, path: str,
                       insert_line: int) -> BlameEntry:
-    """fallback_blame with the window-extension policy applied.
+    """fallback_blame, or the file's add commit when it finds no anchor.
 
-    The window reaches up to line 1, so the anchor is the nearest
-    executable line above the insertion however far up it sits; one
-    more than FALLBACK_WINDOW lines away gets an anchor_note. If nothing
-    above the insertion is executable, the anchor is the commit that
-    added the file.
+    If nothing above the insertion is executable, the anchor is the
+    commit that added the file.
     """
     try:
-        return fallback_blame(repo, ref, path, insert_line,
-                              window=max(FALLBACK_WINDOW, insert_line - 1))
+        return fallback_blame(repo, ref, path, insert_line)
     except NoFallbackAnchor:
         pass
     add_commit = gitio.file_add_commit(repo, ref, path)
@@ -263,8 +255,6 @@ def summarize_blame(repo: Path | str, spec: BugSpec,
         for loc in spec.locations:
             for ln in loc.insertion_lines:
                 entries.append(resolve_insertion(repo, ref, loc.file_path, ln.line))
-        if not any(e.is_fallback for e in entries):
-            raise NoFallbackAnchor(f"{spec.bug_id}: no fallback anchor found")
         counts = Counter(e.commit_id for e in entries if e.is_fallback)
         top = max(counts.values())
         tied = [sha for sha, n in counts.items() if n == top]
@@ -325,11 +315,13 @@ class AvailabilityReport:
 
 
 def run_availability_study(records: list[BugRecord],
-                           patches: dict[str, "object"],
+                           patches: dict[str, Patch],
                            judge: CommitJudge | None = None) -> AvailabilityReport:
     """Summarize and categorize every bug; failures become exclusions.
 
-    `patches` maps bug_id to its FixPatch (needed for categorization).
+    `patches` maps bug_id to its parsed fix patch, which
+    `categorize_bug` sorts into a category. A bug without one is
+    excluded.
     """
     report = AvailabilityReport()
     for rec in records:

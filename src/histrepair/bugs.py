@@ -1,4 +1,4 @@
-"""Bug dataset model: fault locations, fix patches, categories, manifests.
+"""Bug dataset model: fault locations, fix categories, manifests.
 
 A dataset is a JSONL manifest, one record per bug:
 
@@ -7,7 +7,9 @@ A dataset is a JSONL manifest, one record per bug:
      "failing_tests": ["..."], "bug_report_path": "...",
      "fix_patch_path": "..."}   # fix_patch_path optional
 
-Relative paths resolve against the manifest's own directory.
+Relative paths resolve against the manifest's own directory. A fix
+patch is read with `patches.parse_unified_diff`; `categorize_bug` sorts
+the parsed patch into SL, SH, SFMH or MFMH.
 """
 
 from __future__ import annotations
@@ -85,71 +87,22 @@ class BugSpec:
         )
 
 
-@dataclass(frozen=True)
-class FixHunk:
-    """One contiguous edit block of the developer fix."""
-
-    file_path: str
-    old_start: int
-    old_len: int
-    new_start: int
-    new_len: int
-    removed: int
-    added: int
-
-    @property
-    def changed(self) -> int:
-        # replacing k lines with k lines touches k lines, not 2k
-        return max(self.removed, self.added)
-
-
-@dataclass(frozen=True)
-class FixPatch:
-    """The developer fix, reduced to per-hunk counts."""
-
-    hunks: tuple[FixHunk, ...]
-
-    @property
-    def file_count(self) -> int:
-        return len({h.file_path for h in self.hunks})
-
-    @property
-    def hunk_count(self) -> int:
-        return len(self.hunks)
-
-
-def fix_patch_from_diff(patch: Patch) -> FixPatch:
-    """Reduce a parsed unified diff to the counts categorization needs."""
-    hunks = []
-    for fp in patch.files:
-        for h in fp.hunks:
-            hunks.append(FixHunk(
-                file_path=fp.path,
-                old_start=h.old_start,
-                old_len=h.old_count,
-                new_start=h.new_start,
-                new_len=h.new_count,
-                removed=h.removed,
-                added=h.added,
-            ))
-    return FixPatch(hunks=tuple(hunks))
-
-
-def categorize_bug(patch: FixPatch) -> str:
+def categorize_bug(patch: Patch) -> str:
     """Classify a fix patch as SL, SH, SFMH, or MFMH.
 
     SL: one hunk, one file, exactly one changed line. SH: one hunk, one
     file, two or more changed lines. SFMH: several hunks confined to one
-    file. MFMH: hunks in two or more files.
+    file. MFMH: hunks in two or more files. A file without hunks (a
+    binary notice) does not count.
     """
-    if not patch.hunks:
+    edited = [fp for fp in patch.files if fp.hunks]
+    if not edited:
         raise EmptyPatch("cannot categorize an empty fix patch")
-    if patch.file_count >= 2:
+    if len({fp.path for fp in edited}) >= 2:
         return "MFMH"
     if patch.hunk_count >= 2:
         return "SFMH"
-    only = patch.hunks[0]
-    return "SL" if only.changed == 1 else "SH"
+    return "SL" if edited[0].hunks[0].changed == 1 else "SH"
 
 
 @dataclass

@@ -20,7 +20,7 @@ from . import blame as blame_mod
 from . import loop as loop_mod
 from . import metrics as metrics_mod
 from . import sandbox as sb
-from .bugs import BugRecord, fix_patch_from_diff, load_manifest
+from .bugs import BugRecord, categorize_bug, load_manifest
 from .config import CampaignConfig, load_campaign, make_provider
 from .context import (
     HEURISTICS,
@@ -92,6 +92,15 @@ def prepare_bundle(cfg: CampaignConfig, rec: BugRecord, heuristic: str):
     return bundle, ctx
 
 
+def _write_prompts(out_dir: Path, stem: str, bundle, ctx) -> None:
+    """Save a job's system and user prompts and its context sidecar."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / f"{stem}.system.txt").write_text(bundle.system_prompt)
+    (out_dir / f"{stem}.user.txt").write_text(bundle.user_prompt)
+    if ctx is not None:
+        save_context(ctx, out_dir / f"{stem}.context.json")
+
+
 def record_is_complete(path: Path) -> bool:
     if not path.exists():
         return False
@@ -110,14 +119,8 @@ def run_one_job(cfg: CampaignConfig, rec: BugRecord,
     # surface before any sandbox exists
     provider = make_provider(cfg.provider, bug_id, heuristic)
     bundle, ctx = prepare_bundle(cfg, rec, heuristic)
-
-    context_dir = cfg.out_dir / "context"
-    context_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{bug_id}__{heuristic}"
-    (context_dir / f"{stem}.system.txt").write_text(bundle.system_prompt)
-    (context_dir / f"{stem}.user.txt").write_text(bundle.user_prompt)
-    if ctx is not None:
-        save_context(ctx, context_dir / f"{stem}.context.json")
+    _write_prompts(cfg.out_dir / "context", stem, bundle, ctx)
 
     handle = sb.provision(bug_id, rec.repo_path, rec.spec.snapshot_ref, cfg.adapter)
     try:
@@ -140,7 +143,6 @@ def run_one_job(cfg: CampaignConfig, rec: BugRecord,
 
 
 def _load_categories(cfg: CampaignConfig) -> dict[str, str]:
-    from .bugs import categorize_bug
     categories = {}
     for rec in load_manifest(cfg.manifest):
         if rec.fix_patch_path is None:
@@ -149,7 +151,7 @@ def _load_categories(cfg: CampaignConfig) -> dict[str, str]:
                 "the report needs it for categorization"
             )
         patch = parse_unified_diff(rec.fix_patch_path.read_text())
-        categories[rec.spec.bug_id] = categorize_bug(fix_patch_from_diff(patch))
+        categories[rec.spec.bug_id] = categorize_bug(patch)
     return categories
 
 
@@ -182,8 +184,7 @@ def cmd_study(cfg: CampaignConfig, out: Path | None) -> int:
     patches = {}
     for rec in records:
         if rec.fix_patch_path is not None and rec.fix_patch_path.exists():
-            parsed = parse_unified_diff(rec.fix_patch_path.read_text())
-            patches[rec.spec.bug_id] = fix_patch_from_diff(parsed)
+            patches[rec.spec.bug_id] = parse_unified_diff(rec.fix_patch_path.read_text())
     report = blame_mod.run_availability_study(records, patches)
     out_dir = out or (cfg.out_dir / "study")
     blame_mod.write_study_outputs(report, out_dir)
@@ -205,12 +206,7 @@ def cmd_context(cfg: CampaignConfig, bug_id: str, heuristic: str,
     rec = _find_record(cfg, bug_id)
     bundle, ctx = prepare_bundle(cfg, rec, heuristic)
     out_dir = out or (cfg.out_dir / "context")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{bug_id}__{heuristic}"
-    (out_dir / f"{stem}.system.txt").write_text(bundle.system_prompt)
-    (out_dir / f"{stem}.user.txt").write_text(bundle.user_prompt)
-    if ctx is not None:
-        save_context(ctx, out_dir / f"{stem}.context.json")
+    _write_prompts(out_dir, f"{bug_id}__{heuristic}", bundle, ctx)
     cfg.freeze_into(out_dir)
     print(f"token estimate: {bundle.token_estimate}")
     return EXIT_OK

@@ -64,6 +64,9 @@ class CampaignConfig:
             raise ConfigError(f"unknown heuristic configs: {unknown}")
         if self.workers < 1:
             raise ConfigError("worker count must be >= 1")
+        bad = sorted(k for k, v in self.budgets.items() if v <= 0)
+        if bad:
+            raise ConfigError(f"context budgets must be positive: {bad}")
         if self.adapter not in BUILTIN_ADAPTERS:
             raise ConfigError(
                 f"unknown adapter {self.adapter!r}; "
@@ -145,12 +148,21 @@ def _reject_unknown_keys(raw, path: Path) -> None:
                 raise ConfigError(f"unknown key {where!r} in campaign config {path}")
 
 
+def _converted(mapping: dict, converters: dict) -> dict:
+    """The keys `mapping` sets, each through its converter if it has one.
+
+    Keys left out keep the dataclass defaults, which live only there.
+    """
+    return {k: converters[k](v) if k in converters else v for k, v in mapping.items()}
+
+
 def load_campaign(path: Path | str, overrides: dict | None = None) -> CampaignConfig:
     """Load a campaign YAML, applying flag overrides on top.
 
     Unknown keys at the top level and in the guards, provider and
     budgets maps raise ConfigError, so a typo cannot silently fall back
-    to a default.
+    to a default. So do a missing manifest and a value the config
+    classes reject.
     """
     path = Path(path)
     if not path.exists():
@@ -160,52 +172,41 @@ def load_campaign(path: Path | str, overrides: dict | None = None) -> CampaignCo
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     _reject_unknown_keys(raw, path)
+    if raw.get("manifest") is None:
+        raise ConfigError(f"campaign config {path} names no manifest")
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
 
     base = path.parent
 
-    def respath(value, default=None):
+    def respath(value):
         if value is None:
-            return default
+            return None
         p = Path(value)
         return p if p.is_absolute() else (base / p).resolve()
 
     try:
-        guards_raw = raw.get("guards", {})
-        guards = GuardConfig(
-            max_steps=int(guards_raw.get("max_steps", 50)),
-            max_cost=Decimal(str(guards_raw.get("max_cost", "1.00"))),
-            max_wall_time=float(guards_raw.get("max_wall_time", 3600.0)),
-            per_command_timeout=float(guards_raw.get("per_command_timeout", 300.0)),
-        )
-        provider_raw = raw.get("provider", {})
-        provider = ProviderSettings(
-            mode=provider_raw.get("mode", "scripted"),
-            model=provider_raw.get("model", "scripted-model"),
-            endpoint=provider_raw.get("endpoint", ""),
-            api_key_env=provider_raw.get("api_key_env", "MODEL_API_KEY"),
-            scripts_dir=respath(provider_raw.get("scripts_dir")),
-        )
-        if "pricing" in provider_raw:
-            provider.pricing = provider_raw["pricing"]
-        budgets = dict(DEFAULT_BUDGETS)
-        budgets.update({k: int(v) for k, v in raw.get("budgets", {}).items()})
-        return CampaignConfig(
-            manifest=respath(raw.get("manifest")),
-            out_dir=respath(raw.get("out_dir"), base / "out"),
-            configs=tuple(raw.get("configs", list(HEURISTICS))),
-            guards=guards,
-            provider=provider,
-            adapter=raw.get("adapter", "local-python"),
-            backend=raw.get("backend", "local"),
-            workers=int(raw.get("workers", 1)),
-            template_dir=respath(raw.get("template_dir")),
-            budgets=budgets,
-            language=raw.get("language", "c_family"),
-            sentinel=raw.get("sentinel", DEFAULT_SENTINEL),
-        )
-    except (TypeError, ValueError, KeyError) as exc:
+        settings = _converted(raw, {
+            "manifest": respath,
+            "out_dir": respath,
+            "configs": tuple,
+            "guards": lambda guards: GuardConfig(**_converted(guards, {
+                "max_steps": int,
+                "max_cost": lambda v: Decimal(str(v)),
+                "max_wall_time": float,
+                "per_command_timeout": float,
+            })),
+            "provider": lambda provider: ProviderSettings(
+                **_converted(provider, {"scripts_dir": respath})),
+            "workers": int,
+            "template_dir": respath,
+            "budgets": lambda budgets: {
+                **DEFAULT_BUDGETS, **{k: int(v) for k, v in budgets.items()}},
+        })
+        if settings.get("out_dir") is None:
+            settings["out_dir"] = base / "out"
+        return CampaignConfig(**settings)
+    except (AttributeError, TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid campaign config {path}: {exc}") from exc
 
 

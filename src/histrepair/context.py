@@ -31,6 +31,7 @@ from .errors import (
     NotInFunction,
     TemplateError,
 )
+from .patches import Hunk
 
 HEURISTICS = ("non_history", "fn_all", "fn_pair", "fl_diff")
 
@@ -128,7 +129,7 @@ def extract_fn_all(repo: Path | str, commit_id: str,
     return FnAll(entries=tuple(entries))
 
 
-def _preimage_line(hunks: list[gitio.Hunk], new_line: int) -> int | None:
+def _preimage_line(hunks: list[Hunk], new_line: int) -> int | None:
     """Map a 1-based line of the new version back through -U0 hunks.
 
     A line the hunks add has no pre-image (None); a line a hunk

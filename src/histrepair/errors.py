@@ -33,7 +33,7 @@ class LineOutOfRange(HistRepairError):
 
 
 class NoFallbackAnchor(HistRepairError):
-    """No executable line exists in the five-line fallback window."""
+    """No executable line lies above an insertion point."""
 
 
 class NewFileNoHistory(HistRepairError):

@@ -1,14 +1,15 @@
 """Thin wrapper around the git command line plus the blame parser.
 
-All repository access goes through the git binary: blame in porcelain
-form, file content at a revision, changed-file sets, diffs and their
-hunk headers, and commit metadata. Nothing here mutates a repository
-except worktree creation, which is confined to `snapshot_worktree`.
+All repository access goes through the git binary, by way of `run_git`:
+blame in porcelain form, file content at a revision, changed-file sets,
+diffs and their hunks, and commit metadata. Diff text is read by
+`patches`, the one unified-diff parser. Nothing here mutates a
+repository except worktree creation, which is confined to
+`snapshot_worktree`.
 """
 
 from __future__ import annotations
 
-import re
 import subprocess
 import tempfile
 from contextlib import contextmanager
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import BlameParseError, FileNotInSnapshot, GitToolError, LineOutOfRange
+from .patches import Hunk, parse_unified_diff
 
 # sha of git's canonical empty tree; diffing a root commit against it
 # yields an all-additions patch
@@ -80,13 +82,9 @@ def file_at(repo: Path | str, ref: str, path: str) -> str:
 
 def first_parent(repo: Path | str, commit: str) -> str | None:
     """First parent sha, or None for a root commit."""
-    proc = subprocess.run(
-        ["git", "-C", str(repo), "rev-parse", "--verify", "--quiet", f"{commit}^1"],
-        capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        return None
-    return proc.stdout.strip()
+    # --quiet: a root commit prints nothing and exits non-zero
+    out = run_git(repo, "rev-parse", "--verify", "--quiet", f"{commit}^1", check=False)
+    return out.strip() or None
 
 
 def commit_subject(repo: Path | str, commit: str) -> str:
@@ -145,30 +143,6 @@ def commit_diff(repo: Path | str, commit: str, context_lines: int = 3) -> str:
     return run_git(repo, "diff", f"-U{context_lines}", parent, commit)
 
 
-@dataclass(frozen=True)
-class Hunk:
-    """One -U0 hunk header: the old and the new line range it replaces."""
-
-    old_start: int
-    old_count: int
-    new_start: int
-    new_count: int
-
-
-_HUNK_HEADER = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
-
-
-def parse_hunk_headers(diff_text: str) -> list[Hunk]:
-    """Hunks of a unified diff in order; an omitted count means 1."""
-    hunks = []
-    for line in diff_text.splitlines():
-        m = _HUNK_HEADER.match(line)
-        if m:
-            a, b, c, d = m.groups()
-            hunks.append(Hunk(int(a), int(b or 1), int(c), int(d or 1)))
-    return hunks
-
-
 def diff_hunks(repo: Path | str, old: str, new: str, path: str) -> list[Hunk]:
     """Zero-context hunks of `path` between two commits.
 
@@ -177,7 +151,7 @@ def diff_hunks(repo: Path | str, old: str, new: str, path: str) -> list[Hunk]:
     """
     out = run_git(repo, "diff", "-U0", "--inter-hunk-context=0", "--no-color",
                   "--no-ext-diff", "--diff-algorithm=myers", old, new, "--", path)
-    return parse_hunk_headers(out)
+    return parse_unified_diff(out).files[0].hunks if out else []
 
 
 def file_add_commit(repo: Path | str, ref: str, path: str) -> str:

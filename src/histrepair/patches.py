@@ -1,9 +1,14 @@
 """Unified diff parsing and patch structure.
 
-A parsed patch is the unit both bug categorization and diff-shaped
-history payloads work on. Parsing accepts plain `diff -u` output as
-well as git's variant (diff --git headers, /dev/null sides, binary
-notices, mode lines).
+This is the one module that reads unified-diff text. A parsed patch is
+what bug categorization works on, and its hunks are what the fn_pair
+pre-image mapping walks (`gitio.diff_hunks`). Parsing accepts plain
+`diff -u` output as well as git's variant (diff --git headers,
+/dev/null sides, binary notices, mode lines).
+
+Hunk bodies are read as git reads them: a hunk holds exactly the old
+and new line counts of its header, so a body line such as `-- note` or
+`++ counter` is never taken for a file header. Only "\n" ends a line.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import EmptyPatch
+from .sourcetext import source_lines
 
 _HUNK_HEADER = re.compile(
     r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@"
@@ -84,10 +90,6 @@ class Patch:
     def file_count(self) -> int:
         return len(self.files)
 
-    @property
-    def changed_lines(self) -> int:
-        return sum(h.changed for fp in self.files for h in fp.hunks)
-
 
 def _strip_prefix(path: str) -> str:
     if path == "/dev/null":
@@ -102,8 +104,23 @@ def parse_unified_diff(text: str) -> Patch:
     files: list[FilePatch] = []
     current: FilePatch | None = None
     pending_old: str | None = None
+    body: list[str] = []
+    old_left = new_left = 0  # lines the open hunk still expects per side
 
-    for raw in text.splitlines():
+    for raw in source_lines(text):
+        tag = raw[:1]
+        if tag == "\\":  # "\ No newline at end of file" counts on no side
+            continue
+        # a body line while the open hunk has room for it on each side
+        # it takes; an empty line is context that lost its blank. A line
+        # that does not fit closes the hunk and is read as a header.
+        uses_old, uses_new = tag != "+", tag != "-"
+        if tag in (" ", "-", "+", "") and old_left >= uses_old and new_left >= uses_new:
+            body.append(raw)
+            old_left -= uses_old
+            new_left -= uses_new
+            continue
+        old_left = new_left = 0
         if raw.startswith("diff --git"):
             current = None
             pending_old = None
@@ -131,18 +148,15 @@ def parse_unified_diff(text: str) -> Patch:
         if m:
             if current is None:
                 raise EmptyPatch("hunk header before any file header")
-            current.hunks.append(Hunk(
+            hunk = Hunk(
                 old_start=int(m.group(1)),
                 old_count=int(m.group(2) or "1"),
                 new_start=int(m.group(3)),
                 new_count=int(m.group(4) or "1"),
-            ))
-            continue
-        if current is not None and current.hunks and raw[:1] in ("+", "-", " ", "\\"):
-            if not raw.startswith("\\"):  # "\ No newline at end of file"
-                current.hunks[-1].lines.append(raw)
+            )
+            current.hunks.append(hunk)
+            body, old_left, new_left = hunk.lines, hunk.old_count, hunk.new_count
 
-    patch = Patch(files=files)
-    if patch.file_count == 0:
+    if not files:
         raise EmptyPatch("diff contains no file changes")
-    return patch
+    return Patch(files=files)

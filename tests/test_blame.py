@@ -10,8 +10,6 @@ from histrepair.bugs import (
     BugRecord,
     BugSpec,
     FaultLocation,
-    FixHunk,
-    FixPatch,
     LocalizedLine,
 )
 from histrepair.errors import (
@@ -19,6 +17,7 @@ from histrepair.errors import (
     NewFileNoHistory,
     NoFallbackAnchor,
 )
+from histrepair.patches import parse_unified_diff
 
 
 def spec_for(ref, path, lines, bug_id="bug-x", kinds=None):
@@ -127,15 +126,15 @@ def test_fallback_blame_anchors_above(make_repo):
     assert entry.commit_id == shas[0]
 
 
-def test_fallback_window_respects_limit(make_repo):
-    src = "int a = 1;\n" + "".join(f"// c{i}\n" for i in range(7))
-    repo, shas = make_repo([{"f.c": src}])
-    # insertion at line 9: lines 8..4 are comments, so the default
-    # five-line window holds nothing executable
-    with pytest.raises(NoFallbackAnchor):
-        blame.fallback_blame(repo, shas[0], "f.c", 9)
-    entry = blame.fallback_blame(repo, shas[0], "f.c", 9, window=8)
+def test_fallback_blame_scans_to_line_one(make_repo):
+    comments = "".join(f"// c{i}\n" for i in range(7))
+    repo, shas = make_repo([{"f.c": "int a = 1;\n" + comments, "g.c": comments}])
+    # insertion at line 9: lines 8..2 are comments, so the anchor is line 1
+    entry = blame.fallback_blame(repo, shas[0], "f.c", 9)
     assert entry.line_number == 1
+    assert entry.anchor_note == "window extended to 8 lines"
+    with pytest.raises(NoFallbackAnchor):
+        blame.fallback_blame(repo, shas[0], "g.c", 8)
 
 
 def test_fallback_missing_file(make_repo):
@@ -256,14 +255,14 @@ def test_summary_is_deterministic(ground_truth_repo):
 # --- availability study -----------------------------------------------------
 
 def one_line_patch(path="f.c"):
-    return FixPatch(hunks=(FixHunk(path, 1, 1, 1, 1, removed=1, added=1),))
+    return parse_unified_diff(f"--- a/{path}\n+++ b/{path}\n@@ -1 +1 @@\n-a\n+b\n")
 
 
 def multi_hunk_patch(path="f.c"):
-    return FixPatch(hunks=(
-        FixHunk(path, 1, 1, 1, 1, removed=1, added=1),
-        FixHunk(path, 8, 2, 8, 2, removed=2, added=2),
-    ))
+    return parse_unified_diff(
+        f"--- a/{path}\n+++ b/{path}\n@@ -1 +1 @@\n-a\n+b\n"
+        "@@ -8,2 +8,2 @@\n-c\n-d\n+e\n+f\n"
+    )
 
 
 def test_availability_study_counts_and_exclusions(make_repo):

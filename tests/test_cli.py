@@ -313,6 +313,26 @@ def test_unknown_adapter_or_backend_exits_2_before_any_job(toy_campaign, capsys,
     assert not (toy_campaign["root"] / "out" / "records").exists()
 
 
+def test_campaign_without_manifest_exits_2(toy_campaign, capsys):
+    text = toy_campaign["campaign"].read_text()
+    assert "manifest: manifest.jsonl\n" in text
+    cfg = toy_campaign["root"] / "campaign_nomanifest.yaml"
+    cfg.write_text(text.replace("manifest: manifest.jsonl\n", ""))
+    code, _, err = invoke("study", "--config", str(cfg), capsys=capsys)
+    assert code == 2
+    assert "names no manifest" in err
+    assert "Traceback" not in err
+
+
+def test_zero_budget_exits_2_before_any_job(toy_campaign, capsys):
+    cfg = toy_campaign["root"] / "campaign_budget.yaml"
+    cfg.write_text(toy_campaign["campaign"].read_text() + "budgets:\n  fl_diff: 0\n")
+    code, _, err = invoke("batch", "--config", str(cfg), capsys=capsys)
+    assert code == 2
+    assert "context budgets must be positive: ['fl_diff']" in err
+    assert not (toy_campaign["root"] / "out" / "records").exists()
+
+
 def test_empty_manifest_exits_2(toy_campaign, capsys):
     (toy_campaign["root"] / "empty.jsonl").write_text("")
     cfg_text = toy_campaign["campaign"].read_text().replace(

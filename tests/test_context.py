@@ -27,6 +27,7 @@ from histrepair.context import (
     truncate,
 )
 from histrepair.errors import FnPairUnavailable, TemplateError
+from histrepair.patches import Hunk, parse_unified_diff
 
 
 def entry_for(repo, ref, path, line):
@@ -156,18 +157,18 @@ def test_fn_pair_uses_commit_side_line_numbers(make_repo):
 # old line each new line maps to, through one or more -U0 hunks
 PREIMAGE_CASES = {
     # two lines inserted after old line 2
-    "pure insert": ([gitio.Hunk(2, 0, 3, 2)],
+    "pure insert": ([Hunk(2, 0, 3, 2)],
                     {1: 1, 2: 2, 3: None, 4: None, 5: 3}),
     # old lines 2-3 deleted after new line 1
-    "pure delete": ([gitio.Hunk(2, 2, 1, 0)], {1: 1, 2: 4, 3: 5}),
-    "replace shorter": ([gitio.Hunk(2, 3, 2, 1)], {1: 1, 2: 2, 3: 5}),
-    "replace longer": ([gitio.Hunk(2, 1, 2, 3)],
+    "pure delete": ([Hunk(2, 2, 1, 0)], {1: 1, 2: 4, 3: 5}),
+    "replace shorter": ([Hunk(2, 3, 2, 1)], {1: 1, 2: 2, 3: 5}),
+    "replace longer": ([Hunk(2, 1, 2, 3)],
                        {1: 1, 2: 2, 3: 2, 4: 2, 5: 3}),
-    "deleted first lines": ([gitio.Hunk(1, 2, 0, 0)], {1: 3, 2: 4}),
+    "deleted first lines": ([Hunk(1, 2, 0, 0)], {1: 3, 2: 4}),
     # an insert, a delete and a longer replace: lines before, between
     # and after the hunks shift by the hunks before them
     "three hunks": (
-        [gitio.Hunk(2, 0, 3, 1), gitio.Hunk(5, 2, 5, 0), gitio.Hunk(9, 1, 8, 2)],
+        [Hunk(2, 0, 3, 1), Hunk(5, 2, 5, 0), Hunk(9, 1, 8, 2)],
         {1: 1, 2: 2, 3: None, 4: 3, 5: 4, 6: 7, 7: 8, 8: 9, 9: 9, 10: 10, 11: 11},
     ),
 }
@@ -180,7 +181,9 @@ def test_preimage_line_through_hunks(case):
 
 
 def test_preimage_line_from_headers_with_omitted_counts():
-    hunks = gitio.parse_hunk_headers("@@ -3 +3 @@\n@@ -6 +5,0 @@\n@@ -8,0 +8 @@\n")
+    hunks = parse_unified_diff(
+        "--- a/x.c\n+++ b/x.c\n@@ -3 +3 @@\n-c\n+C\n"
+        "@@ -6 +5,0 @@\n-f\n@@ -8,0 +8 @@\n+new\n").files[0].hunks
     assert [context._preimage_line(hunks, n) for n in range(1, 10)] == \
         [1, 2, 3, 4, 5, 7, 8, None, 9]
 

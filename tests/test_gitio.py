@@ -11,6 +11,7 @@ from histrepair.errors import (
     GitToolError,
     LineOutOfRange,
 )
+from histrepair.patches import Hunk
 
 SHA_A = "a" * 40
 SHA_B = "b" * 40
@@ -208,27 +209,14 @@ def test_file_at_versions_and_missing(make_repo):
         gitio.file_at(repo, shas[0], "missing.txt")
 
 
-def test_parse_hunk_headers_reads_omitted_counts_as_one():
-    diff = (
-        "diff --git a/x.c b/x.c\n--- a/x.c\n+++ b/x.c\n"
-        "@@ -3 +3 @@ int f()\n-    a();\n+    b();\n"
-        "@@ -5,0 +6,2 @@\n+@@ -1 +1 @@\n+    c();\n"
-        "@@ -9,2 +10 @@\n-x\n-y\n+z\n"
-        "@@ -12 +12,0 @@\n-gone\n"
-    )
-    assert gitio.parse_hunk_headers(diff) == [
-        gitio.Hunk(3, 1, 3, 1), gitio.Hunk(5, 0, 6, 2),
-        gitio.Hunk(9, 2, 10, 1), gitio.Hunk(12, 1, 12, 0),
-    ]
-
-
 def test_diff_hunks_ignore_user_diff_settings(make_repo):
     repo, shas = make_repo([
         {"a.txt": "1\n2\n3\n4\n5\n6\n7\n"},
         {"a.txt": "1\nTWO\n3\n4\n5\n6\n7\nEIGHT\n"},
     ])
-    expected = [gitio.Hunk(2, 1, 2, 1), gitio.Hunk(7, 0, 8, 1)]
+    expected = [Hunk(2, 1, 2, 1, ["-2", "+TWO"]), Hunk(7, 0, 8, 1, ["+EIGHT"])]
     assert gitio.diff_hunks(repo, shas[0], shas[1], "a.txt") == expected
+    assert gitio.diff_hunks(repo, shas[1], shas[1], "a.txt") == []
     # settings that would merge the hunks, swap the algorithm, colour
     # the headers or hand the diff to another program
     for key, value in (("diff.interHunkContext", "10"), ("diff.algorithm", "patience"),

@@ -6,14 +6,9 @@ import subprocess
 import pytest
 
 from histrepair import gitio
-from histrepair.bugs import (
-    FixHunk,
-    FixPatch,
-    categorize_bug,
-    fix_patch_from_diff,
-)
+from histrepair.bugs import categorize_bug
 from histrepair.errors import EmptyPatch
-from histrepair.patches import parse_unified_diff
+from histrepair.patches import FilePatch, Hunk, Patch, parse_unified_diff
 
 TWO_FILE_DIFF = """\
 --- a/src/alpha.c
@@ -27,7 +22,7 @@ TWO_FILE_DIFF = """\
  context four
  context five
  context six
-@@ -40,4 +40,6 @@
+@@ -40,3 +40,5 @@
  keep
 +added one
 +added two
@@ -62,6 +57,54 @@ def test_old_line_numbers_tracks_removed_lines():
     # hunk starts at old line 10 with two context lines before the removal
     assert h1.old_line_numbers() == [12]
     assert patch.files[1].hunks[0].old_line_numbers() == [1]
+
+
+def test_parse_reads_omitted_counts_as_one():
+    diff = (
+        "diff --git a/x.c b/x.c\n--- a/x.c\n+++ b/x.c\n"
+        "@@ -3 +3 @@ int f()\n-    a();\n+    b();\n"
+        "@@ -5,0 +6,2 @@\n+@@ -1 +1 @@\n+    c();\n"
+        "@@ -9,2 +10 @@\n-x\n-y\n+z\n"
+        "@@ -12 +12,0 @@\n-gone\n"
+    )
+    hunks = parse_unified_diff(diff).files[0].hunks
+    assert [(h.old_start, h.old_count, h.new_start, h.new_count) for h in hunks] == [
+        (3, 1, 3, 1), (5, 0, 6, 2), (9, 2, 10, 1), (12, 1, 12, 0),
+    ]
+    assert hunks[1].lines == ["+@@ -1 +1 @@", "+    c();"]
+
+
+# hunk bodies end where their header counts say, as git reads them; each
+# case gives the file paths, the removed lines' old numbers per hunk and
+# the category
+BODY_CASES = {
+    # the SQL comment "-- stale note" removed and "++ counter" added
+    "header-like body lines": (
+        "--- a/schema.sql\n+++ b/schema.sql\n@@ -1,3 +1,3 @@\n"
+        " create table t (id int);\n--- stale note\n+++ counter\n select 1;\n",
+        ["schema.sql"], [[2]], "SL"),
+    "removed header-like last line": (
+        "--- a/q.sql\n+++ b/q.sql\n@@ -1,2 +1 @@\n select 1;\n--- stale note\n",
+        ["q.sql"], [[2]], "SL"),
+    # only "\n" ends a diff line, so a form feed stays inside its line
+    "form feed inside a line": (
+        "--- a/x.c\n+++ b/x.c\n@@ -1,3 +1,3 @@\n"
+        " int a = 1;\x0c int z;\n-int b = 2;\n+int b = 3;\n int c;\n",
+        ["x.c"], [[2]], "SL"),
+    "no-newline marker mid-hunk": (
+        "--- a/x.c\n+++ b/x.c\n@@ -1 +1,2 @@\n-a\n\\ No newline at end of file\n"
+        "+b\n+c\n--- a/y.c\n+++ b/y.c\n@@ -1 +1 @@\n-d\n+e\n",
+        ["x.c", "y.c"], [[1], [1]], "MFMH"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BODY_CASES))
+def test_hunk_body_follows_header_counts(case):
+    text, paths, removed, category = BODY_CASES[case]
+    patch = parse_unified_diff(text)
+    assert [fp.path for fp in patch.files] == paths
+    assert [h.old_line_numbers() for fp in patch.files for h in fp.hunks] == removed
+    assert categorize_bug(patch) == category
 
 
 def test_parse_git_style_headers(make_repo):
@@ -108,76 +151,74 @@ def test_parse_rejects_hunk_before_header():
         parse_unified_diff("@@ -1 +1 @@\n-a\n+b\n")
 
 
-def test_fix_patch_from_diff_counts():
-    fix = fix_patch_from_diff(parse_unified_diff(TWO_FILE_DIFF))
-    assert fix.file_count == 2
-    assert fix.hunk_count == 3
-    assert [h.changed for h in fix.hunks] == [1, 2, 1]
+def test_parsed_diff_counts_per_hunk():
+    patch = parse_unified_diff(TWO_FILE_DIFF)
+    assert [h.changed for fp in patch.files for h in fp.hunks] == [1, 2, 1]
+    assert categorize_bug(patch) == "MFMH"
+
+
+def test_hunkless_binary_entry_does_not_count_as_a_file():
+    binary = "Binary files a/img.png and b/img.png differ\n"
+    one_line = "--- a/x.c\n+++ b/x.c\n@@ -5 +5 @@\n-a\n+b\n"
+    assert categorize_bug(parse_unified_diff(binary + one_line)) == "SL"
+    with pytest.raises(EmptyPatch):
+        categorize_bug(parse_unified_diff(binary))
 
 
 # categorization: the four definitions as an explicit partition table,
 # checked against the implementation's decision cascade
-def partition_category(patch: FixPatch) -> str:
-    file_count = len({h.file_path for h in patch.hunks})
-    hunk_count = len(patch.hunks)
+def partition_category(patch: Patch) -> str:
+    file_count = len({fp.path for fp in patch.files})
+    hunks = [h for fp in patch.files for h in fp.hunks]
     matches = []
     if file_count >= 2:
         matches.append("MFMH")
-    if file_count == 1 and hunk_count >= 2:
+    if file_count == 1 and len(hunks) >= 2:
         matches.append("SFMH")
-    if file_count == 1 and hunk_count == 1 and patch.hunks[0].changed == 1:
+    if file_count == 1 and len(hunks) == 1 and hunks[0].changed == 1:
         matches.append("SL")
-    if file_count == 1 and hunk_count == 1 and patch.hunks[0].changed >= 2:
+    if file_count == 1 and len(hunks) == 1 and hunks[0].changed >= 2:
         matches.append("SH")
     assert len(matches) == 1, f"partition not exclusive/total: {matches}"
     return matches[0]
 
 
-def make_hunk(rng: random.Random, path: str, start: int) -> FixHunk:
-    removed = rng.randint(0, 4)
-    added = rng.randint(0, 4)
-    if max(removed, added) == 0:
-        added = 1
-    return FixHunk(
-        file_path=path, old_start=start, old_len=removed + 2,
-        new_start=start, new_len=added + 2,
-        removed=removed, added=added,
-    )
+def make_hunk(start: int, removed: int, added: int, context: int = 0) -> Hunk:
+    """A hunk at `start` whose body removes and adds the given counts."""
+    lines = [" ctx"] * context + ["-old"] * removed + ["+new"] * added
+    return Hunk(start, removed + context, start, added + context, lines)
 
 
-def random_fix_patch(rng: random.Random) -> FixPatch:
-    n_files = rng.randint(1, 4)
-    hunks = []
-    for i in range(n_files):
-        path = f"file_{i}.c"
+def patch_of(*files: tuple[str, list[Hunk]]) -> Patch:
+    return Patch(files=[FilePatch(path, path, hunks) for path, hunks in files])
+
+
+def random_fix_patch(rng: random.Random) -> Patch:
+    files = []
+    for i in range(rng.randint(1, 4)):
+        hunks = []
         for j in range(rng.randint(1, 3)):
-            hunks.append(make_hunk(rng, path, 10 * j + 1))
-    return FixPatch(hunks=tuple(hunks))
+            removed, added = rng.randint(0, 4), rng.randint(0, 4)
+            if removed == added == 0:
+                added = 1
+            hunks.append(make_hunk(10 * j + 1, removed, added, context=2))
+        files.append((f"file_{i}.c", hunks))
+    return patch_of(*files)
 
 
 def test_categorize_named_examples():
-    sl = FixPatch(hunks=(FixHunk("x.c", 1, 1, 1, 1, removed=1, added=1),))
-    assert categorize_bug(sl) == "SL"
-    sh = FixPatch(hunks=(FixHunk("x.c", 1, 3, 1, 3, removed=3, added=2),))
-    assert categorize_bug(sh) == "SH"
-    sfmh = FixPatch(hunks=(
-        FixHunk("x.c", 1, 1, 1, 1, removed=1, added=1),
-        FixHunk("x.c", 9, 1, 9, 1, removed=1, added=1),
-    ))
+    assert categorize_bug(patch_of(("x.c", [make_hunk(1, 1, 1)]))) == "SL"
+    assert categorize_bug(patch_of(("x.c", [make_hunk(1, 3, 2)]))) == "SH"
+    sfmh = patch_of(("x.c", [make_hunk(1, 1, 1), make_hunk(9, 1, 1)]))
     assert categorize_bug(sfmh) == "SFMH"
-    mfmh = FixPatch(hunks=(
-        FixHunk("x.c", 1, 1, 1, 1, removed=1, added=1),
-        FixHunk("y.c", 1, 1, 1, 1, removed=1, added=1),
-    ))
+    mfmh = patch_of(("x.c", [make_hunk(1, 1, 1)]), ("y.c", [make_hunk(1, 1, 1)]))
     assert categorize_bug(mfmh) == "MFMH"
 
 
 def test_one_for_one_replacement_is_single_line():
-    swap = FixPatch(hunks=(FixHunk("x.c", 5, 1, 5, 1, removed=1, added=1),))
-    assert categorize_bug(swap) == "SL"
-    grow = FixPatch(hunks=(FixHunk("x.c", 5, 1, 5, 3, removed=1, added=3),))
-    assert categorize_bug(grow) == "SH"
-    pure_insert = FixPatch(hunks=(FixHunk("x.c", 5, 0, 6, 1, removed=0, added=1),))
+    assert categorize_bug(patch_of(("x.c", [make_hunk(5, 1, 1)]))) == "SL"
+    assert categorize_bug(patch_of(("x.c", [make_hunk(5, 1, 3)]))) == "SH"
+    pure_insert = patch_of(("x.c", [Hunk(5, 0, 6, 1, ["+new"])]))
     assert categorize_bug(pure_insert) == "SL"
 
 
@@ -190,7 +231,7 @@ def test_categorize_random_against_partition_table():
 
 def test_categorize_empty_patch_raises():
     with pytest.raises(EmptyPatch):
-        categorize_bug(FixPatch(hunks=()))
+        categorize_bug(Patch(files=[]))
 
 
 def test_diff_applies_cleanly_back(make_repo, tmp_path):
