@@ -6,6 +6,9 @@ campaign), report (metrics over a records directory).
 
 Exit codes: 0 success, 2 usage/configuration error, 4 a repair run
 terminated by a guard or failed its tests, 3 any other domain error.
+
+Each subcommand imports the layers it runs (blame, the loop and its
+sandbox, the metrics) when it runs, so a cold call pays only for those.
 """
 
 from __future__ import annotations
@@ -15,19 +18,11 @@ import json
 import sys
 import traceback
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import blame as blame_mod
-from . import loop as loop_mod
-from . import metrics as metrics_mod
-from . import sandbox as sb
 from .bugs import BugRecord, categorize_bug, load_manifest
-from .config import CampaignConfig, load_campaign, make_provider
-from .context import (
-    HEURISTICS,
-    build_context,
-    render_prompts,
-    save_context,
-)
+from .config import HEURISTICS, CampaignConfig, load_campaign, make_provider
+from .context import build_context, render_prompts, save_context
 from .errors import (
     ConfigError,
     EmptyScope,
@@ -37,6 +32,10 @@ from .errors import (
     UniverseMismatch,
 )
 from .patches import parse_unified_diff
+
+if TYPE_CHECKING:
+    from . import loop as loop_mod
+    from . import metrics as metrics_mod
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,6 +67,8 @@ def prepare_bundle(cfg: CampaignConfig, rec: BugRecord, heuristic: str):
             repo_path=AGENT_REPO_PATH, sentinel=cfg.sentinel,
         )
         return bundle, None
+    from . import blame as blame_mod
+
     summary = blame_mod.summarize_blame(rec.repo_path, rec.spec)
     anchor = next(
         (e for e in summary.entries if e.commit_id == summary.resolved_commit),
@@ -114,6 +115,9 @@ def record_is_complete(path: Path) -> bool:
 def run_one_job(cfg: CampaignConfig, rec: BugRecord,
                 heuristic: str) -> loop_mod.RunRecord:
     """One full repair: provision, loop, persist record and artifacts."""
+    from . import loop as loop_mod
+    from . import sandbox as sb
+
     bug_id = rec.spec.bug_id
     # provider and prompts come first: a configuration problem must
     # surface before any sandbox exists
@@ -157,6 +161,9 @@ def _load_categories(cfg: CampaignConfig) -> dict[str, str]:
 
 def rows_from_records(records_dir: Path,
                       categories: dict[str, str]) -> list[metrics_mod.OutcomeRow]:
+    from . import loop as loop_mod
+    from . import metrics as metrics_mod
+
     rows = []
     for path in sorted(records_dir.glob("*.jsonl")):
         record = loop_mod.load_run_record(path)
@@ -180,6 +187,8 @@ def rows_from_records(records_dir: Path,
 # subcommands
 
 def cmd_study(cfg: CampaignConfig, out: Path | None) -> int:
+    from . import blame as blame_mod
+
     records = load_manifest(cfg.manifest)
     patches = {}
     for rec in records:
@@ -217,6 +226,8 @@ def cmd_repair(cfg: CampaignConfig, bug_id: str, heuristic: str) -> int:
         raise ConfigError(
             f"heuristic {heuristic!r} is not among campaign configs {cfg.configs}"
         )
+    from . import loop as loop_mod
+
     rec = _find_record(cfg, bug_id)
     cfg.freeze_into(cfg.out_dir)
     record = run_one_job(cfg, rec, heuristic)
@@ -230,6 +241,8 @@ def cmd_repair(cfg: CampaignConfig, bug_id: str, heuristic: str) -> int:
 
 def cmd_batch(cfg: CampaignConfig) -> int:
     from concurrent.futures import ThreadPoolExecutor, as_completed
+
+    from . import loop as loop_mod
 
     records = load_manifest(cfg.manifest)
     cfg.freeze_into(cfg.out_dir)
@@ -276,6 +289,8 @@ def cmd_batch(cfg: CampaignConfig) -> int:
 
 def cmd_report(cfg: CampaignConfig, records_dir: Path | None,
                out: Path | None) -> int:
+    from . import metrics as metrics_mod
+
     records_dir = records_dir or (cfg.out_dir / "records")
     categories = _load_categories(cfg)
     rows = rows_from_records(records_dir, categories)
@@ -332,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         overrides = {}
         if getattr(args, "out", None):
             overrides["out_dir"] = args.out
-        if getattr(args, "workers", None):
+        if getattr(args, "workers", None) is not None:
             overrides["workers"] = args.workers
         cfg = load_campaign(args.config, overrides)
         if args.command == "study":

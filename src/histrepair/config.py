@@ -1,26 +1,56 @@
-"""Campaign configuration.
+"""Campaign configuration and campaign policy.
 
 One YAML file drives every subcommand. Environment variables override
 secrets only (the provider API key env name); command-line flags
 override file values. Every output directory receives a frozen JSON
 copy of the effective configuration so results stay auditable.
+
+This module is also the one home of campaign policy: the heuristic
+configs, the context budgets, the completion sentinel, the per-command
+timeout and the run guards. The layers that apply them (`context`,
+`loop`, `sandbox`, `metrics`) import them from here. The provider, the
+sandbox and the prompt templates are imported only where a method needs
+them, so loading a campaign stays cheap.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import yaml
 
-from .context import DEFAULT_BUDGETS, HEURISTICS, TemplateSet
 from .errors import ConfigError
-from .loop import DEFAULT_SENTINEL, GuardConfig
-from .provider import HttpProvider, PricingTable, ScriptedProvider
-from .sandbox import BUILTIN_ADAPTERS
+
+if TYPE_CHECKING:
+    from .context import TemplateSet
+    from .provider import PricingTable
+
+HEURISTICS = ("non_history", "fn_all", "fn_pair", "fl_diff")
+
+DEFAULT_BUDGETS = {"fl_diff": 12_000, "fn_pair": 8_000, "fn_all": 4_000}
+
+DEFAULT_SENTINEL = "COMPLETE_REPAIR_SIGNAL"
+
+DEFAULT_COMMAND_TIMEOUT = 300.0
+
+
+@dataclass(frozen=True)
+class GuardConfig:
+    max_steps: int = 50
+    max_cost: Decimal = Decimal("1.00")
+    max_wall_time: float = 3600.0
+    per_command_timeout: float = DEFAULT_COMMAND_TIMEOUT
+
+    def __post_init__(self):
+        if (self.max_steps <= 0 or self.max_cost <= 0
+                or self.max_wall_time <= 0 or self.per_command_timeout <= 0):
+            raise ValueError("guard limits must be strictly positive")
 
 
 @dataclass
@@ -37,7 +67,16 @@ class ProviderSettings:
                            "output_per_million": "0.42"},
     })
 
+    def __post_init__(self):
+        if self.mode not in _PROVIDER_BUILDERS:
+            raise ConfigError(
+                f"unknown provider mode {self.mode!r}; "
+                f"known: {', '.join(sorted(_PROVIDER_BUILDERS))}"
+            )
+
     def pricing_table(self) -> PricingTable:
+        from .provider import PricingTable
+
         return PricingTable.from_dict(self.pricing)
 
 
@@ -57,6 +96,9 @@ class CampaignConfig:
     sentinel: str = DEFAULT_SENTINEL
 
     def __post_init__(self):
+        from .sandbox import BUILTIN_ADAPTERS
+        from .spans import DETECTORS
+
         if not self.configs:
             raise ConfigError("at least one heuristic config must be selected")
         unknown = [c for c in self.configs if c not in HEURISTICS]
@@ -72,6 +114,11 @@ class CampaignConfig:
                 f"unknown adapter {self.adapter!r}; "
                 f"known: {', '.join(sorted(BUILTIN_ADAPTERS))}"
             )
+        if self.language not in DETECTORS:
+            raise ConfigError(
+                f"unknown language {self.language!r}; "
+                f"known: {', '.join(sorted(DETECTORS))}"
+            )
         if self.backend != "local":
             raise ConfigError(
                 f"unknown backend {self.backend!r}: 'local' is the only sandbox"
@@ -86,6 +133,8 @@ class CampaignConfig:
         A jinja2 Environment is safe to render from many threads once it
         is set up, so batch workers share this one.
         """
+        from .context import TemplateSet
+
         if self.template_dir is not None:
             return TemplateSet.from_dir(self.template_dir)
         return TemplateSet.default()
@@ -210,26 +259,37 @@ def load_campaign(path: Path | str, overrides: dict | None = None) -> CampaignCo
         raise ConfigError(f"invalid campaign config {path}: {exc}") from exc
 
 
+def _scripted_provider(settings: ProviderSettings, bug_id: str, config: str):
+    from .provider import ScriptedProvider
+
+    if settings.scripts_dir is None:
+        raise ConfigError("scripted provider needs scripts_dir")
+    script = Path(settings.scripts_dir) / f"{bug_id}__{config}.jsonl"
+    if not script.exists():
+        raise ConfigError(f"no scripted replies at {script}")
+    return ScriptedProvider.from_file(script)
+
+
+def _http_provider(settings: ProviderSettings, bug_id: str, config: str):
+    from .provider import HttpProvider
+
+    if not os.environ.get(settings.api_key_env):
+        raise ConfigError(
+            f"live provider configured but {settings.api_key_env} is unset"
+        )
+    if not settings.endpoint:
+        raise ConfigError("live provider needs an endpoint")
+    return HttpProvider(
+        endpoint=settings.endpoint,
+        model=settings.model,
+        api_key_env=settings.api_key_env,
+    )
+
+
+# provider mode -> builder; the one list of modes ProviderSettings accepts
+_PROVIDER_BUILDERS = {"scripted": _scripted_provider, "http": _http_provider}
+
+
 def make_provider(settings: ProviderSettings, bug_id: str, config: str):
     """Build the provider instance one (bug, config) job will query."""
-    if settings.mode == "scripted":
-        if settings.scripts_dir is None:
-            raise ConfigError("scripted provider needs scripts_dir")
-        script = Path(settings.scripts_dir) / f"{bug_id}__{config}.jsonl"
-        if not script.exists():
-            raise ConfigError(f"no scripted replies at {script}")
-        return ScriptedProvider.from_file(script)
-    if settings.mode == "http":
-        import os
-        if not os.environ.get(settings.api_key_env):
-            raise ConfigError(
-                f"live provider configured but {settings.api_key_env} is unset"
-            )
-        if not settings.endpoint:
-            raise ConfigError("live provider needs an endpoint")
-        return HttpProvider(
-            endpoint=settings.endpoint,
-            model=settings.model,
-            api_key_env=settings.api_key_env,
-        )
-    raise ConfigError(f"unknown provider mode {settings.mode!r}")
+    return _PROVIDER_BUILDERS[settings.mode](settings, bug_id, config)

@@ -18,12 +18,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import jinja2
+from typing import TYPE_CHECKING
 
 from . import gitio, spans
-from .blame import BlameEntry
 from .bugs import BugSpec
+from .config import DEFAULT_BUDGETS
 from .errors import (
     DetectorFailure,
     FileNotInSnapshot,
@@ -33,9 +32,10 @@ from .errors import (
 )
 from .patches import Hunk
 
-HEURISTICS = ("non_history", "fn_all", "fn_pair", "fl_diff")
+if TYPE_CHECKING:
+    import jinja2
 
-DEFAULT_BUDGETS = {"fl_diff": 12_000, "fn_pair": 8_000, "fn_all": 4_000}
+    from .blame import BlameEntry
 
 TRUNCATION_NOTICE = "\n[payload truncated to fit the context budget]"
 
@@ -438,7 +438,11 @@ class PromptBundle:
 
 @dataclass
 class TemplateSet:
-    """Jinja templates for the system and user prompts."""
+    """Jinja templates for the system and user prompts.
+
+    jinja2 is imported when the first set is built, so a caller that
+    only builds context never loads it.
+    """
 
     env: jinja2.Environment
     system_name: str = "system.j2"
@@ -446,6 +450,8 @@ class TemplateSet:
 
     @classmethod
     def from_dir(cls, template_dir: Path | str) -> "TemplateSet":
+        import jinja2
+
         env = jinja2.Environment(
             loader=jinja2.FileSystemLoader(str(template_dir)),
             undefined=jinja2.StrictUndefined,
@@ -459,6 +465,8 @@ class TemplateSet:
         return cls.from_dir(Path(__file__).parent / "templates")
 
     def render(self, name: str, bindings: dict) -> str:
+        import jinja2
+
         try:
             return self.env.get_template(name).render(**bindings)
         except jinja2.UndefinedError as exc:

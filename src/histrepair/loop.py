@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import sandbox as sb
+from .config import DEFAULT_SENTINEL, GuardConfig
 from .errors import (
     ActionParseError,
     AmbiguousAction,
@@ -29,27 +30,12 @@ from .errors import (
 )
 from .provider import PricingTable, Provider, TokenUsage, accumulate_cost
 
-DEFAULT_SENTINEL = "COMPLETE_REPAIR_SIGNAL"
-
 # per-stream observation cap: keep the head and the tail, drop the middle
 OBS_HEAD = 6000
 OBS_TAIL = 2000
 
 _FENCE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
 _TEST_INVOCATION = re.compile(r"(?:^|[;&|(\n])\s*test(?:\s|[);&|]|$)")
-
-
-@dataclass(frozen=True)
-class GuardConfig:
-    max_steps: int = 50
-    max_cost: Decimal = Decimal("1.00")
-    max_wall_time: float = 3600.0
-    per_command_timeout: float = sb.DEFAULT_COMMAND_TIMEOUT
-
-    def __post_init__(self):
-        if (self.max_steps <= 0 or self.max_cost <= 0
-                or self.max_wall_time <= 0 or self.per_command_timeout <= 0):
-            raise ValueError("guard limits must be strictly positive")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from pathlib import Path
 from statistics import quantiles
 
 from .bugs import CATEGORIES
-from .context import HEURISTICS
+from .config import HEURISTICS
 from .errors import EmptyScope, InsufficientData, UniverseMismatch
 from .stats import (
     BONFERRONI_ALPHA,

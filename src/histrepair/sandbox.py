@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import gitio
+from .config import DEFAULT_COMMAND_TIMEOUT
 from .errors import (
     PatchUnavailable,
     ProvisionError,
@@ -31,7 +32,6 @@ from .errors import (
     TestOutputParseError,
 )
 
-DEFAULT_COMMAND_TIMEOUT = 300.0
 TIMEOUT_EXIT_CODE = 124
 
 # the shell builtin `test` would shadow our test wrapper; disable it so

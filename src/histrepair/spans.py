@@ -140,7 +140,8 @@ def _python_spans(text: str) -> list[FunctionSpan]:
     return spans
 
 
-_DETECTORS: dict[str, Callable[[str], list[FunctionSpan]]] = {
+# detector per language name; a campaign's `language` must be one of these
+DETECTORS: dict[str, Callable[[str], list[FunctionSpan]]] = {
     "c_family": _c_family_spans,
     "python": _python_spans,
 }
@@ -149,7 +150,7 @@ _DETECTORS: dict[str, Callable[[str], list[FunctionSpan]]] = {
 def all_spans(text: str, language: str = "c_family") -> list[FunctionSpan]:
     """Every function span in `text`, outer and nested alike."""
     try:
-        detect = _DETECTORS[language]
+        detect = DETECTORS[language]
     except KeyError:
         raise DetectorFailure(f"no span detector named {language!r}") from None
     return detect(text)

@@ -300,7 +300,12 @@ def test_unknown_budget_key_exits_2(toy_campaign, capsys):
     ("adapter: local-python", "adapter: local-pyhton", "unknown adapter 'local-pyhton'"),
     ("backend: local", "backend: container", "run histrepair itself inside"),
     ("backend: local", "backend: vm", "'local' is the only sandbox backend"),
-], ids=["adapter-typo", "backend-container", "backend-vm"])
+    ("mode: scripted", "mode: scriptd",
+     "unknown provider mode 'scriptd'; known: http, scripted"),
+    ("language: python", "language: pyhton",
+     "unknown language 'pyhton'; known: c_family, python"),
+], ids=["adapter-typo", "backend-container", "backend-vm", "provider-mode-typo",
+        "language-typo"])
 def test_unknown_adapter_or_backend_exits_2_before_any_job(toy_campaign, capsys,
                                                            old, new, message):
     text = toy_campaign["campaign"].read_text()
@@ -310,6 +315,14 @@ def test_unknown_adapter_or_backend_exits_2_before_any_job(toy_campaign, capsys,
     code, _, err = invoke("batch", "--config", str(cfg), capsys=capsys)
     assert code == 2
     assert message in err
+    assert not (toy_campaign["root"] / "out" / "records").exists()
+
+
+def test_zero_workers_flag_exits_2_before_any_job(toy_campaign, capsys):
+    code, _, err = invoke("batch", "--config", str(toy_campaign["campaign"]),
+                          "--workers", "0", capsys=capsys)
+    assert code == 2
+    assert "worker count must be >= 1" in err
     assert not (toy_campaign["root"] / "out" / "records").exists()
 
 
@@ -386,11 +399,31 @@ def test_batch_compiles_templates_once(toy_campaign, monkeypatch):
     assert len(built) == 1
 
 
-def test_cli_import_leaves_heavy_modules_unloaded():
-    # scipy, numpy and requests cost over a second of every cold CLI call
+def _modules_loaded_after(code: str, watched: tuple[str, ...]) -> list[str]:
+    """Which of `watched` a fresh interpreter holds after running `code`."""
     src = str(Path(histrepair.__file__).resolve().parents[1])
-    probe = ("import sys, histrepair.cli; "
-             "print(sorted(m for m in ('numpy', 'requests', 'scipy') if m in sys.modules))")
+    probe = (f"import json, sys\n{code}\n"
+             f"print(json.dumps(sorted(m for m in {watched!r} if m in sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_heavy_modules_unloaded(toy_campaign):
+    # scipy, numpy and requests cost over a second of every cold CLI call
+    assert _modules_loaded_after("import histrepair.cli",
+                                 ("numpy", "requests", "scipy")) == []
+    # loading a campaign needs none of the prompt, loop or report layers
+    cfg = str(toy_campaign["campaign"])
+    layers = ("jinja2", "histrepair.loop", "histrepair.provider",
+              "histrepair.metrics", "histrepair.stats")
+    assert _modules_loaded_after(
+        f"from histrepair import cli\ncli.load_campaign({cfg!r})", layers) == []
+    # study and report render no prompt
+    assert _modules_loaded_after(
+        f"from histrepair import cli\nassert cli.main(['study', '--config', {cfg!r}]) == 0",
+        ("jinja2",)) == []
+    assert invoke("batch", "--config", cfg)[0] == 0
+    assert _modules_loaded_after(
+        f"from histrepair import cli\nassert cli.main(['report', '--config', {cfg!r}]) == 0",
+        ("jinja2",)) == []

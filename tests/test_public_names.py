@@ -3,6 +3,10 @@
 import ast
 from pathlib import Path
 
+import pytest
+
+import histrepair
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "histrepair"
 CALLER_DIRS = ("src", "demos", "perfbench")
@@ -50,3 +54,12 @@ def test_every_public_name_has_a_caller_outside_tests():
     assert not stray, f"public names only tests call (delete them): {stray}"
     stale = sorted(f"{mod}.{name}" for mod, name in set(ALLOWED) - uncalled)
     assert not stale, f"allowlisted names that now have a caller: {stale}"
+
+
+def test_every_exported_name_resolves():
+    # the package imports its exports on first access, not at import time
+    for name in histrepair.__all__:
+        assert getattr(histrepair, name) is not None, name
+    assert set(histrepair.__all__) <= set(dir(histrepair))
+    with pytest.raises(AttributeError):
+        histrepair.no_such_name
