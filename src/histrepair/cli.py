@@ -242,8 +242,12 @@ def cmd_repair(cfg: CampaignConfig, bug_id: str, heuristic: str) -> int:
 def cmd_batch(cfg: CampaignConfig) -> int:
     from concurrent.futures import ThreadPoolExecutor, as_completed
 
+    from . import blame, sandbox  # noqa: F401  (loaded here, not in a worker)
     from . import loop as loop_mod
 
+    # every layer a job runs and the shared prompt templates load before
+    # the pool starts, so no worker's first job races another for them
+    cfg.templates  # noqa: B018
     records = load_manifest(cfg.manifest)
     cfg.freeze_into(cfg.out_dir)
     records_dir = cfg.out_dir / "records"
