@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -48,18 +48,6 @@ class BlameEntry:
     anchor_note: str = ""   # set when the anchor lies beyond FALLBACK_WINDOW
     commit_line: int = 0    # the line's number in commit_id's file version
     commit_path: str = ""   # the file's path in commit_id's version
-
-    def to_json(self) -> dict:
-        obj = {
-            "file_path": self.file_path,
-            "line_number": self.line_number,
-            "commit_id": self.commit_id,
-            "author_time": self.author_time,
-            "is_fallback": self.is_fallback,
-        }
-        if self.anchor_note:
-            obj["anchor_note"] = self.anchor_note
-        return obj
 
 
 @dataclass(frozen=True)
@@ -95,16 +83,6 @@ class BlameSummary:
     unique_commits: frozenset[str]
     resolved_commit: str
     resolution_method: str       # single | judge | fallback
-
-    def to_json(self) -> dict:
-        return {
-            "bug_id": self.bug_id,
-            "blameability": self.blameability,
-            "unique_commits": sorted(self.unique_commits),
-            "resolved_commit": self.resolved_commit,
-            "resolution_method": self.resolution_method,
-            "entries": [e.to_json() for e in self.entries],
-        }
 
 
 def blame_lines(repo: Path | str, ref: str,
@@ -392,13 +370,6 @@ def write_study_outputs(report: AvailabilityReport, out_dir: Path) -> None:
     (out_dir / "availability.txt").write_text(render_availability_table(report))
     with (out_dir / "availability_records.jsonl").open("w") as fh:
         for row in report.rows:
-            fh.write(json.dumps({
-                "bug_id": row.bug_id,
-                "category": row.category,
-                "blameability": row.blameability,
-                "resolution_method": row.resolution_method,
-                "resolved_commit": row.resolved_commit,
-                "unique_commit_count": row.unique_commit_count,
-            }) + "\n")
+            fh.write(json.dumps(asdict(row)) + "\n")
         for bug_id, reason in report.exclusions:
             fh.write(json.dumps({"bug_id": bug_id, "excluded": reason}) + "\n")

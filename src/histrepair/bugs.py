@@ -15,7 +15,7 @@ the parsed patch into SL, SH, SFMH or MFMH.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, EmptyPatch
@@ -111,9 +111,7 @@ class BugRecord:
 
     spec: BugSpec
     repo_path: Path
-    bug_report_path: Path | None = None
     fix_patch_path: Path | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def _parse_location(obj: dict) -> FaultLocation:
@@ -128,7 +126,6 @@ def parse_record(obj: dict, base: Path) -> BugRecord:
     """Build a BugRecord from one decoded manifest object."""
     try:
         locations = tuple(_parse_location(loc) for loc in obj["locations"])
-        report_path = None
         report_text = obj.get("bug_report", "")
         if obj.get("bug_report_path"):
             report_path = (base / obj["bug_report_path"]).resolve()
@@ -144,16 +141,10 @@ def parse_record(obj: dict, base: Path) -> BugRecord:
         patch_path = None
         if obj.get("fix_patch_path"):
             patch_path = (base / obj["fix_patch_path"]).resolve()
-        known = {
-            "bug_id", "repo_path", "snapshot_ref", "locations",
-            "failing_tests", "bug_report", "bug_report_path", "fix_patch_path",
-        }
         return BugRecord(
             spec=spec,
             repo_path=(base / obj["repo_path"]).resolve(),
-            bug_report_path=report_path,
             fix_patch_path=patch_path,
-            extra={k: v for k, v in obj.items() if k not in known},
         )
     except KeyError as exc:
         raise ConfigError(f"manifest record missing field {exc}") from exc

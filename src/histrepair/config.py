@@ -7,17 +7,17 @@ copy of the effective configuration so results stay auditable.
 
 This module is also the one home of campaign policy: the heuristic
 configs, the context budgets, the completion sentinel, the per-command
-timeout and the run guards. The layers that apply them (`context`,
-`loop`, `sandbox`, `metrics`) import them from here. The provider, the
-sandbox and the prompt templates are imported only where a method needs
-them, so loading a campaign stays cheap.
+timeout, the run guards and the project adapters. The layers that apply
+them (`context`, `loop`, `sandbox`, `metrics`) import them from here.
+The provider and the prompt templates are imported only where a method
+needs them, so loading a campaign stays cheap.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from decimal import Decimal
 from functools import cached_property
 from pathlib import Path
@@ -38,6 +38,26 @@ DEFAULT_BUDGETS = {"fl_diff": 12_000, "fn_pair": 8_000, "fn_all": 4_000}
 DEFAULT_SENTINEL = "COMPLETE_REPAIR_SIGNAL"
 
 DEFAULT_COMMAND_TIMEOUT = 300.0
+
+
+@dataclass(frozen=True)
+class ProjectAdapter:
+    """How to build and test one project family inside its sandbox."""
+
+    compile_command: str
+    test_relevant_command: str
+
+
+BUILTIN_ADAPTERS = {
+    "local-python": ProjectAdapter(
+        compile_command="python3 -m compileall -q .",
+        test_relevant_command="python3 run_tests.py",
+    ),
+    "defects4j": ProjectAdapter(
+        compile_command="defects4j compile",
+        test_relevant_command="defects4j test -r",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -73,6 +93,16 @@ class ProviderSettings:
                 f"unknown provider mode {self.mode!r}; "
                 f"known: {', '.join(sorted(_PROVIDER_BUILDERS))}"
             )
+        # every provider call is billed, so a model without both rates
+        # would fail each job after its sandbox was built
+        rates = self.pricing.get(self.model)
+        missing = [k for k in ("input_per_million", "output_per_million")
+                   if not isinstance(rates, dict) or k not in rates]
+        if missing:
+            raise ConfigError(
+                f"no pricing for model {self.model!r}: "
+                f"provider.pricing.{self.model} needs {' and '.join(missing)}"
+            )
 
     def pricing_table(self) -> PricingTable:
         from .provider import PricingTable
@@ -96,7 +126,6 @@ class CampaignConfig:
     sentinel: str = DEFAULT_SENTINEL
 
     def __post_init__(self):
-        from .sandbox import BUILTIN_ADAPTERS
         from .spans import DETECTORS
 
         if not self.configs:
@@ -139,39 +168,10 @@ class CampaignConfig:
             return TemplateSet.from_dir(self.template_dir)
         return TemplateSet.default()
 
-    def to_json(self) -> dict:
-        return {
-            "manifest": str(self.manifest),
-            "out_dir": str(self.out_dir),
-            "configs": list(self.configs),
-            "guards": {
-                "max_steps": self.guards.max_steps,
-                "max_cost": str(self.guards.max_cost),
-                "max_wall_time": self.guards.max_wall_time,
-                "per_command_timeout": self.guards.per_command_timeout,
-            },
-            "provider": {
-                "mode": self.provider.mode,
-                "model": self.provider.model,
-                "endpoint": self.provider.endpoint,
-                "api_key_env": self.provider.api_key_env,
-                "scripts_dir": (str(self.provider.scripts_dir)
-                                if self.provider.scripts_dir else None),
-                "pricing": self.provider.pricing,
-            },
-            "adapter": self.adapter,
-            "backend": self.backend,
-            "workers": self.workers,
-            "template_dir": str(self.template_dir) if self.template_dir else None,
-            "budgets": self.budgets,
-            "language": self.language,
-            "sentinel": self.sentinel,
-        }
-
     def freeze_into(self, out_dir: Path) -> Path:
         out_dir.mkdir(parents=True, exist_ok=True)
         frozen = out_dir / "effective_config.json"
-        frozen.write_text(json.dumps(self.to_json(), indent=2) + "\n")
+        frozen.write_text(json.dumps(asdict(self), indent=2, default=str) + "\n")
         return frozen
 
 

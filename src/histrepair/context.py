@@ -16,7 +16,7 @@ inputs produce equal bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -433,20 +433,17 @@ class PromptBundle:
     system_prompt: str
     user_prompt: str
     token_estimate: int
-    config: str  # heuristic kind, non_history when no context
 
 
 @dataclass
 class TemplateSet:
-    """Jinja templates for the system and user prompts.
+    """The jinja templates `system.j2` and `user.j2` of one directory.
 
     jinja2 is imported when the first set is built, so a caller that
     only builds context never loads it.
     """
 
     env: jinja2.Environment
-    system_name: str = "system.j2"
-    user_name: str = "user.j2"
 
     @classmethod
     def from_dir(cls, template_dir: Path | str) -> "TemplateSet":
@@ -487,7 +484,7 @@ def render_prompts(spec: BugSpec, context: HistoricalContext | None,
     """
     templates = templates or TemplateSet.default()
     has_history = context is not None or bool(history_note)
-    system = templates.render(templates.system_name, {
+    system = templates.render("system.j2", {
         "repo_path": repo_path,
         "completion_sentinel": sentinel,
         "history_enabled": has_history,
@@ -507,51 +504,29 @@ def render_prompts(spec: BugSpec, context: HistoricalContext | None,
             "commit_message": context.commit_message,
             "payload": payload_text(context),
         }
-    user = templates.render(templates.user_name, {
+    user = templates.render("user.j2", {
         "bug_report": spec.bug_report,
         "failing_tests": list(spec.failing_tests),
         "locations": locations,
         "history": history,
         "history_note": history_note,
     })
-    config = context.kind if context is not None else "non_history"
     return PromptBundle(
         system_prompt=system,
         user_prompt=user,
         token_estimate=(len(system) + len(user)) // 4,
-        config=config,
     )
 
 
 def context_to_json(ctx: HistoricalContext) -> dict:
     """Machine-readable sidecar form of a historical context."""
-    obj: dict = {
+    return {
         "kind": ctx.kind,
         "commit_id": ctx.commit_id,
         "commit_message": ctx.commit_message,
         "truncated": ctx.truncated,
+        "payload": asdict(ctx.payload),
     }
-    if isinstance(ctx.payload, FnAll):
-        obj["payload"] = {
-            "entries": [
-                {"file_path": e.file_path, "names": list(e.names), "note": e.note}
-                for e in ctx.payload.entries
-            ],
-        }
-    elif isinstance(ctx.payload, FnPair):
-        def side(s: FunctionSnapshot | None):
-            if s is None:
-                return None
-            return {
-                "file_path": s.file_path, "name": s.name,
-                "start_line": s.start_line, "end_line": s.end_line,
-                "body_text": s.body_text,
-            }
-        obj["payload"] = {"before": side(ctx.payload.before),
-                          "after": side(ctx.payload.after)}
-    else:
-        obj["payload"] = {"diff_text": ctx.payload.diff_text}
-    return obj
 
 
 def save_context(ctx: HistoricalContext, path: Path) -> None:

@@ -111,13 +111,9 @@ class SandboxDead(HistRepairError):
 
 
 class TestOutputParseError(HistRepairError):
-    """Test runner output could not be classified; carries raw output."""
+    """Test runner output holds no failing-test block."""
 
     __test__ = False  # keep pytest from collecting this as a test class
-
-    def __init__(self, message: str, raw_output: str = ""):
-        super().__init__(message)
-        self.raw_output = raw_output
 
 
 class PatchUnavailable(HistRepairError):

@@ -103,13 +103,8 @@ def author_time(repo: Path | str, commit: str) -> int:
 class ChangedFile:
     """One file touched by a commit, relative to its first parent."""
 
-    status: str              # git one-letter code: A/M/D/R/C/...
     old_path: str | None     # None for added files
     new_path: str | None     # None for deleted files
-
-    @property
-    def path(self) -> str:
-        return self.new_path if self.new_path is not None else self.old_path  # type: ignore[return-value]
 
 
 def changed_files(repo: Path | str, commit: str) -> list[ChangedFile]:
@@ -127,13 +122,13 @@ def changed_files(repo: Path | str, commit: str) -> list[ChangedFile]:
         parts = line.split("\t")
         status = parts[0][0]
         if status == "A":
-            changes.append(ChangedFile(status, None, parts[1]))
+            changes.append(ChangedFile(None, parts[1]))
         elif status == "D":
-            changes.append(ChangedFile(status, parts[1], None))
+            changes.append(ChangedFile(parts[1], None))
         elif status in ("R", "C"):
-            changes.append(ChangedFile(status, parts[1], parts[2]))
+            changes.append(ChangedFile(parts[1], parts[2]))
         else:
-            changes.append(ChangedFile(status, parts[1], parts[1]))
+            changes.append(ChangedFile(parts[1], parts[1]))
     return changes
 
 

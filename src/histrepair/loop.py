@@ -26,7 +26,6 @@ from .errors import (
     NoActionFound,
     ProviderFailure,
     SandboxDead,
-    TestOutputParseError,
 )
 from .provider import PricingTable, Provider, TokenUsage, accumulate_cost
 
@@ -36,12 +35,6 @@ OBS_TAIL = 2000
 
 _FENCE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
 _TEST_INVOCATION = re.compile(r"(?:^|[;&|(\n])\s*test(?:\s|[);&|]|$)")
-
-
-@dataclass(frozen=True)
-class Action:
-    command: str
-    raw_block: str
 
 
 @dataclass
@@ -65,8 +58,8 @@ class RunRecord:
     final_patch: str
 
 
-def parse_action(model_output: str) -> Action:
-    """Extract the single fenced command block from a model reply."""
+def parse_action(model_output: str) -> str:
+    """The command in the single fenced block of a model reply."""
     blocks = _FENCE.findall(model_output)
     if len(blocks) == 0:
         raise NoActionFound("reply contains no fenced code block")
@@ -75,7 +68,7 @@ def parse_action(model_output: str) -> Action:
     command = blocks[0].strip()
     if not command:
         raise EmptyAction("fenced code block is empty")
-    return Action(command=command, raw_block=blocks[0])
+    return command
 
 
 def invokes_test(command: str) -> bool:
@@ -127,7 +120,6 @@ class LoopHarness:
     model: str
     guards: GuardConfig = field(default_factory=GuardConfig)
     sentinel: str = DEFAULT_SENTINEL
-    temperature: float = 0.0
     clock: Callable[[], float] = time.monotonic
 
 
@@ -150,9 +142,7 @@ def run(bug_id: str, config: str, system_prompt: str, user_prompt: str,
         """One provider call; bills cost. None signals ProviderError."""
         nonlocal cost
         try:
-            reply = harness.provider.complete(
-                _provider_messages(transcript), temperature=harness.temperature,
-            )
+            reply = harness.provider.complete(_provider_messages(transcript))
         except ProviderFailure:
             return None
         transcript.append(TranscriptMessage(
@@ -176,9 +166,8 @@ def run(bug_id: str, config: str, system_prompt: str, user_prompt: str,
             termination = "ProviderError"
             break
 
-        action: Action | None = None
         try:
-            action = parse_action(text)
+            command = parse_action(text)
         except ActionParseError as exc:
             transcript.append(TranscriptMessage(
                 "observation",
@@ -191,7 +180,7 @@ def run(bug_id: str, config: str, system_prompt: str, user_prompt: str,
                 termination = "ProviderError"
                 break
             try:
-                action = parse_action(retry)
+                command = parse_action(retry)
             except ActionParseError as exc2:
                 transcript.append(TranscriptMessage(
                     "observation",
@@ -205,7 +194,7 @@ def run(bug_id: str, config: str, system_prompt: str, user_prompt: str,
 
         try:
             result = sb.exec_command(
-                handle, action.command,
+                handle, command,
                 timeout=guards.per_command_timeout, step_index=steps + 1,
             )
         except SandboxDead as exc:
@@ -222,14 +211,10 @@ def run(bug_id: str, config: str, system_prompt: str, user_prompt: str,
         dead_streak = 0
 
         outcome: sb.TestOutcome | None = None
-        if invokes_test(action.command):
-            try:
-                outcome = sb.test_outcome(result)
-            except TestOutputParseError:
-                outcome = sb.fail_closed_outcome(result.stdout + result.stderr)
-            last_test = outcome
+        if invokes_test(command):
+            outcome = last_test = sb.test_outcome(result)
 
-        signaled = harness.sentinel in action.command
+        signaled = harness.sentinel in command
         completed = signaled and last_test is not None and last_test.all_passed
         obs = _observation_text(result, outcome)
         if signaled and not completed:
@@ -254,7 +239,7 @@ def run(bug_id: str, config: str, system_prompt: str, user_prompt: str,
             handle, timeout=guards.per_command_timeout, step_index=steps + 1,
         )
         passed_at_end = final_outcome.all_passed
-    except (TestOutputParseError, SandboxDead):
+    except SandboxDead:
         passed_at_end = False
 
     return RunRecord(

@@ -69,7 +69,6 @@ class FilePatch:
     old_path: str            # "/dev/null" for a created file
     new_path: str            # "/dev/null" for a deleted file
     hunks: list[Hunk] = field(default_factory=list)
-    binary: bool = False
 
     @property
     def path(self) -> str:
@@ -85,10 +84,6 @@ class Patch:
     @property
     def hunk_count(self) -> int:
         return sum(len(fp.hunks) for fp in self.files)
-
-    @property
-    def file_count(self) -> int:
-        return len(self.files)
 
 
 def _strip_prefix(path: str) -> str:
@@ -131,7 +126,6 @@ def parse_unified_diff(text: str) -> Patch:
                 files.append(FilePatch(
                     old_path=_strip_prefix(m.group(1)),
                     new_path=_strip_prefix(m.group(2)),
-                    binary=True,
                 ))
             current = None
             continue

@@ -39,7 +39,7 @@ class ProviderReply:
 
 
 class Provider(Protocol):
-    def complete(self, messages: list[dict], temperature: float = 0.0) -> ProviderReply:
+    def complete(self, messages: list[dict]) -> ProviderReply:
         ...
 
 
@@ -62,7 +62,7 @@ class ScriptedProvider:
                 replies.append(json.loads(raw))
         return cls(replies=replies)
 
-    def complete(self, messages: list[dict], temperature: float = 0.0) -> ProviderReply:
+    def complete(self, messages: list[dict]) -> ProviderReply:
         self.calls.append(messages)
         if self.cursor >= len(self.replies):
             raise ProviderFailure("scripted provider exhausted its replies")
@@ -91,7 +91,7 @@ class HttpProvider:
     timeout: float = 120.0
     sleeper: Callable[[float], None] = time.sleep
 
-    def complete(self, messages: list[dict], temperature: float = 0.0) -> ProviderReply:
+    def complete(self, messages: list[dict]) -> ProviderReply:
         # imported here so that commands which never call a live model
         # do not pay for loading the HTTP stack
         import requests
@@ -100,7 +100,8 @@ class HttpProvider:
         headers = {"Content-Type": "application/json"}
         if key:
             headers["Authorization"] = f"Bearer {key}"
-        body = {"model": self.model, "messages": messages, "temperature": temperature}
+        # greedy decoding for every run
+        body = {"model": self.model, "messages": messages, "temperature": 0.0}
         last_error: Exception | None = None
         for attempt in range(MAX_ATTEMPTS):
             try:

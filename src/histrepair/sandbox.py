@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import gitio
-from .config import DEFAULT_COMMAND_TIMEOUT
+from .config import BUILTIN_ADAPTERS, DEFAULT_COMMAND_TIMEOUT, ProjectAdapter
 from .errors import (
     PatchUnavailable,
     ProvisionError,
@@ -40,29 +40,6 @@ _SHELL_PRELUDE = "enable -n test 2>/dev/null\n"
 
 
 @dataclass(frozen=True)
-class ProjectAdapter:
-    """How to build and test one project family inside its sandbox."""
-
-    adapter_id: str
-    compile_command: str
-    test_relevant_command: str
-
-
-BUILTIN_ADAPTERS = {
-    "local-python": ProjectAdapter(
-        adapter_id="local-python",
-        compile_command="python3 -m compileall -q .",
-        test_relevant_command="python3 run_tests.py",
-    ),
-    "defects4j": ProjectAdapter(
-        adapter_id="defects4j",
-        compile_command="defects4j compile",
-        test_relevant_command="defects4j test -r",
-    ),
-}
-
-
-@dataclass(frozen=True)
 class CommandResult:
     stdout: str
     stderr: str
@@ -75,7 +52,6 @@ class CommandResult:
 class TestOutcome:
     all_passed: bool
     failing_tests: tuple[str, ...]
-    raw_excerpt: str = ""
 
 
 def parse_failing_block(output: str) -> TestOutcome:
@@ -86,9 +62,7 @@ def parse_failing_block(output: str) -> TestOutcome:
     """
     m = re.search(r"^Failing tests:\s*(\d+)\s*$", output, re.MULTILINE)
     if not m:
-        raise TestOutputParseError(
-            "no 'Failing tests: N' marker in test output", raw_output=output,
-        )
+        raise TestOutputParseError("no 'Failing tests: N' marker in test output")
     count = int(m.group(1))
     names = []
     for line in output[m.end():].splitlines():
@@ -100,23 +74,16 @@ def parse_failing_block(output: str) -> TestOutcome:
     if count != len(names) and count > 0 and not names:
         # count without names still identifies failure; synthesize
         names = [f"(unnamed failing test {i + 1})" for i in range(count)]
-    excerpt = output[-2000:]
-    return TestOutcome(
-        all_passed=(count == 0),
-        failing_tests=tuple(names[:count]),
-        raw_excerpt=excerpt,
-    )
+    return TestOutcome(all_passed=(count == 0), failing_tests=tuple(names[:count]))
 
 
 @dataclass
 class SandboxHandle:
-    """One live sandbox: its worktree, adapter and log."""
+    """One live sandbox: its worktree and command log."""
 
     bug_id: str
     worktree_path: Path
-    adapter: ProjectAdapter
     alive: bool = True
-    snapshot_ref: str = ""
     _root: Path | None = None            # temp root owning the worktree
     _env: dict = field(default_factory=dict)
     _log: list[tuple[int, str, CommandResult]] = field(default_factory=list)
@@ -138,12 +105,10 @@ def _write_wrappers(bin_dir: Path, adapter: ProjectAdapter) -> None:
 
 
 def provision(bug_id: str, repo_path: Path | str, snapshot_ref: str,
-              adapter: ProjectAdapter | str) -> SandboxHandle:
+              adapter_name: str) -> SandboxHandle:
     """Create a fresh sandbox checked out at the buggy snapshot."""
-    if isinstance(adapter, str):
-        if adapter not in BUILTIN_ADAPTERS:
-            raise ProvisionError(f"unknown adapter {adapter!r}")
-        adapter = BUILTIN_ADAPTERS[adapter]
+    if adapter_name not in BUILTIN_ADAPTERS:
+        raise ProvisionError(f"unknown adapter {adapter_name!r}")
     repo_path = Path(repo_path)
     root = Path(tempfile.mkdtemp(prefix=f"histrepair-{bug_id}-"))
     worktree = root / "work"
@@ -171,7 +136,7 @@ def provision(bug_id: str, repo_path: Path | str, snapshot_ref: str,
         )
 
     bin_dir = root / "bin"
-    _write_wrappers(bin_dir, adapter)
+    _write_wrappers(bin_dir, BUILTIN_ADAPTERS[adapter_name])
     home = root / "home"
     home.mkdir()
     env = {
@@ -183,8 +148,7 @@ def provision(bug_id: str, repo_path: Path | str, snapshot_ref: str,
         "PYTHONDONTWRITEBYTECODE": "1",
     }
     return SandboxHandle(
-        bug_id=bug_id, worktree_path=worktree,
-        adapter=adapter, snapshot_ref=snapshot_ref, _root=root, _env=env,
+        bug_id=bug_id, worktree_path=worktree, _root=root, _env=env,
     )
 
 
@@ -231,11 +195,7 @@ def exec_command(handle: SandboxHandle, command: str,
 def run_test(handle: SandboxHandle,
              timeout: float = DEFAULT_COMMAND_TIMEOUT,
              step_index: int = 0) -> tuple[CommandResult, TestOutcome]:
-    """Run the adapter's relevant-test command and judge its outcome.
-
-    Unparseable output raises TestOutputParseError; callers record it
-    as not-passed.
-    """
+    """Run the adapter's relevant-test command and judge its outcome."""
     result = exec_command(handle, "test", timeout=timeout, step_index=step_index)
     return result, test_outcome(result)
 
@@ -243,26 +203,15 @@ def run_test(handle: SandboxHandle,
 def test_outcome(result: CommandResult) -> TestOutcome:
     """The outcome of one test command: the single test-outcome policy.
 
-    A timed-out run fails closed without parsing; otherwise both streams
-    are parsed for the failing-test block, and TestOutputParseError
-    propagates when it is missing.
+    Both streams are parsed for the failing-test block. A run that timed
+    out, or whose output holds no such block, fails closed.
     """
     if result.timed_out:
-        return TestOutcome(
-            all_passed=False,
-            failing_tests=("(test run timed out)",),
-            raw_excerpt=(result.stdout + result.stderr)[-2000:],
-        )
-    return parse_failing_block(result.stdout + "\n" + result.stderr)
-
-
-def fail_closed_outcome(raw_output: str) -> TestOutcome:
-    """The TestOutcome recorded when test output could not be parsed."""
-    return TestOutcome(
-        all_passed=False,
-        failing_tests=("(unparsed test output)",),
-        raw_excerpt=raw_output[-2000:],
-    )
+        return TestOutcome(all_passed=False, failing_tests=("(test run timed out)",))
+    try:
+        return parse_failing_block(result.stdout + "\n" + result.stderr)
+    except TestOutputParseError:
+        return TestOutcome(all_passed=False, failing_tests=("(unparsed test output)",))
 
 
 def final_patch(handle: SandboxHandle) -> str:

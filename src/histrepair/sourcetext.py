@@ -28,9 +28,6 @@ class CleanedSource:
     content_lines: list[str]    # strings intact
     structure_lines: list[str]  # string interiors blanked
 
-    def line_count(self) -> int:
-        return len(self.content_lines)
-
 
 def source_lines(text: str) -> list[str]:
     """The lines of `text` as git numbers them, line 1 at index 0.

@@ -249,7 +249,7 @@ def test_summary_is_deterministic(ground_truth_repo):
     spec, _ = synth.make_blameable_spec(gt, random.Random(3), "rep")
     a = blame.summarize_blame(gt.path, spec, judge=lambda candidates: 0)
     b = blame.summarize_blame(gt.path, spec, judge=lambda candidates: 0)
-    assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
+    assert a == b
 
 
 # --- availability study -----------------------------------------------------

@@ -304,8 +304,12 @@ def test_unknown_budget_key_exits_2(toy_campaign, capsys):
      "unknown provider mode 'scriptd'; known: http, scripted"),
     ("language: python", "language: pyhton",
      "unknown language 'pyhton'; known: c_family, python"),
+    ("model: scripted-model", "model: other-model",
+     "no pricing for model 'other-model'"),
+    ('      output_per_million: "0.42"\n', "",
+     "provider.pricing.scripted-model needs output_per_million"),
 ], ids=["adapter-typo", "backend-container", "backend-vm", "provider-mode-typo",
-        "language-typo"])
+        "language-typo", "model-unpriced", "rate-missing"])
 def test_unknown_adapter_or_backend_exits_2_before_any_job(toy_campaign, capsys,
                                                            old, new, message):
     text = toy_campaign["campaign"].read_text()
@@ -416,7 +420,7 @@ def test_cli_import_leaves_heavy_modules_unloaded(toy_campaign):
     # loading a campaign needs none of the prompt, loop or report layers
     cfg = str(toy_campaign["campaign"])
     layers = ("jinja2", "histrepair.loop", "histrepair.provider",
-              "histrepair.metrics", "histrepair.stats")
+              "histrepair.sandbox", "histrepair.metrics", "histrepair.stats")
     assert _modules_loaded_after(
         f"from histrepair import cli\ncli.load_campaign({cfg!r})", layers) == []
     # study and report render no prompt

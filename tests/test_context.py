@@ -1,5 +1,6 @@
 """Heuristic payload extraction, truncation, and prompt rendering."""
 
+import json
 import subprocess
 
 import pytest
@@ -18,12 +19,12 @@ from histrepair.context import (
     HistoricalContext,
     TemplateSet,
     build_context,
-    context_to_json,
     extract_fl_diff,
     extract_fn_all,
     extract_fn_pair,
     payload_text,
     render_prompts,
+    save_context,
     truncate,
 )
 from histrepair.errors import FnPairUnavailable, TemplateError
@@ -386,7 +387,6 @@ def test_render_prompts_without_history(make_repo):
         simple_spec(shas[0]), None,
         repo_path=".", sentinel="DONE_NOW",
     )
-    assert bundle.config == "non_history"
     assert "# Historical Context" not in bundle.user_prompt
     assert "# Historical Context Available" not in bundle.system_prompt
     assert "echo DONE_NOW" in bundle.system_prompt
@@ -406,7 +406,6 @@ def test_render_prompts_with_history_embeds_payload(make_repo):
         simple_spec(shas[1]), ctx,
         repo_path=".", sentinel="DONE_NOW",
     )
-    assert bundle.config == "fl_diff"
     assert "# Historical Context Available" in bundle.system_prompt
     assert "# Historical Context" in bundle.user_prompt
     assert shas[1] in bundle.user_prompt
@@ -421,7 +420,6 @@ def test_render_prompts_history_note_branch(make_repo):
         repo_path=".", sentinel="S",
         history_note="historical context unavailable: no enclosing function",
     )
-    assert bundle.config == "non_history"
     assert "# Historical Context" in bundle.user_prompt
     assert "historical context unavailable" in bundle.user_prompt
     # the system prompt still advertises history guidance for this branch
@@ -449,20 +447,24 @@ def test_missing_placeholder_raises_template_error(tmp_path):
     assert err.value.placeholder == "nonsense"
 
 
-def test_context_json_round_trip_fields(make_repo):
+def test_context_json_round_trip_fields(make_repo, tmp_path):
+    def sidecar(ctx):
+        save_context(ctx, tmp_path / "ctx.json")
+        return json.loads((tmp_path / "ctx.json").read_text())
+
     repo, shas = make_repo([
         {"x.c": BEFORE_F + "\n"},
         {"x.c": "int f(int a) {\n    return a + 2;\n}\n"},
     ])
     entry = entry_for(repo, shas[1], "x.c", 2)
     ctx = build_context(repo, "fn_pair", shas[1], entry=entry)
-    obj = context_to_json(ctx)
+    obj = sidecar(ctx)
     assert obj["kind"] == "fn_pair"
     assert obj["payload"]["before"]["body_text"] == BEFORE_F
     assert obj["payload"]["after"]["name"] == "f"
 
     ctx2 = build_context(repo, "fn_all", shas[1])
-    obj2 = context_to_json(ctx2)
+    obj2 = sidecar(ctx2)
     assert obj2["payload"]["entries"][0]["names"] == ["f"]
 
 

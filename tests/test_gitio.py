@@ -137,12 +137,11 @@ def test_changed_files_statuses(make_repo):
         {"a.txt": "one\n", "b.txt": "two\n"},
         {"a.txt": "one changed\n", "c.txt": "three\n"},
     ])
-    got = {(c.status, c.old_path, c.new_path)
-           for c in gitio.changed_files(repo, shas[1])}
+    got = {(c.old_path, c.new_path) for c in gitio.changed_files(repo, shas[1])}
     assert got == {
-        ("M", "a.txt", "a.txt"),
-        ("D", "b.txt", None),
-        ("A", None, "c.txt"),
+        ("a.txt", "a.txt"),   # modified
+        ("b.txt", None),      # deleted
+        (None, "c.txt"),      # added
     }
 
 
@@ -155,16 +154,14 @@ def test_changed_files_detects_renames(make_repo):
     changes = gitio.changed_files(repo, shas[1])
     assert len(changes) == 1
     change = changes[0]
-    assert change.status == "R"
     assert change.old_path == "old_name.txt"
     assert change.new_path == "new_name.txt"
-    assert change.path == "new_name.txt"
 
 
 def test_changed_files_root_commit_all_added(make_repo):
     repo, shas = make_repo([{"a.txt": "one\n", "b.txt": "two\n"}])
-    got = {(c.status, c.path) for c in gitio.changed_files(repo, shas[0])}
-    assert got == {("A", "a.txt"), ("A", "b.txt")}
+    got = {(c.old_path, c.new_path) for c in gitio.changed_files(repo, shas[0])}
+    assert got == {(None, "a.txt"), (None, "b.txt")}
 
 
 def test_commit_diff_root_against_empty_tree(make_repo):

@@ -67,13 +67,11 @@ def run_with(toy, replies, guards=None, clock=None):
 # --- action parsing -------------------------------------------------------
 
 def test_parse_action_extracts_single_block():
-    action = parse_action("I will look around.\n```bash\nls -la\n```\nDone.")
-    assert action.command == "ls -la"
+    assert parse_action("I will look around.\n```bash\nls -la\n```\nDone.") == "ls -la"
 
 
 def test_parse_action_plain_fence_and_multiline():
-    action = parse_action("```\nls\npwd\n```")
-    assert action.command == "ls\npwd"
+    assert parse_action("```\nls\npwd\n```") == "ls\npwd"
 
 
 def test_parse_action_rejects_missing_block():

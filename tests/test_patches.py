@@ -39,7 +39,7 @@ TWO_FILE_DIFF = """\
 
 def test_parse_two_file_diff_structure():
     patch = parse_unified_diff(TWO_FILE_DIFF)
-    assert patch.file_count == 2
+    assert len(patch.files) == 2
     assert patch.hunk_count == 3
     alpha, beta = patch.files
     assert alpha.path == "src/alpha.c"
@@ -114,7 +114,7 @@ def test_parse_git_style_headers(make_repo):
     ])
     diff = gitio.commit_diff(repo, shas[1])
     patch = parse_unified_diff(diff)
-    assert patch.file_count == 1
+    assert len(patch.files) == 1
     assert patch.files[0].path == "a.txt"
     hunk = patch.files[0].hunks[0]
     # line 2 modified and line 5 deleted, by construction
@@ -135,7 +135,7 @@ def test_parse_new_and_deleted_files(make_repo):
 def test_parse_binary_notice():
     text = "Binary files a/img.png and b/img.png differ\n"
     patch = parse_unified_diff(text)
-    assert patch.files[0].binary
+    assert patch.files[0].hunks == []
     assert patch.files[0].path == "img.png"
 
 

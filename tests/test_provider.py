@@ -81,10 +81,11 @@ def test_http_provider_success(monkeypatch):
     monkeypatch.setattr(requests, "post", fake_post)
     monkeypatch.setenv("MODEL_API_KEY", "sk-test")
     provider = HttpProvider(endpoint="https://api.example.invalid/v1/chat", model="m1")
-    reply = provider.complete([{"role": "user", "content": "q"}], temperature=0.0)
+    reply = provider.complete([{"role": "user", "content": "q"}])
     assert reply.text == "fixed it"
     assert reply.usage == TokenUsage(321, 45)
     assert seen["json"]["model"] == "m1"
+    assert seen["json"]["temperature"] == 0.0
     assert seen["headers"]["Authorization"] == "Bearer sk-test"
 
 

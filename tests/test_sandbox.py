@@ -189,8 +189,9 @@ def test_run_test_fail_then_pass(handle):
 
 def test_run_test_rejects_unparseable_output(handle):
     sb.exec_command(handle, "echo 'print(\"gibberish\")' > run_tests.py")
-    with pytest.raises(TestOutputParseError):
-        sb.run_test(handle)
+    _, outcome = sb.run_test(handle)
+    assert outcome.all_passed is False
+    assert outcome.failing_tests == ("(unparsed test output)",)
 
 
 def test_run_test_timeout_fails_closed(handle):
@@ -228,10 +229,11 @@ def test_parse_failing_block_requires_marker():
 
 
 def test_fail_closed_outcome_shape():
-    outcome = sb.fail_closed_outcome("x" * 5000)
+    # a missing failing-test block fails closed whatever the exit code
+    result = sb.CommandResult(stdout="x" * 5000, stderr="", exit_code=0, duration=0.0)
+    outcome = sb.test_outcome(result)
     assert outcome.all_passed is False
     assert outcome.failing_tests == ("(unparsed test output)",)
-    assert len(outcome.raw_excerpt) == 2000
 
 
 def test_final_patch_tracks_edits_and_new_files(handle):
