@@ -67,5 +67,5 @@ loop.write_run_record(record, out)
 reloaded = loop.load_run_record(out)
 print(f"record round-trips: {reloaded.total_cost == record.total_cost}")
 
-artifacts = sandbox.teardown(handle, work / "artifacts")
-print(f"kept after teardown: {sorted(Path(p).name for p in artifacts.values())}")
+sandbox.teardown(handle, work / "artifacts", record.final_patch)
+print(f"kept after teardown: {sorted(p.name for p in (work / 'artifacts').iterdir())}")

@@ -219,14 +219,15 @@ def summarize_blame(repo: Path | str, spec: BugSpec,
         candidates = _judge_candidates(repo, ref, entries, ordered)
         if judge is None:
             judge = most_recent_judge_factory(repo)
+        shas = ", ".join(c.commit_id for c in candidates)
         try:
             idx = judge(candidates)
         except Exception as exc:
-            raise JudgeError(str(exc), candidates=[c.commit_id for c in candidates]) from exc
+            raise JudgeError(f"{exc} (candidates: {shas})") from exc
         if not isinstance(idx, int) or not 0 <= idx < len(candidates):
             raise JudgeError(
-                f"judge answered {idx!r}, expected an index in [0, {len(candidates) - 1}]",
-                candidates=[c.commit_id for c in candidates],
+                f"judge answered {idx!r}, expected an index in "
+                f"[0, {len(candidates) - 1}] (candidates: {shas})"
             )
         resolved, method = candidates[idx].commit_id, "judge"
     else:

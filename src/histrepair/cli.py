@@ -127,6 +127,7 @@ def run_one_job(cfg: CampaignConfig, rec: BugRecord,
     _write_prompts(cfg.out_dir / "context", stem, bundle, ctx)
 
     handle = sb.provision(bug_id, rec.repo_path, rec.spec.snapshot_ref, cfg.adapter)
+    record = None
     try:
         harness = loop_mod.LoopHarness(
             provider=provider,
@@ -140,7 +141,9 @@ def run_one_job(cfg: CampaignConfig, rec: BugRecord,
             bundle.system_prompt, bundle.user_prompt, handle, harness,
         )
     finally:
-        sb.teardown(handle, cfg.out_dir / "artifacts" / stem)
+        # the artifact patch is the record's; a run that raised has none
+        sb.teardown(handle, cfg.out_dir / "artifacts" / stem,
+                    record.final_patch if record is not None else "")
     records_dir = cfg.out_dir / "records"
     loop_mod.write_run_record(record, records_dir / loop_mod.record_filename(bug_id, heuristic))
     return record

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from . import gitio, spans
 from .bugs import BugSpec
@@ -30,7 +30,8 @@ from .errors import (
     NotInFunction,
     TemplateError,
 )
-from .patches import Hunk
+from .patches import Hunk, diff_pieces
+from .sourcetext import source_lines
 
 if TYPE_CHECKING:
     import jinja2
@@ -290,58 +291,8 @@ def payload_text(ctx: HistoricalContext) -> str:
     return body
 
 
-def _truncate_text_at_lines(text: str, budget: int) -> tuple[str, bool]:
-    """Longest line-boundary prefix of `text` within `budget` chars."""
-    if len(text) <= budget:
-        return text, False
-    kept: list[str] = []
-    size = 0
-    for line in text.splitlines(keepends=True):
-        if size + len(line) > budget:
-            break
-        kept.append(line)
-        size += len(line)
-    return "".join(kept).rstrip("\n"), True
-
-
-_DIFF_HEADER_PREFIXES = (
-    "diff ", "index ", "--- ", "+++ ", "Binary files",
-    "new file", "deleted file", "old mode", "new mode",
-    "similarity", "rename ",
-)
-
-
-def _truncate_fl_diff(payload: FlDiff, budget: int) -> tuple[FlDiff, bool]:
-    text = payload.diff_text
-    if len(text) <= budget:
-        return payload, False
-    # split into header runs and whole hunks, then keep the longest
-    # prefix that fits; a budget below the first hunk leaves headers only
-    pieces: list[str] = []
-    current: list[str] | None = None
-    headers: list[str] = []
-    for line in text.splitlines(keepends=True):
-        if line.startswith("@@"):
-            if headers:
-                pieces.append("".join(headers))
-                headers = []
-            if current is not None:
-                pieces.append("".join(current))
-            current = [line]
-        elif line.startswith(_DIFF_HEADER_PREFIXES):
-            if current is not None:
-                pieces.append("".join(current))
-                current = None
-            headers.append(line)
-        elif current is not None:
-            current.append(line)
-        else:
-            headers.append(line)
-    if current is not None:
-        pieces.append("".join(current))
-    if headers:
-        pieces.append("".join(headers))
-
+def _fit(pieces: Iterable[str], budget: int) -> str:
+    """The longest run of leading pieces within `budget` chars, joined."""
     kept: list[str] = []
     size = 0
     for piece in pieces:
@@ -349,7 +300,24 @@ def _truncate_fl_diff(payload: FlDiff, budget: int) -> tuple[FlDiff, bool]:
             break
         kept.append(piece)
         size += len(piece)
-    return FlDiff(diff_text="".join(kept).rstrip("\n")), True
+    return "".join(kept).rstrip("\n")
+
+
+def _truncate_text_at_lines(text: str, budget: int) -> tuple[str, bool]:
+    """Longest line-boundary prefix of `text` within `budget` chars."""
+    if len(text) <= budget:
+        return text, False
+    return _fit((line + "\n" for line in source_lines(text)), budget), True
+
+
+def _truncate_fl_diff(payload: FlDiff, budget: int) -> tuple[FlDiff, bool]:
+    text = payload.diff_text
+    if len(text) <= budget:
+        return payload, False
+    # keep the longest prefix of header runs and whole hunks that fits;
+    # a budget below the first hunk leaves headers only
+    pieces = ("".join(line + "\n" for line in piece) for _, piece in diff_pieces(text))
+    return FlDiff(diff_text=_fit(pieces, budget)), True
 
 
 def _truncate_fn_all(payload: FnAll, budget: int) -> tuple[FnAll, bool]:
@@ -469,7 +437,7 @@ class TemplateSet:
         except jinja2.UndefinedError as exc:
             msg = str(exc)
             placeholder = msg.split("'")[1] if "'" in msg else msg
-            raise TemplateError(placeholder) from exc
+            raise TemplateError(f"unbound template placeholder: {placeholder}") from exc
 
 
 def render_prompts(spec: BugSpec, context: HistoricalContext | None,

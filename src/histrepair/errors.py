@@ -41,11 +41,7 @@ class NewFileNoHistory(HistRepairError):
 
 
 class JudgeError(HistRepairError):
-    """The commit judge failed; candidates preserved for diagnosis."""
-
-    def __init__(self, message: str, candidates=None):
-        super().__init__(message)
-        self.candidates = list(candidates or [])
+    """The commit judge failed; the message names the candidate commits."""
 
 
 class EmptyPatch(HistRepairError):
@@ -68,10 +64,6 @@ class FnPairUnavailable(HistRepairError):
 
 class TemplateError(HistRepairError):
     """A prompt template placeholder was left unbound."""
-
-    def __init__(self, placeholder: str):
-        super().__init__(f"unbound template placeholder: {placeholder}")
-        self.placeholder = placeholder
 
 
 # --- agent loop --------------------------------------------------------------
@@ -116,10 +108,6 @@ class TestOutputParseError(HistRepairError):
     __test__ = False  # keep pytest from collecting this as a test class
 
 
-class PatchUnavailable(HistRepairError):
-    """Worktree destroyed before the final patch could be taken."""
-
-
 # --- evaluation --------------------------------------------------------------
 
 class EmptyScope(HistRepairError):
@@ -128,10 +116,6 @@ class EmptyScope(HistRepairError):
 
 class UniverseMismatch(HistRepairError):
     """Configurations being compared do not share the same bug universe."""
-
-    def __init__(self, message: str, offending=None):
-        super().__init__(message)
-        self.offending = sorted(offending or [])
 
 
 class InsufficientData(HistRepairError):

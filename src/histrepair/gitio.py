@@ -4,15 +4,12 @@ All repository access goes through the git binary, by way of `run_git`:
 blame in porcelain form, file content at a revision, changed-file sets,
 diffs and their hunks, and commit metadata. Diff text is read by
 `patches`, the one unified-diff parser. Nothing here mutates a
-repository except worktree creation, which is confined to
-`snapshot_worktree`.
+repository.
 """
 
 from __future__ import annotations
 
 import subprocess
-import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,31 +40,6 @@ def run_git(repo: Path | str, *args: str, check: bool = True) -> str:
             stderr=proc.stderr,
         )
     return proc.stdout
-
-
-@dataclass(frozen=True)
-class Worktree:
-    """A checkout of one snapshot: where it lives and what it points at."""
-
-    path: Path
-    ref: str
-
-
-@contextmanager
-def snapshot_worktree(repo: Path | str, ref: str):
-    """Yield a private detached worktree of `ref`, removed on exit."""
-    repo = Path(repo)
-    tmp = tempfile.mkdtemp(prefix="histrepair-wt-")
-    target = Path(tmp) / "wt"
-    run_git(repo, "worktree", "add", "--detach", str(target), ref)
-    try:
-        yield Worktree(path=target, ref=ref)
-    finally:
-        run_git(repo, "worktree", "remove", "--force", str(target), check=False)
-
-
-def tree_hash(repo: Path | str, ref: str = "HEAD") -> str:
-    return run_git(repo, "rev-parse", f"{ref}^{{tree}}").strip()
 
 
 def file_at(repo: Path | str, ref: str, path: str) -> str:

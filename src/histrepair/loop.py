@@ -228,19 +228,22 @@ def run(bug_id: str, config: str, system_prompt: str, user_prompt: str,
         else:
             termination = check_guards()
 
-    # capture the patch and verify tests independently of the transcript
+    # capture the patch and verify tests independently of the transcript;
+    # a run whose patch cannot be taken (the agent removed .git, say) is
+    # not a pass, so its tests do not run
+    passed_at_end = False
     try:
         patch = sb.final_patch(handle)
     except Exception:
         patch = ""
-    passed_at_end = False
-    try:
-        _, final_outcome = sb.run_test(
-            handle, timeout=guards.per_command_timeout, step_index=steps + 1,
-        )
-        passed_at_end = final_outcome.all_passed
-    except SandboxDead:
-        passed_at_end = False
+    else:
+        try:
+            _, final_outcome = sb.run_test(
+                handle, timeout=guards.per_command_timeout, step_index=steps + 1,
+            )
+            passed_at_end = final_outcome.all_passed
+        except SandboxDead:
+            pass
 
     return RunRecord(
         bug_id=bug_id,

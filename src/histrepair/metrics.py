@@ -65,7 +65,7 @@ def _require_same_universe(groups: dict[str, list[OutcomeRow]]) -> set[str]:
         offenders |= bugs ^ reference
     if offenders:
         raise UniverseMismatch(
-            "configs cover different bug sets", offending=sorted(offenders),
+            f"configs cover different bug sets; not in all: {', '.join(sorted(offenders))}"
         )
     return reference
 
@@ -89,9 +89,6 @@ class OverlapReport:
     """Exact pass counts for every non-empty subset of the configs."""
 
     regions: dict[frozenset, int]
-
-    def count(self, *configs: str) -> int:
-        return self.regions.get(frozenset(configs), 0)
 
     @property
     def union_size(self) -> int:

@@ -2,7 +2,9 @@
 
 This is the one module that reads unified-diff text. A parsed patch is
 what bug categorization works on, and its hunks are what the fn_pair
-pre-image mapping walks (`gitio.diff_hunks`). Parsing accepts plain
+pre-image mapping walks (`gitio.diff_hunks`). The verbatim pieces the
+parser walks, header runs and whole hunks, are where fl_diff payloads
+may be cut (`diff_pieces`). Parsing accepts plain
 `diff -u` output as well as git's variant (diff --git headers,
 /dev/null sides, binary notices, mode lines).
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import EmptyPatch
 from .sourcetext import source_lines
@@ -94,62 +97,88 @@ def _strip_prefix(path: str) -> str:
     return path
 
 
-def parse_unified_diff(text: str) -> Patch:
-    """Parse unified diff text. Raises EmptyPatch if no file changes."""
-    files: list[FilePatch] = []
-    current: FilePatch | None = None
-    pending_old: str | None = None
-    body: list[str] = []
+def diff_pieces(text: str) -> Iterator[tuple[Hunk | None, list[str]]]:
+    """The verbatim pieces of unified diff text, in order.
+
+    A piece is one whole hunk, given with its parsed Hunk, or a run of
+    the header lines between hunks, given with None. A hunk piece holds
+    its @@ line and the body lines its header counts take; a
+    "\\ No newline" marker stays with the piece it follows. Joining
+    the pieces' lines gives back the lines of `text`.
+    """
+    hunk: Hunk | None = None
+    piece: list[str] = []
+    body: list[str] = []  # the open hunk's lines
     old_left = new_left = 0  # lines the open hunk still expects per side
 
     for raw in source_lines(text):
         tag = raw[:1]
         if tag == "\\":  # "\ No newline at end of file" counts on no side
+            piece.append(raw)
             continue
         # a body line while the open hunk has room for it on each side
         # it takes; an empty line is context that lost its blank. A line
         # that does not fit closes the hunk and is read as a header.
         uses_old, uses_new = tag != "+", tag != "-"
         if tag in (" ", "-", "+", "") and old_left >= uses_old and new_left >= uses_new:
+            piece.append(raw)
             body.append(raw)
             old_left -= uses_old
             new_left -= uses_new
             continue
         old_left = new_left = 0
-        if raw.startswith("diff --git"):
-            current = None
-            pending_old = None
-            continue
-        if raw.startswith("Binary files ") or raw.startswith("GIT binary patch"):
-            m = re.match(r"Binary files (.*) and (.*) differ", raw)
-            if m:
-                files.append(FilePatch(
-                    old_path=_strip_prefix(m.group(1)),
-                    new_path=_strip_prefix(m.group(2)),
-                ))
-            current = None
-            continue
-        if raw.startswith("--- "):
-            pending_old = _strip_prefix(raw[4:].split("\t")[0])
-            continue
-        if raw.startswith("+++ "):
-            new_path = _strip_prefix(raw[4:].split("\t")[0])
-            current = FilePatch(old_path=pending_old or new_path, new_path=new_path)
-            files.append(current)
-            pending_old = None
-            continue
         m = _HUNK_HEADER.match(raw)
+        if m or hunk is not None:
+            if piece:
+                yield hunk, piece
+            piece, hunk = [], None
         if m:
-            if current is None:
-                raise EmptyPatch("hunk header before any file header")
             hunk = Hunk(
                 old_start=int(m.group(1)),
                 old_count=int(m.group(2) or "1"),
                 new_start=int(m.group(3)),
                 new_count=int(m.group(4) or "1"),
             )
-            current.hunks.append(hunk)
             body, old_left, new_left = hunk.lines, hunk.old_count, hunk.new_count
+        piece.append(raw)
+    if piece:
+        yield hunk, piece
+
+
+def parse_unified_diff(text: str) -> Patch:
+    """Parse unified diff text. Raises EmptyPatch if no file changes."""
+    files: list[FilePatch] = []
+    current: FilePatch | None = None
+    pending_old: str | None = None
+
+    for hunk, piece in diff_pieces(text):
+        if hunk is not None:
+            if current is None:
+                raise EmptyPatch("hunk header before any file header")
+            current.hunks.append(hunk)
+            continue
+        for raw in piece:
+            if raw.startswith("diff --git"):
+                current = None
+                pending_old = None
+                continue
+            if raw.startswith("Binary files ") or raw.startswith("GIT binary patch"):
+                m = re.match(r"Binary files (.*) and (.*) differ", raw)
+                if m:
+                    files.append(FilePatch(
+                        old_path=_strip_prefix(m.group(1)),
+                        new_path=_strip_prefix(m.group(2)),
+                    ))
+                current = None
+                continue
+            if raw.startswith("--- "):
+                pending_old = _strip_prefix(raw[4:].split("\t")[0])
+                continue
+            if raw.startswith("+++ "):
+                new_path = _strip_prefix(raw[4:].split("\t")[0])
+                current = FilePatch(old_path=pending_old or new_path, new_path=new_path)
+                files.append(current)
+                pending_old = None
 
     if not files:
         raise EmptyPatch("diff contains no file changes")

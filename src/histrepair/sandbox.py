@@ -1,13 +1,16 @@
 """Isolated execution environments for repair runs.
 
 Each bug gets a private clone in a temporary directory, checked out at
-the buggy snapshot, with `compile` and `test` wrapper commands installed
-ahead of PATH so the agent sees the same abstract toolset regardless of
-the project underneath. There is no container backend: to isolate runs
-from the host, run histrepair itself inside a container.
+the commit its snapshot ref names, with `compile` and `test` wrapper
+commands installed ahead of PATH so the agent sees the same abstract
+toolset regardless of the project underneath. There is no container
+backend: to isolate runs from the host, run histrepair itself inside a
+container.
 
 Commands run under a non-interactive bash with a pinned environment
-allowlist so observations are reproducible.
+allowlist so observations are reproducible. Every git call goes through
+`gitio.run_git`. The final patch is taken once, by the loop; teardown
+persists what it is given and destroys the sandbox without running git.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 from . import gitio
 from .config import BUILTIN_ADAPTERS, DEFAULT_COMMAND_TIMEOUT, ProjectAdapter
 from .errors import (
-    PatchUnavailable,
+    GitToolError,
     ProvisionError,
     SandboxDead,
     TestOutputParseError,
@@ -88,7 +91,6 @@ class SandboxHandle:
     _env: dict = field(default_factory=dict)
     _log: list[tuple[int, str, CommandResult]] = field(default_factory=list)
     _pgids: list[int] = field(default_factory=list)  # one group per command
-    _manifest: dict | None = None
 
 
 def _write_wrappers(bin_dir: Path, adapter: ProjectAdapter) -> None:
@@ -106,34 +108,28 @@ def _write_wrappers(bin_dir: Path, adapter: ProjectAdapter) -> None:
 
 def provision(bug_id: str, repo_path: Path | str, snapshot_ref: str,
               adapter_name: str) -> SandboxHandle:
-    """Create a fresh sandbox checked out at the buggy snapshot."""
+    """Create a fresh sandbox checked out at the buggy snapshot.
+
+    `snapshot_ref` is resolved to its commit in the host repo before any
+    temp dir exists; the clone then checks out that commit, so the
+    worktree cannot land on anything else. An unknown adapter or ref, or
+    a failed clone, raises ProvisionError.
+    """
     if adapter_name not in BUILTIN_ADAPTERS:
         raise ProvisionError(f"unknown adapter {adapter_name!r}")
-    repo_path = Path(repo_path)
+    try:
+        commit = gitio.run_git(repo_path, "rev-parse", "--verify",
+                               f"{snapshot_ref}^{{commit}}").strip()
+    except GitToolError as exc:
+        raise ProvisionError(f"unknown snapshot {snapshot_ref!r}: {exc.stderr}") from exc
     root = Path(tempfile.mkdtemp(prefix=f"histrepair-{bug_id}-"))
     worktree = root / "work"
     try:
-        subprocess.run(
-            ["git", "clone", "--no-hardlinks", "--quiet",
-             str(repo_path), str(worktree)],
-            check=True, capture_output=True, text=True,
-        )
-        subprocess.run(
-            ["git", "-C", str(worktree), "checkout", "--detach",
-             "--quiet", snapshot_ref],
-            check=True, capture_output=True, text=True,
-        )
-    except subprocess.CalledProcessError as exc:
+        gitio.run_git(repo_path, "clone", "--no-hardlinks", "--quiet", ".", str(worktree))
+        gitio.run_git(worktree, "checkout", "--detach", "--quiet", commit)
+    except GitToolError as exc:
         shutil.rmtree(root, ignore_errors=True)
         raise ProvisionError(f"checkout failed: {exc.stderr}") from exc
-
-    want = gitio.tree_hash(repo_path, snapshot_ref)
-    got = gitio.tree_hash(worktree, "HEAD")
-    if want != got:
-        shutil.rmtree(root, ignore_errors=True)
-        raise ProvisionError(
-            f"worktree tree hash {got} does not match snapshot {want}"
-        )
 
     bin_dir = root / "bin"
     _write_wrappers(bin_dir, BUILTIN_ADAPTERS[adapter_name])
@@ -168,8 +164,9 @@ def exec_command(handle: SandboxHandle, command: str,
     try:
         # the shell leads a new process group, so a timeout can kill
         # everything it started, pipelines and background jobs included
+        # undecodable bytes (a Latin-1 source file, say) become U+FFFD
         with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              text=True, start_new_session=True,
+                              text=True, errors="replace", start_new_session=True,
                               cwd=str(handle.worktree_path), env=handle._env) as proc:
             handle._pgids.append(proc.pid)
             try:
@@ -216,8 +213,6 @@ def test_outcome(result: CommandResult) -> TestOutcome:
 
 def final_patch(handle: SandboxHandle) -> str:
     """Unified diff of the worktree against the buggy snapshot."""
-    if not handle.worktree_path.exists():
-        raise PatchUnavailable(f"worktree for {handle.bug_id} is gone")
     # intent-to-add makes brand-new files visible to diff
     gitio.run_git(handle.worktree_path, "add", "-N", ".")
     return gitio.run_git(handle.worktree_path, "diff", "HEAD")
@@ -237,25 +232,19 @@ def render_command_log(handle: SandboxHandle) -> str:
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-def teardown(handle: SandboxHandle, persist_dir: Path | str) -> dict:
-    """Persist patch and log, then destroy the sandbox.
+def teardown(handle: SandboxHandle, persist_dir: Path | str, patch: str) -> None:
+    """Persist `patch` and the command log, then destroy the sandbox.
 
-    Persistence failures abort destruction so no sandbox disappears
-    without its artifacts. Calling twice is a no-op returning the
-    first manifest.
+    `patch` is the run's final patch as the loop took it; teardown runs
+    no git. Persistence failures abort destruction so no sandbox
+    disappears without its artifacts. Calling twice is a no-op.
     """
-    if handle._manifest is not None:
-        return handle._manifest
+    if not handle.alive:
+        return
     persist_dir = Path(persist_dir)
     persist_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        patch_text = final_patch(handle)
-    except PatchUnavailable:
-        patch_text = ""
-    patch_file = persist_dir / f"{handle.bug_id}.patch"
-    log_file = persist_dir / f"{handle.bug_id}.commands.log"
-    patch_file.write_text(patch_text)
-    log_file.write_text(render_command_log(handle))
+    (persist_dir / f"{handle.bug_id}.patch").write_text(patch)
+    (persist_dir / f"{handle.bug_id}.commands.log").write_text(render_command_log(handle))
 
     for pgid in handle._pgids:
         with contextlib.suppress(ProcessLookupError):
@@ -263,5 +252,3 @@ def teardown(handle: SandboxHandle, persist_dir: Path | str) -> dict:
     if handle._root is not None:
         shutil.rmtree(handle._root, ignore_errors=True)
     handle.alive = False
-    handle._manifest = {"patch": str(patch_file), "log": str(log_file)}
-    return handle._manifest

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
-from histrepair import synth
+from histrepair import gitio, synth
 
 
 @pytest.fixture
@@ -54,3 +55,19 @@ def ground_truth_repo(tmp_path):
 @pytest.fixture
 def toy_campaign(tmp_path):
     return synth.build_toy_campaign(tmp_path / "toy")
+
+
+@pytest.fixture
+def snapshot_worktree(tmp_path):
+    """Factory for detached worktrees of a snapshot, kept under tmp_path.
+
+    Usage: path = snapshot_worktree(repo, ref)
+    """
+    counter = itertools.count(1)
+
+    def checkout(repo: Path, ref: str) -> Path:
+        target = tmp_path / f"wt{next(counter)}"
+        gitio.run_git(repo, "worktree", "add", "--detach", str(target), ref)
+        return target
+
+    return checkout

@@ -8,7 +8,6 @@ output capture. Tolerances are pinned here and nowhere else.
 import itertools
 import json
 import random
-import shutil
 import subprocess
 import sys
 import time
@@ -151,7 +150,7 @@ UTIL_BEFORE = (
 UTIL_AFTER = UTIL_BEFORE.replace("a + 1", "a + 2")
 
 
-def test_04_heuristic_extraction_fidelity(tmp_path):
+def test_04_heuristic_extraction_fidelity(tmp_path, snapshot_worktree):
     with criterion("heuristic-extraction-fidelity"):
         # fl_diff is byte-identical to git's own diff, for every commit
         # of several synthetic repos, and applies cleanly to the parent
@@ -168,17 +167,17 @@ def test_04_heuristic_extraction_fidelity(tmp_path):
                 ).stdout
                 assert extracted == reference
 
-                with gitio.snapshot_worktree(gt.path, f"{sha}^") as wt:
-                    patch_file = wt.path / "_replay.patch"
-                    patch_file.write_text(extracted)
-                    subprocess.run(
-                        ["git", "-C", str(wt.path), "apply", "_replay.patch"],
-                        capture_output=True, text=True, check=True,
-                    )
-                    for change in gitio.changed_files(gt.path, sha):
-                        assert change.new_path is not None
-                        applied = (wt.path / change.new_path).read_text()
-                        assert applied == gitio.file_at(gt.path, sha, change.new_path)
+                wt = snapshot_worktree(gt.path, f"{sha}^")
+                patch_file = wt / "_replay.patch"
+                patch_file.write_text(extracted)
+                subprocess.run(
+                    ["git", "-C", str(wt), "apply", "_replay.patch"],
+                    capture_output=True, text=True, check=True,
+                )
+                for change in gitio.changed_files(gt.path, sha):
+                    assert change.new_path is not None
+                    applied = (wt / change.new_path).read_text()
+                    assert applied == gitio.file_at(gt.path, sha, change.new_path)
 
         # fn_pair sides are byte-exact function slices
         repo = synth.init_repo(tmp_path / "pairrepo")
@@ -218,17 +217,19 @@ def test_05_loop_guards_and_replay(tmp_path):
         def run(replies, model="scripted-model", guards=None):
             handle = sb.provision(synth.TOY_BUG_ID, toy["repo"],
                                   toy["snapshot"], "local-python")
+            record = None
             try:
                 harness = LoopHarness(
                     provider=ScriptedProvider(replies=list(replies)),
                     pricing=pricing, model=model,
                     guards=guards or GuardConfig(),
                 )
-                return loop.run(synth.TOY_BUG_ID, "non_history", "s", "u",
-                                handle, harness)
+                record = loop.run(synth.TOY_BUG_ID, "non_history", "s", "u",
+                                  handle, harness)
+                return record
             finally:
-                shutil.rmtree(handle._root, ignore_errors=True)
-                handle.alive = False
+                sb.teardown(handle, tmp_path / "artifacts",
+                            record.final_patch if record is not None else "")
 
         # happy path: scripted four-step repair
         happy = synth._scripted_replies(loop.DEFAULT_SENTINEL)

@@ -102,7 +102,7 @@ def test_judge_exception_becomes_judge_error(make_repo):
 
     with pytest.raises(JudgeError) as err:
         blame.summarize_blame(repo, spec_for(shas[1], "f.c", [1, 2]), judge=broken)
-    assert err.value.candidates == [shas[0], shas[1]]
+    assert str(err.value) == f"model unavailable (candidates: {shas[0]}, {shas[1]})"
 
 
 def test_judge_bad_index_becomes_judge_error(make_repo):

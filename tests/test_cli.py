@@ -126,6 +126,65 @@ def test_repair_scripted_success(toy_campaign, capsys):
     assert (art / f"{BUG}.commands.log").exists()
 
 
+def _script_repair(toy_campaign, monkeypatch, tmp_path, *commands):
+    """Point the non_history script at `commands` and sandboxes at a fresh tempdir."""
+    script = toy_campaign["scripts"] / f"{BUG}__non_history.jsonl"
+    script.write_text("".join(json.dumps(
+        {"text": f"```bash\n{c}\n```", "input_tokens": 5, "output_tokens": 1},
+    ) + "\n" for c in commands))
+    sandboxes = tmp_path / "sandboxes"
+    sandboxes.mkdir()
+    monkeypatch.setattr("tempfile.tempdir", str(sandboxes))
+    return sandboxes
+
+
+@pytest.mark.parametrize("damage", [
+    "rm -rf .git",
+    "printf '# caf\\xe9\\n' >> calc.py",
+], ids=["git-dir-removed", "latin1-byte"])
+def test_repair_whose_patch_cannot_be_taken_records_no_pass(
+        toy_campaign, capsys, monkeypatch, tmp_path, damage):
+    sandboxes = _script_repair(
+        toy_campaign, monkeypatch, tmp_path,
+        "sed -i 's/return a - b  # fast path/return a + b/' calc.py", damage,
+    )
+    code, out, err = invoke(
+        "repair", "--config", str(toy_campaign["campaign"]),
+        "--bug", BUG, "--heuristic", "non_history", capsys=capsys,
+    )
+    assert code == 4, err
+    result = json.loads(Path(out.strip()).read_text().splitlines()[-1])
+    assert result["final_patch"] == ""
+    assert result["tests_passed_at_end"] is False
+    art = toy_campaign["root"] / "out" / "artifacts" / f"{BUG}__non_history"
+    assert (art / f"{BUG}.patch").read_text() == ""
+    assert not list(sandboxes.glob("histrepair-*"))
+
+
+def test_repair_takes_the_final_patch_once(toy_campaign, capsys, monkeypatch):
+    from histrepair import gitio
+
+    diffs = []
+    real = gitio.run_git
+
+    def spy(repo, *args, **kwargs):
+        if args[:2] == ("diff", "HEAD"):
+            diffs.append(repo)
+        return real(repo, *args, **kwargs)
+
+    monkeypatch.setattr(gitio, "run_git", spy)
+    code, _, _ = invoke(
+        "repair", "--config", str(toy_campaign["campaign"]),
+        "--bug", BUG, "--heuristic", "non_history", capsys=capsys,
+    )
+    assert code == 0
+    assert len(diffs) == 1
+    art = toy_campaign["root"] / "out" / "artifacts" / f"{BUG}__non_history"
+    record = toy_campaign["root"] / "out" / "records" / f"{BUG}__non_history.jsonl"
+    result = json.loads(record.read_text().splitlines()[-1])
+    assert (art / f"{BUG}.patch").read_text() == result["final_patch"]
+
+
 def test_repair_failed_run_exits_4(toy_campaign, capsys):
     # replies that never fix the bug: provider exhausts, tests still fail
     script = toy_campaign["scripts"] / f"{BUG}__non_history.jsonl"

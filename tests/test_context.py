@@ -320,6 +320,29 @@ def test_truncate_is_idempotent_at_same_budget():
     assert twice.truncated  # the flag survives the no-op second cut
 
 
+def test_truncate_reads_hunks_by_their_header_counts():
+    # `-- stale note` removed and `++ counter` added are body lines that
+    # look like file headers; neither may split its hunk
+    header = "diff --git a/q.sql b/q.sql\n--- a/q.sql\n+++ b/q.sql\n"
+    hunk1 = "@@ -1,4 +1,3 @@\n select 1;\n--- stale note\n select 2;\n select 3;\n"
+    hunk2 = "@@ -10,2 +9,4 @@\n select 10;\n+++ counter\n+select 11;\n select 12;\n"
+    text = header + hunk1 + hunk2
+    hunk1_head = "@@ -1,4 +1,3 @@\n select 1;\n"
+    hunk2_head = "@@ -10,2 +9,4 @@\n select 10;\n"
+    for budget, kept in ((len(header + hunk1_head), header),
+                         (len(header + hunk1 + hunk2_head), header + hunk1)):
+        out = truncate(fl_ctx(text), budget)
+        assert out.truncated
+        assert out.payload.diff_text == kept.rstrip("\n")
+
+
+def test_truncate_text_cuts_only_at_newlines():
+    # a form feed does not end a line, so it is no place to cut
+    text = "int a = 1;\x0c int b = 2;\nint c = 3;\n"
+    assert context._truncate_text_at_lines(text, 16) == ("", True)
+    assert context._truncate_text_at_lines(text, 30) == ("int a = 1;\x0c int b = 2;", True)
+
+
 def test_truncate_rejects_nonpositive_budget():
     with pytest.raises(ValueError):
         truncate(fl_ctx(HEADER), 0)
@@ -444,7 +467,7 @@ def test_missing_placeholder_raises_template_error(tmp_path):
     templates = TemplateSet.from_dir(tmp_path)
     with pytest.raises(TemplateError) as err:
         templates.render("system.j2", {"completion_sentinel": "X"})
-    assert err.value.placeholder == "nonsense"
+    assert str(err.value) == "unbound template placeholder: nonsense"
 
 
 def test_context_json_round_trip_fields(make_repo, tmp_path):

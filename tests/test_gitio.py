@@ -224,10 +224,11 @@ def test_diff_hunks_ignore_user_diff_settings(make_repo):
 
 def test_resolve_ref_and_errors(make_repo):
     repo, shas = make_repo([{"a.txt": "1\n"}, {"a.txt": "2\n"}])
-    assert gitio.tree_hash(repo, "HEAD") == gitio.tree_hash(repo, shas[1])
-    assert gitio.tree_hash(repo, "HEAD") != gitio.tree_hash(repo, shas[0])
+    assert gitio.run_git(repo, "rev-parse", "HEAD").strip() == shas[1]
+    assert gitio.run_git(repo, "rev-parse", "HEAD^{tree}") != \
+           gitio.run_git(repo, "rev-parse", f"{shas[0]}^{{tree}}")
     with pytest.raises(GitToolError) as err:
-        gitio.tree_hash(repo, "no-such-ref")
+        gitio.run_git(repo, "rev-parse", "--verify", "no-such-ref^{commit}")
     assert err.value.stderr
 
 
@@ -238,10 +239,9 @@ def test_commit_metadata(make_repo):
     assert gitio.author_time(repo, shas[0]) == 1_600_000_000
 
 
-def test_snapshot_worktree_checks_out_and_cleans_up(make_repo):
+def test_snapshot_worktree_checks_out_under_tmp_path(make_repo, snapshot_worktree, tmp_path):
     repo, shas = make_repo([{"a.txt": "v1\n"}, {"a.txt": "v2\n"}])
-    with gitio.snapshot_worktree(repo, shas[0]) as wt:
-        kept = wt.path
-        assert (wt.path / "a.txt").read_text() == "v1\n"
-        assert gitio.tree_hash(repo, shas[0]) == gitio.tree_hash(wt.path, "HEAD")
-    assert not kept.exists()
+    path = snapshot_worktree(repo, shas[0])
+    assert path.parent == tmp_path
+    assert (path / "a.txt").read_text() == "v1\n"
+    assert gitio.run_git(path, "rev-parse", "HEAD").strip() == shas[0]

@@ -54,14 +54,14 @@ def run_with(toy, replies, guards=None, clock=None):
         guards=guards or GuardConfig(),
         **kwargs,
     )
+    record = None
     try:
-        return loop.run(synth.TOY_BUG_ID, "non_history", "sys", "user",
-                        handle, harness)
+        record = loop.run(synth.TOY_BUG_ID, "non_history", "sys", "user",
+                          handle, harness)
+        return record
     finally:
-        if handle._root is not None:
-            import shutil
-            shutil.rmtree(handle._root, ignore_errors=True)
-            handle.alive = False
+        sb.teardown(handle, toy["root"] / "artifacts",
+                    record.final_patch if record is not None else "")
 
 
 # --- action parsing -------------------------------------------------------
@@ -178,13 +178,9 @@ def test_cost_limit_fires_at_exact_cap(toy):
         model="flat",  # 1.00/1M input: each step costs exactly 0.100000
         guards=GuardConfig(max_cost=Decimal("0.30")),
     )
-    try:
-        record = loop.run(synth.TOY_BUG_ID, "non_history", "s", "u",
-                          handle, harness)
-    finally:
-        import shutil
-        shutil.rmtree(handle._root, ignore_errors=True)
-        handle.alive = False
+    record = loop.run(synth.TOY_BUG_ID, "non_history", "s", "u",
+                      handle, harness)
+    sb.teardown(handle, toy["root"] / "artifacts", record.final_patch)
     assert record.termination == "CostLimit"
     assert record.steps_taken == 3
     assert record.total_cost == Decimal("0.300000")
@@ -341,6 +337,34 @@ def test_end_state_verified_independently_of_claims(toy):
     assert record.termination == "ProviderError"
     assert record.tests_passed_at_end is True  # fix was real, verified at end
     assert "+    return a + b" in record.final_patch
+
+
+def test_output_that_is_not_utf8_does_not_end_the_run(toy):
+    # Latin-1 sources are common; one `cat` of such a file must not kill the job
+    replies = [reply(block("printf 'caf\\xe9\\n'"))] + \
+        synth._scripted_replies(loop.DEFAULT_SENTINEL)
+    record = run_with(toy, replies)
+    assert record.termination == "CompletedSignal"
+    assert record.steps_taken == 5
+    obs = [m.content for m in record.transcript if m.role == "observation"]
+    assert "caf\ufffd" in obs[0]
+    assert record.tests_passed_at_end is True
+
+
+def test_run_whose_patch_cannot_be_taken_is_not_a_pass(toy):
+    # the fix is real and verified in the loop, but with .git gone the
+    # final patch cannot be taken, so the run is not a pass
+    sentinel = loop.DEFAULT_SENTINEL
+    replies = [
+        reply(block(FIX_CMD)),
+        reply(block("rm -rf .git")),
+        reply(block("test")),
+        reply(block(f"echo {sentinel}")),
+    ]
+    record = run_with(toy, replies)
+    assert record.termination == "CompletedSignal"
+    assert record.final_patch == ""
+    assert record.tests_passed_at_end is False
 
 
 def test_observation_clipping_applies_in_run(toy):

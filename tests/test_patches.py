@@ -234,15 +234,15 @@ def test_categorize_empty_patch_raises():
         categorize_bug(Patch(files=[]))
 
 
-def test_diff_applies_cleanly_back(make_repo, tmp_path):
+def test_diff_applies_cleanly_back(make_repo, snapshot_worktree):
     repo, shas = make_repo([
         {"a.txt": "one\ntwo\nthree\n"},
         {"a.txt": "one\n2\nthree\n"},
     ])
     diff = gitio.commit_diff(repo, shas[1])
-    with gitio.snapshot_worktree(repo, shas[0]) as wt:
-        subprocess.run(
-            ["git", "apply", "-"], input=diff, text=True,
-            cwd=wt.path, check=True, capture_output=True,
-        )
-        assert (wt.path / "a.txt").read_text() == "one\n2\nthree\n"
+    wt = snapshot_worktree(repo, shas[0])
+    subprocess.run(
+        ["git", "apply", "-"], input=diff, text=True,
+        cwd=wt, check=True, capture_output=True,
+    )
+    assert (wt / "a.txt").read_text() == "one\n2\nthree\n"

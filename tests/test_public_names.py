@@ -15,8 +15,6 @@ CALLER_DIRS = ("src", "demos", "perfbench")
 ALLOWED = {
     ("metrics", "stratify"): "the report will export it as strata.json; "
                              "the README promises stratified quartiles",
-    ("gitio", "snapshot_worktree"): "the acceptance tests apply patches in it; "
-                                    "moved into a test file it would be no shorter",
 }
 
 
@@ -65,7 +63,6 @@ ALLOWED_MEMBERS = {
                                          "a model-backed judge reads it",
     ("blame", "JudgeCandidate.contexts"): "the judge interface that tests stub; "
                                           "a model-backed judge reads it",
-    ("gitio", "Worktree.ref"): "part of the allowlisted snapshot_worktree",
     ("gitio", "BlameLine.headers"): "the tests' porcelain parse oracle",
     ("patches", "Hunk.old_line_numbers"): "the tests' hunk parse oracle",
     ("metrics", "Strata.n"): "stratified quartiles for the allowlisted stratify",

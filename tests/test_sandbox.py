@@ -8,7 +8,7 @@ import pytest
 
 from histrepair import gitio, sandbox as sb, synth
 from histrepair.errors import (
-    PatchUnavailable,
+    GitToolError,
     ProvisionError,
     SandboxDead,
     TestOutputParseError,
@@ -25,15 +25,28 @@ def handle(toy, tmp_path):
     h = sb.provision(synth.TOY_BUG_ID, toy["repo"], toy["snapshot"],
                      "local-python")
     yield h
-    if h.alive:
-        sb.teardown(h, tmp_path / "artifacts")
+    sb.teardown(h, tmp_path / "artifacts", "")
 
 
 def test_provision_checks_out_exact_snapshot(toy, handle):
-    assert gitio.tree_hash(handle.worktree_path, "HEAD") == \
-           gitio.tree_hash(toy["repo"], toy["snapshot"])
+    assert gitio.run_git(handle.worktree_path, "rev-parse", "HEAD^{tree}") == \
+           gitio.run_git(toy["repo"], "rev-parse", f"{toy['snapshot']}^{{tree}}")
     calc = (handle.worktree_path / "calc.py").read_text()
     assert "return a - b  # fast path" in calc
+
+
+def test_provision_resolves_the_ref_in_the_host_repo(toy, tmp_path):
+    # a branch other than the clone's checked-out one, and a ref outside
+    # refs/heads and refs/tags, exist only in the host repo
+    gitio.run_git(toy["repo"], "branch", "snap", toy["snapshot"])
+    gitio.run_git(toy["repo"], "update-ref", "refs/snapshots/toy", toy["snapshot"])
+    for ref in ("snap", "refs/snapshots/toy"):
+        h = sb.provision("b", toy["repo"], ref, "local-python")
+        try:
+            head = gitio.run_git(h.worktree_path, "rev-parse", "HEAD").strip()
+            assert head == toy["snapshot"]
+        finally:
+            sb.teardown(h, tmp_path / "artifacts", "")
 
 
 def test_provision_unknown_adapter(toy):
@@ -41,9 +54,11 @@ def test_provision_unknown_adapter(toy):
         sb.provision("b", toy["repo"], toy["snapshot"], "no-such-adapter")
 
 
-def test_provision_bad_ref(toy):
+def test_provision_bad_ref(toy, tmp_path, monkeypatch):
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
     with pytest.raises(ProvisionError):
         sb.provision("b", toy["repo"], "f" * 40, "local-python")
+    assert not list(tmp_path.glob("histrepair-*"))
 
 
 def test_sandboxes_are_isolated_from_each_other(toy, tmp_path):
@@ -54,8 +69,8 @@ def test_sandboxes_are_isolated_from_each_other(toy, tmp_path):
         assert "scribble" in (a.worktree_path / "calc.py").read_text()
         assert "scribble" not in (b.worktree_path / "calc.py").read_text()
     finally:
-        sb.teardown(a, tmp_path / "art-a")
-        sb.teardown(b, tmp_path / "art-b")
+        sb.teardown(a, tmp_path / "art-a", "")
+        sb.teardown(b, tmp_path / "art-b", "")
 
 
 def test_edits_never_touch_the_source_repo(toy, handle):
@@ -147,7 +162,7 @@ def test_teardown_kills_background_jobs(toy, tmp_path):
     assert result.exit_code == 0 and not result.timed_out
     pgid = int(pgid_file.read_text())
     assert _group_alive(pgid), "the background job outlives its command"
-    sb.teardown(handle, tmp_path / "artifacts")
+    sb.teardown(handle, tmp_path / "artifacts", "")
     deadline = time.monotonic() + 2.0
     while _group_alive(pgid) and time.monotonic() < deadline:
         time.sleep(0.05)
@@ -250,7 +265,7 @@ def test_final_patch_tracks_edits_and_new_files(handle):
 def test_final_patch_unavailable_after_worktree_loss(handle):
     import shutil
     shutil.rmtree(handle.worktree_path)
-    with pytest.raises(PatchUnavailable):
+    with pytest.raises(GitToolError):
         sb.final_patch(handle)
 
 
@@ -269,21 +284,22 @@ def test_teardown_persists_then_destroys(toy, tmp_path):
     sb.exec_command(handle, "sed -i 's/a - b  # fast path/a + b/' calc.py",
                     step_index=1)
     root = handle._root
-    manifest = sb.teardown(handle, tmp_path / "artifacts")
+    patch = sb.final_patch(handle)
+    sb.teardown(handle, tmp_path / "artifacts", patch)
     assert not root.exists()
     assert handle.alive is False
     patch_text = (tmp_path / "artifacts" / f"{synth.TOY_BUG_ID}.patch").read_text()
-    assert "+    return a + b" in patch_text
+    assert patch_text == patch and "+    return a + b" in patch_text
     log_text = (tmp_path / "artifacts" / f"{synth.TOY_BUG_ID}.commands.log").read_text()
     assert "sed -i" in log_text
-    # second teardown is a no-op returning the same manifest
-    assert sb.teardown(handle, tmp_path / "elsewhere") == manifest
+    # second teardown is a no-op
+    sb.teardown(handle, tmp_path / "elsewhere", patch)
     assert not (tmp_path / "elsewhere").exists()
 
 
 def test_dead_sandbox_refuses_commands(toy, tmp_path):
     handle = sb.provision(synth.TOY_BUG_ID, toy["repo"], toy["snapshot"],
                           "local-python")
-    sb.teardown(handle, tmp_path / "artifacts")
+    sb.teardown(handle, tmp_path / "artifacts", "")
     with pytest.raises(SandboxDead):
         sb.exec_command(handle, "echo hello")
