@@ -13,7 +13,8 @@ from histrepair import blame, synth
 from histrepair.bugs import FaultLocation, LocalizedLine, load_manifest
 from histrepair.patches import parse_unified_diff
 
-work = Path(tempfile.mkdtemp(prefix="demo-blame-"))
+work_dir = tempfile.TemporaryDirectory(prefix="demo-blame-")
+work = Path(work_dir.name)
 
 # a repository whose construction record we control completely
 gt = synth.build_ground_truth_repo(work / "repo", random.Random(7), n_commits=6)
@@ -57,3 +58,5 @@ patches = {
 report = blame.run_availability_study(records, patches)
 print()
 print(blame.render_availability_table(report), end="")
+
+work_dir.cleanup()

@@ -1,3 +1,4 @@
+import random
 import tempfile
 from pathlib import Path
 
@@ -5,7 +6,8 @@ from histrepair import blame, context, synth
 from histrepair.bugs import FaultLocation, LocalizedLine
 
 # two-commit repo: a function gets its increment bumped
-work = Path(tempfile.mkdtemp(prefix="demo-context-"))
+work_dir = tempfile.TemporaryDirectory(prefix="demo-context-")
+work = Path(work_dir.name)
 repo = synth.init_repo(work / "repo")
 
 V1 = """int f(int a) {
@@ -51,11 +53,13 @@ print(f"truncated: {tight.truncated}")
 
 # finally, the rendered prompt pair the agent sees
 spec = synth.make_blameable_spec(
-    synth.build_ground_truth_repo(work / "spare", __import__("random").Random(3)),
-    __import__("random").Random(3), "demo-bug",
+    synth.build_ground_truth_repo(work / "spare", random.Random(3)),
+    random.Random(3), "demo-bug",
 )[0]
-bundle = context.render_prompts(spec, ctx, context.TemplateSet.default(),
+bundle = context.render_prompts(spec, ctx,
                                 repo_path=".", sentinel="COMPLETE_REPAIR_SIGNAL")
 print(f"system prompt: {len(bundle.system_prompt)} chars, "
       f"user prompt: {len(bundle.user_prompt)} chars, "
       f"~{bundle.token_estimate} tokens")
+
+work_dir.cleanup()

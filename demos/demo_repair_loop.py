@@ -9,13 +9,15 @@ import tempfile
 from pathlib import Path
 
 from histrepair import loop, sandbox, synth
-from histrepair.provider import PricingTable, ScriptedProvider
+from histrepair.config import BUILTIN_ADAPTERS, ProviderSettings
+from histrepair.provider import ScriptedProvider
 
-work = Path(tempfile.mkdtemp(prefix="demo-loop-"))
+work_dir = tempfile.TemporaryDirectory(prefix="demo-loop-")
+work = Path(work_dir.name)
 toy = synth.build_toy_campaign(work / "toy")
 
 handle = sandbox.provision(synth.TOY_BUG_ID, toy["repo"], toy["snapshot"],
-                           "local-python")
+                           BUILTIN_ADAPTERS["local-python"])
 print(f"sandbox at {handle.worktree_path}")
 
 # the failing state the agent starts from
@@ -39,11 +41,7 @@ session = [
 
 harness = loop.LoopHarness(
     provider=ScriptedProvider(replies=session),
-    pricing=PricingTable.from_dict({
-        "scripted-model": {"input_per_million": "0.28",
-                           "output_per_million": "0.42"},
-    }),
-    model="scripted-model",
+    rates=ProviderSettings().rates(),  # the scripted model's default prices
 )
 record = loop.run(synth.TOY_BUG_ID, "non_history",
                   "You are a repair agent working in a bash sandbox.",
@@ -69,3 +67,5 @@ print(f"record round-trips: {reloaded.total_cost == record.total_cost}")
 
 sandbox.teardown(handle, work / "artifacts", record.final_patch)
 print(f"kept after teardown: {sorted(p.name for p in (work / 'artifacts').iterdir())}")
+
+work_dir.cleanup()

@@ -21,7 +21,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .bugs import BugRecord, categorize_bug, load_manifest
-from .config import HEURISTICS, CampaignConfig, load_campaign, make_provider
+from .config import (
+    BUILTIN_ADAPTERS,
+    HEURISTICS,
+    CampaignConfig,
+    load_campaign,
+    make_provider,
+)
 from .context import build_context, render_prompts, save_context
 from .errors import (
     ConfigError,
@@ -60,10 +66,9 @@ def prepare_bundle(cfg: CampaignConfig, rec: BugRecord, heuristic: str):
     Returns (bundle, context-or-None). A fn_pair that cannot anchor
     degrades to a notice line instead of failing the run.
     """
-    templates = cfg.templates
     if heuristic == "non_history":
         bundle = render_prompts(
-            rec.spec, None, templates,
+            rec.spec, None,
             repo_path=AGENT_REPO_PATH, sentinel=cfg.sentinel,
         )
         return bundle, None
@@ -81,13 +86,13 @@ def prepare_bundle(cfg: CampaignConfig, rec: BugRecord, heuristic: str):
         )
     except FnPairUnavailable as exc:
         bundle = render_prompts(
-            rec.spec, None, templates,
+            rec.spec, None,
             repo_path=AGENT_REPO_PATH, sentinel=cfg.sentinel,
             history_note=f"historical context unavailable: {exc}",
         )
         return bundle, None
     bundle = render_prompts(
-        rec.spec, ctx, templates,
+        rec.spec, ctx,
         repo_path=AGENT_REPO_PATH, sentinel=cfg.sentinel,
     )
     return bundle, ctx
@@ -126,13 +131,13 @@ def run_one_job(cfg: CampaignConfig, rec: BugRecord,
     stem = f"{bug_id}__{heuristic}"
     _write_prompts(cfg.out_dir / "context", stem, bundle, ctx)
 
-    handle = sb.provision(bug_id, rec.repo_path, rec.spec.snapshot_ref, cfg.adapter)
+    handle = sb.provision(bug_id, rec.repo_path, rec.spec.snapshot_ref,
+                          BUILTIN_ADAPTERS[cfg.adapter])
     record = None
     try:
         harness = loop_mod.LoopHarness(
             provider=provider,
-            pricing=cfg.provider.pricing_table(),
-            model=cfg.provider.model,
+            rates=cfg.provider.rates(),
             guards=cfg.guards,
             sentinel=cfg.sentinel,
         )
@@ -248,9 +253,8 @@ def cmd_batch(cfg: CampaignConfig) -> int:
     from . import blame, sandbox  # noqa: F401  (loaded here, not in a worker)
     from . import loop as loop_mod
 
-    # every layer a job runs and the shared prompt templates load before
-    # the pool starts, so no worker's first job races another for them
-    cfg.templates  # noqa: B018
+    # every layer a job runs loads before the pool starts, so no
+    # worker's first job races another for an import
     records = load_manifest(cfg.manifest)
     cfg.freeze_into(cfg.out_dir)
     records_dir = cfg.out_dir / "records"

@@ -9,8 +9,9 @@ This module is also the one home of campaign policy: the heuristic
 configs, the context budgets, the completion sentinel, the per-command
 timeout, the run guards and the project adapters. The layers that apply
 them (`context`, `loop`, `sandbox`, `metrics`) import them from here.
-The provider and the prompt templates are imported only where a method
-needs them, so loading a campaign stays cheap.
+The provider is imported only where a method needs it, so loading a
+campaign stays cheap. The prompts are fixed package text; no key
+selects them.
 """
 
 from __future__ import annotations
@@ -18,18 +19,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields
-from decimal import Decimal
-from functools import cached_property
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import yaml
 
 from .errors import ConfigError
-
-if TYPE_CHECKING:
-    from .context import TemplateSet
-    from .provider import PricingTable
 
 HEURISTICS = ("non_history", "fn_all", "fn_pair", "fl_diff")
 
@@ -58,6 +53,17 @@ BUILTIN_ADAPTERS = {
         test_relevant_command="defects4j test -r",
     ),
 }
+
+
+def _money(value, where: str) -> Decimal:
+    """`value` as an exact USD amount; ConfigError unless finite and >= 0."""
+    try:
+        amount = Decimal(str(value))
+    except InvalidOperation:
+        amount = Decimal("NaN")
+    if not amount.is_finite() or amount < 0:
+        raise ConfigError(f"{where} must be a finite non-negative number, got {value!r}")
+    return amount
 
 
 @dataclass(frozen=True)
@@ -93,21 +99,22 @@ class ProviderSettings:
                 f"unknown provider mode {self.mode!r}; "
                 f"known: {', '.join(sorted(_PROVIDER_BUILDERS))}"
             )
-        # every provider call is billed, so a model without both rates
-        # would fail each job after its sandbox was built
+        # every provider call is billed, so a model without two valid
+        # rates would fail each job after its sandbox was built
         rates = self.pricing.get(self.model)
-        missing = [k for k in ("input_per_million", "output_per_million")
-                   if not isinstance(rates, dict) or k not in rates]
+        keys = ("input_per_million", "output_per_million")
+        missing = [k for k in keys if not isinstance(rates, dict) or k not in rates]
         if missing:
             raise ConfigError(
                 f"no pricing for model {self.model!r}: "
                 f"provider.pricing.{self.model} needs {' and '.join(missing)}"
             )
+        self._rates = tuple(
+            _money(rates[k], f"provider.pricing.{self.model}.{k}") for k in keys)
 
-    def pricing_table(self) -> PricingTable:
-        from .provider import PricingTable
-
-        return PricingTable.from_dict(self.pricing)
+    def rates(self) -> tuple[Decimal, Decimal]:
+        """USD per million input and output tokens of the selected model."""
+        return self._rates
 
 
 @dataclass
@@ -120,7 +127,6 @@ class CampaignConfig:
     adapter: str = "local-python"
     backend: str = "local"            # the only sandbox backend
     workers: int = 1
-    template_dir: Path | None = None
     budgets: dict = field(default_factory=lambda: dict(DEFAULT_BUDGETS))
     language: str = "c_family"
     sentinel: str = DEFAULT_SENTINEL
@@ -154,19 +160,6 @@ class CampaignConfig:
                 " backend; to isolate runs in a container, run histrepair"
                 " itself inside one"
             )
-
-    @cached_property
-    def templates(self) -> TemplateSet:
-        """The prompt templates, compiled once and shared by every job.
-
-        A jinja2 Environment is safe to render from many threads once it
-        is set up, so batch workers share this one.
-        """
-        from .context import TemplateSet
-
-        if self.template_dir is not None:
-            return TemplateSet.from_dir(self.template_dir)
-        return TemplateSet.default()
 
     def freeze_into(self, out_dir: Path) -> Path:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -241,14 +234,13 @@ def load_campaign(path: Path | str, overrides: dict | None = None) -> CampaignCo
             "configs": tuple,
             "guards": lambda guards: GuardConfig(**_converted(guards, {
                 "max_steps": int,
-                "max_cost": lambda v: Decimal(str(v)),
+                "max_cost": lambda v: _money(v, "guards.max_cost"),
                 "max_wall_time": float,
                 "per_command_timeout": float,
             })),
             "provider": lambda provider: ProviderSettings(
                 **_converted(provider, {"scripts_dir": respath})),
             "workers": int,
-            "template_dir": respath,
             "budgets": lambda budgets: {
                 **DEFAULT_BUDGETS, **{k: int(v) for k, v in budgets.items()}},
         })

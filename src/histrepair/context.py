@@ -15,6 +15,7 @@ inputs produce equal bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -28,14 +29,11 @@ from .errors import (
     FileNotInSnapshot,
     FnPairUnavailable,
     NotInFunction,
-    TemplateError,
 )
 from .patches import Hunk, diff_pieces
 from .sourcetext import source_lines
 
 if TYPE_CHECKING:
-    import jinja2
-
     from .blame import BlameEntry
 
 TRUNCATION_NOTICE = "\n[payload truncated to fit the context budget]"
@@ -225,7 +223,7 @@ def extract_fl_diff(repo: Path | str, commit_id: str,
 def build_context(repo: Path | str, kind: str, commit_id: str,
                   entry: BlameEntry | None = None,
                   language: str = "c_family",
-                  budgets: dict[str, int] | None = None) -> HistoricalContext:
+                  budgets: dict[str, int] = DEFAULT_BUDGETS) -> HistoricalContext:
     """Build and truncate the payload for one heuristic kind."""
     if kind == "non_history":
         raise ValueError("non_history carries no historical context")
@@ -244,8 +242,7 @@ def build_context(repo: Path | str, kind: str, commit_id: str,
         kind=kind, commit_id=commit_id, commit_message=message,
         payload=payload,
     )
-    budget = (budgets or DEFAULT_BUDGETS).get(kind, DEFAULT_BUDGETS[kind])
-    return truncate(ctx, budget)
+    return truncate(ctx, budgets[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -403,45 +400,13 @@ class PromptBundle:
     token_estimate: int
 
 
-@dataclass
-class TemplateSet:
-    """The jinja templates `system.j2` and `user.j2` of one directory.
-
-    jinja2 is imported when the first set is built, so a caller that
-    only builds context never loads it.
-    """
-
-    env: jinja2.Environment
-
-    @classmethod
-    def from_dir(cls, template_dir: Path | str) -> "TemplateSet":
-        import jinja2
-
-        env = jinja2.Environment(
-            loader=jinja2.FileSystemLoader(str(template_dir)),
-            undefined=jinja2.StrictUndefined,
-            keep_trailing_newline=True,
-            autoescape=False,
-        )
-        return cls(env=env)
-
-    @classmethod
-    def default(cls) -> "TemplateSet":
-        return cls.from_dir(Path(__file__).parent / "templates")
-
-    def render(self, name: str, bindings: dict) -> str:
-        import jinja2
-
-        try:
-            return self.env.get_template(name).render(**bindings)
-        except jinja2.UndefinedError as exc:
-            msg = str(exc)
-            placeholder = msg.split("'")[1] if "'" in msg else msg
-            raise TemplateError(f"unbound template placeholder: {placeholder}") from exc
+@functools.cache
+def _prose(name: str) -> str:
+    """A fixed prompt text from the package's `prompts/` directory."""
+    return (Path(__file__).parent / "prompts" / name).read_text()
 
 
-def render_prompts(spec: BugSpec, context: HistoricalContext | None,
-                   templates: TemplateSet | None = None, *,
+def render_prompts(spec: BugSpec, context: HistoricalContext | None, *,
                    repo_path: str,
                    sentinel: str,
                    history_note: str = "") -> PromptBundle:
@@ -450,35 +415,27 @@ def render_prompts(spec: BugSpec, context: HistoricalContext | None,
     `history_note` substitutes for a payload when a heuristic could not
     be built (the run proceeds with the notice instead of nothing).
     """
-    templates = templates or TemplateSet.default()
-    has_history = context is not None or bool(history_note)
-    system = templates.render("system.j2", {
-        "repo_path": repo_path,
-        "completion_sentinel": sentinel,
-        "history_enabled": has_history,
-    })
-    locations = [
-        {
-            "file": loc.file_path,
-            "lines": [{"line": ln.line, "kind": ln.kind} for ln in loc.lines],
-        }
+    # format fills both placeholders in one pass, so a value holding
+    # the other placeholder's name stays as it is
+    system = _prose("system.txt").format(repo_path=repo_path, sentinel=sentinel)
+    if context is not None or history_note:
+        system += "\n" + _prose("history_guidance.txt")
+    tests = "".join(f"- {t}\n" for t in spec.failing_tests)
+    locations = "".join(
+        f"- {loc.file_path}: "
+        + ", ".join(f"line {ln.line} ({ln.kind})" for ln in loc.lines) + "\n"
         for loc in spec.locations
-    ]
-    history = None
+    )
+    user = (f"# Bug Report\n{spec.bug_report}\n\n# Failing Tests\n{tests}"
+            f"\n# Fault Locations\n{locations}")
     if context is not None:
-        history = {
-            "kind": context.kind,
-            "commit_id": context.commit_id,
-            "commit_message": context.commit_message,
-            "payload": payload_text(context),
-        }
-    user = templates.render("user.j2", {
-        "bug_report": spec.bug_report,
-        "failing_tests": list(spec.failing_tests),
-        "locations": locations,
-        "history": history,
-        "history_note": history_note,
-    })
+        user += ("\n# Historical Context\n"
+                 f"The fault locations were last shaped by commit {context.commit_id}"
+                 f" ({context.kind} view).\n\n"
+                 f"Commit message:\n{context.commit_message}\n\n"
+                 f"{payload_text(context)}\n")
+    elif history_note:
+        user += f"\n# Historical Context\n{history_note}\n"
     return PromptBundle(
         system_prompt=system,
         user_prompt=user,

@@ -62,10 +62,6 @@ class FnPairUnavailable(HistRepairError):
     """Neither the before nor the after side yielded a function span."""
 
 
-class TemplateError(HistRepairError):
-    """A prompt template placeholder was left unbound."""
-
-
 # --- agent loop --------------------------------------------------------------
 
 class ActionParseError(HistRepairError):
@@ -88,14 +84,10 @@ class ProviderFailure(HistRepairError):
     """Transport or provider failure that exhausted its retries."""
 
 
-class PricingMissing(HistRepairError):
-    """No pricing entry for the model in use."""
-
-
 # --- sandbox -----------------------------------------------------------------
 
 class ProvisionError(HistRepairError):
-    """Sandbox could not be provisioned: unknown adapter or failed checkout."""
+    """Sandbox could not be provisioned: unknown snapshot or failed checkout."""
 
 
 class SandboxDead(HistRepairError):

@@ -27,7 +27,7 @@ from .errors import (
     ProviderFailure,
     SandboxDead,
 )
-from .provider import PricingTable, Provider, TokenUsage, accumulate_cost
+from .provider import Provider, TokenUsage, accumulate_cost
 
 # per-stream observation cap: keep the head and the tail, drop the middle
 OBS_HEAD = 6000
@@ -116,8 +116,7 @@ class LoopHarness:
     """Everything one run needs besides the prompts."""
 
     provider: Provider
-    pricing: PricingTable
-    model: str
+    rates: tuple[Decimal, Decimal]  # USD per million input, output tokens
     guards: GuardConfig = field(default_factory=GuardConfig)
     sentinel: str = DEFAULT_SENTINEL
     clock: Callable[[], float] = time.monotonic
@@ -148,7 +147,7 @@ def run(bug_id: str, config: str, system_prompt: str, user_prompt: str,
         transcript.append(TranscriptMessage(
             "assistant", reply.text, steps + 1, token_usage=reply.usage,
         ))
-        cost += accumulate_cost(reply.usage, harness.pricing, harness.model)
+        cost += accumulate_cost(reply.usage, harness.rates)
         return reply.text
 
     def check_guards() -> str | None:

@@ -17,7 +17,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Protocol
 
-from .errors import PricingMissing, ProviderFailure
+from .errors import ProviderFailure
 
 # money carries six fractional digits, enough for sub-cent token prices
 CENT6 = Decimal("0.000001")
@@ -127,31 +127,9 @@ class HttpProvider:
         )
 
 
-@dataclass(frozen=True)
-class PricingTable:
-    """USD per million tokens, keyed by model identifier."""
-
-    rates: dict
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PricingTable":
-        rates = {}
-        for model, pair in obj.items():
-            rates[model] = (
-                Decimal(str(pair["input_per_million"])),
-                Decimal(str(pair["output_per_million"])),
-            )
-        return cls(rates=rates)
-
-    def lookup(self, model: str) -> tuple[Decimal, Decimal]:
-        if model not in self.rates:
-            raise PricingMissing(f"no pricing for model {model!r}")
-        return self.rates[model]
-
-
-def accumulate_cost(usage: TokenUsage, pricing: PricingTable, model: str) -> Decimal:
-    """Exact USD cost of one query at the model's per-million rates."""
-    in_rate, out_rate = pricing.lookup(model)
+def accumulate_cost(usage: TokenUsage, rates: tuple[Decimal, Decimal]) -> Decimal:
+    """Exact USD cost of one query at (input, output) per-million rates."""
+    in_rate, out_rate = rates
     million = Decimal(1_000_000)
     cost = (Decimal(usage.input_tokens) * in_rate
             + Decimal(usage.output_tokens) * out_rate) / million

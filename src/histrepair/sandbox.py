@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import gitio
-from .config import BUILTIN_ADAPTERS, DEFAULT_COMMAND_TIMEOUT, ProjectAdapter
+from .config import DEFAULT_COMMAND_TIMEOUT, ProjectAdapter
 from .errors import (
     GitToolError,
     ProvisionError,
@@ -107,16 +107,14 @@ def _write_wrappers(bin_dir: Path, adapter: ProjectAdapter) -> None:
 
 
 def provision(bug_id: str, repo_path: Path | str, snapshot_ref: str,
-              adapter_name: str) -> SandboxHandle:
+              adapter: ProjectAdapter) -> SandboxHandle:
     """Create a fresh sandbox checked out at the buggy snapshot.
 
     `snapshot_ref` is resolved to its commit in the host repo before any
     temp dir exists; the clone then checks out that commit, so the
-    worktree cannot land on anything else. An unknown adapter or ref, or
-    a failed clone, raises ProvisionError.
+    worktree cannot land on anything else. An unknown ref or a failed
+    clone raises ProvisionError.
     """
-    if adapter_name not in BUILTIN_ADAPTERS:
-        raise ProvisionError(f"unknown adapter {adapter_name!r}")
     try:
         commit = gitio.run_git(repo_path, "rev-parse", "--verify",
                                f"{snapshot_ref}^{{commit}}").strip()
@@ -132,7 +130,7 @@ def provision(bug_id: str, repo_path: Path | str, snapshot_ref: str,
         raise ProvisionError(f"checkout failed: {exc.stderr}") from exc
 
     bin_dir = root / "bin"
-    _write_wrappers(bin_dir, BUILTIN_ADAPTERS[adapter_name])
+    _write_wrappers(bin_dir, adapter)
     home = root / "home"
     home.mkdir()
     env = {

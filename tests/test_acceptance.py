@@ -23,8 +23,9 @@ from scipy.stats import chi2, rankdata
 
 from histrepair import blame, cli, context, gitio, loop, metrics, sandbox as sb, stats, synth
 from histrepair.bugs import FaultLocation, LocalizedLine, categorize_bug
+from histrepair.config import BUILTIN_ADAPTERS
 from histrepair.loop import GuardConfig, LoopHarness
-from histrepair.provider import PricingTable, ScriptedProvider
+from histrepair.provider import ScriptedProvider
 
 from test_patches import partition_category, random_fix_patch
 
@@ -208,20 +209,17 @@ def test_05_loop_guards_and_replay(tmp_path):
     with criterion("loop-guards-and-replay"):
         start = time.monotonic()
         toy = synth.build_toy_campaign(tmp_path / "toy")
-        pricing = PricingTable.from_dict({
-            "scripted-model": {"input_per_million": "0.28",
-                               "output_per_million": "0.42"},
-            "flat": {"input_per_million": "1.00", "output_per_million": "0.00"},
-        })
+        scripted = (Decimal("0.28"), Decimal("0.42"))
+        flat = (Decimal("1.00"), Decimal("0.00"))
 
-        def run(replies, model="scripted-model", guards=None):
-            handle = sb.provision(synth.TOY_BUG_ID, toy["repo"],
-                                  toy["snapshot"], "local-python")
+        def run(replies, rates=scripted, guards=None):
+            handle = sb.provision(synth.TOY_BUG_ID, toy["repo"], toy["snapshot"],
+                                  BUILTIN_ADAPTERS["local-python"])
             record = None
             try:
                 harness = LoopHarness(
                     provider=ScriptedProvider(replies=list(replies)),
-                    pricing=pricing, model=model,
+                    rates=rates,
                     guards=guards or GuardConfig(),
                 )
                 record = loop.run(synth.TOY_BUG_ID, "non_history", "s", "u",
@@ -249,7 +247,7 @@ def test_05_loop_guards_and_replay(tmp_path):
         # CostLimit at exactly the cap: 3 steps of 0.100000 against 0.30
         spend = {"text": "```bash\necho spend\n```",
                  "input_tokens": 100_000, "output_tokens": 0}
-        costly = run([spend] * 10, model="flat",
+        costly = run([spend] * 10, rates=flat,
                      guards=GuardConfig(max_cost=Decimal("0.30")))
         assert costly.termination == "CostLimit"
         assert costly.steps_taken == 3

@@ -13,7 +13,6 @@ import pytest
 import histrepair
 from histrepair import cli, synth
 from histrepair.cli import main
-from histrepair.context import TemplateSet
 
 BUG = synth.TOY_BUG_ID
 
@@ -355,6 +354,15 @@ def test_unknown_budget_key_exits_2(toy_campaign, capsys):
     assert "unknown key 'budgets.fl_dif'" in err
 
 
+def test_template_dir_key_exits_2(toy_campaign, capsys):
+    # the prompts are fixed package text; the old key is a typo like any other
+    cfg = toy_campaign["root"] / "campaign_templates.yaml"
+    cfg.write_text(toy_campaign["campaign"].read_text() + "template_dir: templates\n")
+    code, _, err = invoke("study", "--config", str(cfg), capsys=capsys)
+    assert code == 2
+    assert "unknown key 'template_dir'" in err
+
+
 @pytest.mark.parametrize("old, new, message", [
     ("adapter: local-python", "adapter: local-pyhton", "unknown adapter 'local-pyhton'"),
     ("backend: local", "backend: container", "run histrepair itself inside"),
@@ -367,8 +375,20 @@ def test_unknown_budget_key_exits_2(toy_campaign, capsys):
      "no pricing for model 'other-model'"),
     ('      output_per_million: "0.42"\n', "",
      "provider.pricing.scripted-model needs output_per_million"),
+    ('input_per_million: "0.28"', 'input_per_million: "0.2x"',
+     "provider.pricing.scripted-model.input_per_million must be a finite"
+     " non-negative number, got '0.2x'"),
+    ('output_per_million: "0.42"', "output_per_million: -0.42",
+     "provider.pricing.scripted-model.output_per_million must be a finite"
+     " non-negative number, got -0.42"),
+    ('input_per_million: "0.28"', "input_per_million: .inf",
+     "provider.pricing.scripted-model.input_per_million must be a finite"
+     " non-negative number, got inf"),
+    ('max_cost: "1.00"', 'max_cost: "1.0o"',
+     "guards.max_cost must be a finite non-negative number, got '1.0o'"),
 ], ids=["adapter-typo", "backend-container", "backend-vm", "provider-mode-typo",
-        "language-typo", "model-unpriced", "rate-missing"])
+        "language-typo", "model-unpriced", "rate-missing", "rate-not-a-number",
+        "rate-negative", "rate-infinite", "max-cost-not-a-number"])
 def test_unknown_adapter_or_backend_exits_2_before_any_job(toy_campaign, capsys,
                                                            old, new, message):
     text = toy_campaign["campaign"].read_text()
@@ -445,23 +465,6 @@ def test_frozen_config_is_valid_json(toy_campaign, capsys):
 
 # --- cold start -------------------------------------------------------------
 
-def test_batch_compiles_templates_once(toy_campaign, monkeypatch):
-    built = []
-    from_dir = TemplateSet.from_dir.__func__
-
-    def counting_from_dir(cls, template_dir):
-        built.append(template_dir)
-        return from_dir(cls, template_dir)
-
-    monkeypatch.setattr(TemplateSet, "from_dir", classmethod(counting_from_dir))
-    code, _, _ = invoke("batch", "--config", str(toy_campaign["campaign"]),
-                        "--workers", "2")
-    assert code == 0
-    records = list((toy_campaign["root"] / "out" / "records").glob("*.jsonl"))
-    assert len(records) == 4
-    assert len(built) == 1
-
-
 def _modules_loaded_after(code: str, watched: tuple[str, ...]) -> list[str]:
     """Which of `watched` a fresh interpreter holds after running `code`."""
     src = str(Path(histrepair.__file__).resolve().parents[1])
@@ -482,11 +485,10 @@ def test_cli_import_leaves_heavy_modules_unloaded(toy_campaign):
               "histrepair.sandbox", "histrepair.metrics", "histrepair.stats")
     assert _modules_loaded_after(
         f"from histrepair import cli\ncli.load_campaign({cfg!r})", layers) == []
-    # study and report render no prompt
-    assert _modules_loaded_after(
-        f"from histrepair import cli\nassert cli.main(['study', '--config', {cfg!r}]) == 0",
-        ("jinja2",)) == []
-    assert invoke("batch", "--config", cfg)[0] == 0
-    assert _modules_loaded_after(
-        f"from histrepair import cli\nassert cli.main(['report', '--config', {cfg!r}]) == 0",
-        ("jinja2",)) == []
+    # prompts render with the stdlib, so no command loads a template engine
+    for command, *args in (["study"], ["context", "--bug", BUG, "--heuristic", "fn_pair"],
+                           ["batch"], ["report"]):
+        argv = [command, "--config", cfg, *args]
+        assert _modules_loaded_after(
+            f"from histrepair import cli\nassert cli.main({argv!r}) == 0",
+            ("jinja2",)) == [], command

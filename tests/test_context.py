@@ -17,7 +17,6 @@ from histrepair.context import (
     FnPair,
     FunctionSnapshot,
     HistoricalContext,
-    TemplateSet,
     build_context,
     extract_fl_diff,
     extract_fn_all,
@@ -27,7 +26,7 @@ from histrepair.context import (
     save_context,
     truncate,
 )
-from histrepair.errors import FnPairUnavailable, TemplateError
+from histrepair.errors import FnPairUnavailable
 from histrepair.patches import Hunk, parse_unified_diff
 
 
@@ -459,15 +458,6 @@ def test_render_is_deterministic(make_repo):
     two = render_prompts(simple_spec(shas[1]), ctx, repo_path=".", sentinel="S")
     assert one.system_prompt == two.system_prompt
     assert one.user_prompt == two.user_prompt
-
-
-def test_missing_placeholder_raises_template_error(tmp_path):
-    (tmp_path / "system.j2").write_text("sentinel {{ completion_sentinel }} {{ nonsense }}\n")
-    (tmp_path / "user.j2").write_text("{{ bug_report }}\n")
-    templates = TemplateSet.from_dir(tmp_path)
-    with pytest.raises(TemplateError) as err:
-        templates.render("system.j2", {"completion_sentinel": "X"})
-    assert str(err.value) == "unbound template placeholder: nonsense"
 
 
 def test_context_json_round_trip_fields(make_repo, tmp_path):

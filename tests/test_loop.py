@@ -5,6 +5,7 @@ from decimal import Decimal
 import pytest
 
 from histrepair import loop, sandbox as sb, synth
+from histrepair.config import BUILTIN_ADAPTERS
 from histrepair.errors import AmbiguousAction, EmptyAction, NoActionFound
 from histrepair.loop import (
     GuardConfig,
@@ -14,12 +15,10 @@ from histrepair.loop import (
     invokes_test,
     parse_action,
 )
-from histrepair.provider import PricingTable, ScriptedProvider
+from histrepair.provider import ScriptedProvider
 
-PRICING = PricingTable.from_dict({
-    "scripted-model": {"input_per_million": "0.28", "output_per_million": "0.42"},
-    "flat": {"input_per_million": "1.00", "output_per_million": "0.00"},
-})
+RATES = (Decimal("0.28"), Decimal("0.42"))
+FLAT = (Decimal("1.00"), Decimal("0.00"))  # each 100k input tokens cost 0.100000
 
 FIX_CMD = "sed -i 's/return a - b  # fast path/return a + b/' calc.py"
 
@@ -39,7 +38,7 @@ def toy(tmp_path):
 
 def fresh_sandbox(toy):
     return sb.provision(synth.TOY_BUG_ID, toy["repo"], toy["snapshot"],
-                        "local-python")
+                        BUILTIN_ADAPTERS["local-python"])
 
 
 def run_with(toy, replies, guards=None, clock=None):
@@ -49,8 +48,7 @@ def run_with(toy, replies, guards=None, clock=None):
         kwargs["clock"] = clock
     harness = LoopHarness(
         provider=ScriptedProvider(replies=replies),
-        pricing=PRICING,
-        model="scripted-model",
+        rates=RATES,
         guards=guards or GuardConfig(),
         **kwargs,
     )
@@ -174,8 +172,7 @@ def test_cost_limit_fires_at_exact_cap(toy):
                for _ in range(10)]
     harness = LoopHarness(
         provider=ScriptedProvider(replies=replies),
-        pricing=PRICING,
-        model="flat",  # 1.00/1M input: each step costs exactly 0.100000
+        rates=FLAT,
         guards=GuardConfig(max_cost=Decimal("0.30")),
     )
     record = loop.run(synth.TOY_BUG_ID, "non_history", "s", "u",

@@ -5,20 +5,17 @@ from decimal import Decimal
 import pytest
 import requests
 
-from histrepair.errors import PricingMissing, ProviderFailure
+from histrepair.errors import ProviderFailure
 from histrepair.provider import (
     BACKOFF_BASE_SECONDS,
     MAX_ATTEMPTS,
     HttpProvider,
-    PricingTable,
     ScriptedProvider,
     TokenUsage,
     accumulate_cost,
 )
 
-PRICING = PricingTable.from_dict({
-    "scripted-model": {"input_per_million": "0.28", "output_per_million": "0.42"},
-})
+RATES = (Decimal("0.28"), Decimal("0.42"))
 
 
 def test_scripted_provider_replays_in_order():
@@ -162,15 +159,11 @@ COST_CASES = [
 
 def test_accumulate_cost_matches_hand_computation():
     for usage, expected in COST_CASES:
-        assert accumulate_cost(usage, PRICING, "scripted-model") == expected
+        assert accumulate_cost(usage, RATES) == expected
 
 
 def test_cost_is_quantized_to_six_places():
-    cost = accumulate_cost(TokenUsage(1, 1), PRICING, "scripted-model")
+    cost = accumulate_cost(TokenUsage(1, 1), RATES)
     assert cost == Decimal("0.000001")
     assert cost.as_tuple().exponent == -6
 
-
-def test_missing_pricing_raises():
-    with pytest.raises(PricingMissing):
-        accumulate_cost(TokenUsage(1, 1), PRICING, "unknown-model")

@@ -7,12 +7,16 @@ from pathlib import Path
 import pytest
 
 from histrepair import gitio, sandbox as sb, synth
+from histrepair.config import BUILTIN_ADAPTERS
 from histrepair.errors import (
     GitToolError,
     ProvisionError,
     SandboxDead,
     TestOutputParseError,
 )
+
+
+ADAPTER = BUILTIN_ADAPTERS["local-python"]
 
 
 @pytest.fixture
@@ -23,7 +27,7 @@ def toy(tmp_path):
 @pytest.fixture
 def handle(toy, tmp_path):
     h = sb.provision(synth.TOY_BUG_ID, toy["repo"], toy["snapshot"],
-                     "local-python")
+                     ADAPTER)
     yield h
     sb.teardown(h, tmp_path / "artifacts", "")
 
@@ -41,7 +45,7 @@ def test_provision_resolves_the_ref_in_the_host_repo(toy, tmp_path):
     gitio.run_git(toy["repo"], "branch", "snap", toy["snapshot"])
     gitio.run_git(toy["repo"], "update-ref", "refs/snapshots/toy", toy["snapshot"])
     for ref in ("snap", "refs/snapshots/toy"):
-        h = sb.provision("b", toy["repo"], ref, "local-python")
+        h = sb.provision("b", toy["repo"], ref, ADAPTER)
         try:
             head = gitio.run_git(h.worktree_path, "rev-parse", "HEAD").strip()
             assert head == toy["snapshot"]
@@ -49,21 +53,16 @@ def test_provision_resolves_the_ref_in_the_host_repo(toy, tmp_path):
             sb.teardown(h, tmp_path / "artifacts", "")
 
 
-def test_provision_unknown_adapter(toy):
-    with pytest.raises(ProvisionError):
-        sb.provision("b", toy["repo"], toy["snapshot"], "no-such-adapter")
-
-
 def test_provision_bad_ref(toy, tmp_path, monkeypatch):
     monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
     with pytest.raises(ProvisionError):
-        sb.provision("b", toy["repo"], "f" * 40, "local-python")
+        sb.provision("b", toy["repo"], "f" * 40, ADAPTER)
     assert not list(tmp_path.glob("histrepair-*"))
 
 
 def test_sandboxes_are_isolated_from_each_other(toy, tmp_path):
-    a = sb.provision("bug-a", toy["repo"], toy["snapshot"], "local-python")
-    b = sb.provision("bug-b", toy["repo"], toy["snapshot"], "local-python")
+    a = sb.provision("bug-a", toy["repo"], toy["snapshot"], ADAPTER)
+    b = sb.provision("bug-b", toy["repo"], toy["snapshot"], ADAPTER)
     try:
         sb.exec_command(a, "echo scribble >> calc.py")
         assert "scribble" in (a.worktree_path / "calc.py").read_text()
@@ -152,7 +151,7 @@ def test_timeout_kills_the_whole_process_group(handle, tmp_path, command):
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_teardown_kills_background_jobs(toy, tmp_path):
     handle = sb.provision(synth.TOY_BUG_ID, toy["repo"], toy["snapshot"],
-                          "local-python")
+                          ADAPTER)
     pgid_file = tmp_path / "pgid"
     result = sb.exec_command(
         handle,
@@ -280,7 +279,7 @@ def test_render_command_log(handle):
 
 def test_teardown_persists_then_destroys(toy, tmp_path):
     handle = sb.provision(synth.TOY_BUG_ID, toy["repo"], toy["snapshot"],
-                          "local-python")
+                          ADAPTER)
     sb.exec_command(handle, "sed -i 's/a - b  # fast path/a + b/' calc.py",
                     step_index=1)
     root = handle._root
@@ -299,7 +298,7 @@ def test_teardown_persists_then_destroys(toy, tmp_path):
 
 def test_dead_sandbox_refuses_commands(toy, tmp_path):
     handle = sb.provision(synth.TOY_BUG_ID, toy["repo"], toy["snapshot"],
-                          "local-python")
+                          ADAPTER)
     sb.teardown(handle, tmp_path / "artifacts", "")
     with pytest.raises(SandboxDead):
         sb.exec_command(handle, "echo hello")
