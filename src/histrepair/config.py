@@ -17,6 +17,7 @@ selects them.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from decimal import Decimal, InvalidOperation
@@ -64,6 +65,23 @@ def _money(value, where: str) -> Decimal:
     if not amount.is_finite() or amount < 0:
         raise ConfigError(f"{where} must be a finite non-negative number, got {value!r}")
     return amount
+
+
+def _integer(value, where: str) -> int:
+    """`value` itself; ConfigError unless it is an integer (not a bool)."""
+    if type(value) is not int:
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _seconds(value, where: str) -> float:
+    """`value` as float seconds; ConfigError unless a finite number.
+
+    GuardConfig checks that the limit is > 0.
+    """
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -203,8 +221,9 @@ def load_campaign(path: Path | str, overrides: dict | None = None) -> CampaignCo
 
     Unknown keys at the top level and in the guards, provider and
     budgets maps raise ConfigError, so a typo cannot silently fall back
-    to a default. So do a missing manifest and a value the config
-    classes reject.
+    to a default. So do a missing manifest, a value the config classes
+    reject, a count (steps, workers, budgets) that is not an integer,
+    and a time guard that is not a finite number.
     """
     path = Path(path)
     if not path.exists():
@@ -233,16 +252,17 @@ def load_campaign(path: Path | str, overrides: dict | None = None) -> CampaignCo
             "out_dir": respath,
             "configs": tuple,
             "guards": lambda guards: GuardConfig(**_converted(guards, {
-                "max_steps": int,
+                "max_steps": lambda v: _integer(v, "guards.max_steps"),
                 "max_cost": lambda v: _money(v, "guards.max_cost"),
-                "max_wall_time": float,
-                "per_command_timeout": float,
+                "max_wall_time": lambda v: _seconds(v, "guards.max_wall_time"),
+                "per_command_timeout":
+                    lambda v: _seconds(v, "guards.per_command_timeout"),
             })),
             "provider": lambda provider: ProviderSettings(
                 **_converted(provider, {"scripts_dir": respath})),
-            "workers": int,
-            "budgets": lambda budgets: {
-                **DEFAULT_BUDGETS, **{k: int(v) for k, v in budgets.items()}},
+            "workers": lambda v: _integer(v, "workers"),
+            "budgets": lambda budgets: {**DEFAULT_BUDGETS, **{
+                k: _integer(v, f"budgets.{k}") for k, v in budgets.items()}},
         })
         if settings.get("out_dir") is None:
             settings["out_dir"] = base / "out"

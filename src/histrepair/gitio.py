@@ -3,8 +3,9 @@
 All repository access goes through the git binary, by way of `run_git`:
 blame in porcelain form, file content at a revision, changed-file sets,
 diffs and their hunks, and commit metadata. Diff text is read by
-`patches`, the one unified-diff parser. Nothing here mutates a
-repository.
+`patches`, the one unified-diff parser. `run_git` decodes a byte that
+is not UTF-8 as U+FFFD, so one Latin-1 source cannot cost a bug its
+blame and context. Nothing here mutates a repository.
 """
 
 from __future__ import annotations
@@ -28,11 +29,16 @@ _BLAME_KEYS = {
 }
 
 
-def run_git(repo: Path | str, *args: str, check: bool = True) -> str:
-    """Run a git command in `repo` and return stdout as text."""
+def run_git(repo: Path | str, *args: str, check: bool = True,
+            errors: str = "replace") -> str:
+    """Run a git command in `repo` and return stdout as UTF-8 text.
+
+    `errors` is the decode policy; "strict" raises UnicodeDecodeError
+    on a byte that is not UTF-8 instead of replacing it.
+    """
     proc = subprocess.run(
         ["git", "-C", str(repo), *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, errors=errors,
     )
     if check and proc.returncode != 0:
         raise GitToolError(

@@ -213,7 +213,8 @@ def final_patch(handle: SandboxHandle) -> str:
     """Unified diff of the worktree against the buggy snapshot."""
     # intent-to-add makes brand-new files visible to diff
     gitio.run_git(handle.worktree_path, "add", "-N", ".")
-    return gitio.run_git(handle.worktree_path, "diff", "HEAD")
+    # strict: a patch with a byte that is not UTF-8 must fail, not be altered
+    return gitio.run_git(handle.worktree_path, "diff", "HEAD", errors="strict")
 
 
 def render_command_log(handle: SandboxHandle) -> str:

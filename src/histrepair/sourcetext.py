@@ -7,9 +7,11 @@ Two cleaned views of a file are produced from one scan:
 * structure view: comments stripped AND string interiors blanked. Used
   for brace matching, where a '}' inside a string literal must not count.
 
-The scanner tracks just enough state (line comment, block comment,
-single/double quotes with backslash escapes) to work for C-family and
-Python-family sources alike. It is intentionally not a real lexer.
+The scan is one pass of a compiled regex over the whole text. Each
+match is a token: a `//` or `#` line comment, a `/* */` block comment,
+or a single- or double-quoted string with backslash escapes. Plain
+text between tokens is copied unchanged. This is enough for C-family
+and Python-family sources alike; it is intentionally not a real lexer.
 """
 
 from __future__ import annotations
@@ -19,6 +21,23 @@ from dataclasses import dataclass
 
 # annotation/decorator marker followed by a name, e.g. @Override or @app.route
 _ANNOTATION = re.compile(r"@[A-Za-z_][\w.]*")
+
+# any character beyond braces, parens, brackets, semicolons and space
+_RESIDUE = re.compile(r"[^{}()\[\];\s]")
+
+# one token per match: a // or # line comment, a block comment (to the
+# end of the text if it never closes), or a quoted string whose body
+# (group 2) is escape pairs and other characters up to the closing
+# quote (group 3) or the end of the line. The lookahead lets the engine
+# reject a position with one class test instead of trying each branch.
+_TOKEN = re.compile(
+    r"""(?=[/#'"])(?://[^\n]*|#[^\n]*|/\*(?:.*?\*/|.*\Z)"""
+    r"""|(['"])((?:\\[^\n]|\\(?=\n|\Z)|(?!\1)[^\\\n])*)(\1)?)""",
+    re.DOTALL,
+)
+
+# a backslash and the character it escapes, inside a string body
+_ESCAPE = re.compile(r"\\.")
 
 
 @dataclass
@@ -46,73 +65,36 @@ def clean_source(text: str) -> CleanedSource:
 
     Handles //, #, and /* */ comments. Comment markers inside string
     literals are ignored. Unterminated constructs run to end of input
-    rather than raising; blame targets are frequently broken code.
+    rather than raising; blame targets are frequently broken code: a
+    string closes at the end of its line, and a block comment without
+    its */ runs to the end of the text.
     """
     content: list[str] = []
     structure: list[str] = []
-    cur_c: list[str] = []
-    cur_s: list[str] = []
-    state = "code"          # code | string | block_comment
-    quote = ""
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            if state == "string":
-                # unterminated at EOL: treat as closed (shell/python style)
-                state = "code"
-            content.append("".join(cur_c))
-            structure.append("".join(cur_s))
-            cur_c, cur_s = [], []
-            i += 1
-            continue
-        if state == "block_comment":
-            if ch == "*" and i + 1 < n and text[i + 1] == "/":
-                state = "code"
-                i += 2
-            else:
-                i += 1
-            continue
-        if state == "string":
-            cur_c.append(ch)
-            if ch == "\\" and i + 1 < n and text[i + 1] != "\n":
-                cur_c.append(text[i + 1])
-                cur_s.append(" ")
-                i += 2
-                continue
-            if ch == quote:
-                cur_s.append(ch)
-                state = "code"
-            else:
-                cur_s.append(" ")
-            i += 1
-            continue
-        # state == code
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            state = "block_comment"
-            i += 2
-            continue
-        if ch in ("'", '"'):
-            state = "string"
-            quote = ch
-            cur_c.append(ch)
-            cur_s.append(ch)
-            i += 1
-            continue
-        cur_c.append(ch)
-        cur_s.append(ch)
-        i += 1
-    content.append("".join(cur_c))
-    structure.append("".join(cur_s))
-    return CleanedSource(content_lines=content, structure_lines=structure)
+    pos = 0
+    for m in _TOKEN.finditer(text):
+        plain = text[pos:m.start()]
+        pos = m.end()
+        quote = m[1]
+        if quote:
+            body = m[2]
+            # an escape pair is one blank, as if it were one character
+            if "\\" in body:
+                body = _ESCAPE.sub(" ", body)
+            content += plain, m[0]
+            structure += plain, quote + " " * len(body) + (m[3] or "")
+        else:
+            # a comment leaves only its newlines, so lines stay aligned
+            kept = "\n" * m[0].count("\n")
+            content += plain, kept
+            structure += plain, kept
+    tail = text[pos:]
+    content.append(tail)
+    structure.append(tail)
+    return CleanedSource(
+        content_lines="".join(content).split("\n"),
+        structure_lines="".join(structure).split("\n"),
+    )
 
 
 def is_executable_line(cleaned_line: str) -> bool:
@@ -122,9 +104,7 @@ def is_executable_line(cleaned_line: str) -> bool:
     executable iff anything other than braces, parens, semicolons,
     and whitespace remains. A bare '}' or ');' is structure, not code.
     """
-    stripped = _ANNOTATION.sub("", cleaned_line).rstrip()
-    residue = re.sub(r"[{}()\[\];\s]", "", stripped)
-    return residue != ""
+    return _RESIDUE.search(_ANNOTATION.sub("", cleaned_line)) is not None
 
 
 def executable_line_numbers(text: str) -> set[int]:

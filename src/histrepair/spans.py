@@ -3,8 +3,11 @@
 Detectors map (file text, line number) to the enclosing function's
 name and 1-based inclusive line span. Two are built in:
 
-* c_family: signature regex + brace matching on the structure-cleaned
-  text. Works for Java/C/C++/JS-shaped code.
+* c_family: one pass over the brackets of the structure-cleaned text
+  builds a table from each '(' and '{' to its matching close; each
+  signature candidate (a name before '(') is then a definition iff its
+  ')' is followed by '{' before any ';' or closer, and the '{' entry
+  gives the body's end. Works for Java/C/C++/JS-shaped code.
 * python: def/async def headers + indentation blocks.
 
 A campaign's `language` key picks one by name. Lines are numbered as
@@ -16,6 +19,7 @@ with the caller, not here.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,6 +32,12 @@ _CONTROL = {
     "if", "for", "while", "switch", "catch", "return",
     "else", "do", "try", "new", "synchronized",
 }
+
+# a name right before '(' on the same line: a signature or a call
+_CANDIDATE = re.compile(r"([A-Za-z_~][\w$]*)[^\S\n]*\(")
+_BRACKET = re.compile(r"[(){}]")
+_AFTER_PARAMS = re.compile(r"[{;)\]}]")
+_NEWLINE = re.compile("\n")
 
 
 @dataclass(frozen=True)
@@ -46,73 +56,49 @@ class FunctionSpan:
 
 
 def _c_family_spans(text: str) -> list[FunctionSpan]:
-    cleaned = clean_source(text)
-    struct = cleaned.structure_lines
+    struct = "\n".join(clean_source(text).structure_lines)
+    # offset of each '(' and '{' -> offset of its matching ')' or '}'
+    closer: dict[int, int] = {}
+    open_parens: list[int] = []
+    open_braces: list[int] = []
+    for m in _BRACKET.finditer(struct):
+        at, ch = m.start(), m[0]
+        if ch == "(":
+            open_parens.append(at)
+        elif ch == "{":
+            open_braces.append(at)
+        elif ch == ")":
+            if open_parens:
+                closer[open_parens.pop()] = at
+        elif open_braces:
+            closer[open_braces.pop()] = at
+    newlines = [m.start() for m in _NEWLINE.finditer(struct)]
+
+    # a candidate is a definition when its '(' closes and the next
+    # bracket or ';' after that is a '{'; a ';' marks a declaration and
+    # a closer marks a call inside an argument list
     spans: list[FunctionSpan] = []
-
-    # locate candidate signatures: name immediately before a '(' whose
-    # matching ')' is eventually followed by '{' with nothing but
-    # whitespace/qualifiers between
-    joined_positions = []  # (line_idx, name)
-    for idx, line in enumerate(struct):
-        for m in re.finditer(r"([A-Za-z_~][\w$]*)\s*\(", line):
-            name = m.group(1)
-            if name in _CONTROL:
-                continue
-            joined_positions.append((idx, m.start(1), m.end(0) - 1, name))
-
-    # flatten text into char stream with line index per char for brace walk
-    for idx, name_col, paren_col, name in joined_positions:
-        # walk from the '(' forward: match parens, then expect '{'
-        depth = 0
-        li, ci = idx, paren_col
-        n_lines = len(struct)
-        state = "parens"
-        open_line = None
-        while li < n_lines:
-            line = struct[li]
-            while ci < len(line):
-                ch = line[ci]
-                if state == "parens":
-                    if ch == "(":
-                        depth += 1
-                    elif ch == ")":
-                        depth -= 1
-                        if depth == 0:
-                            state = "between"
-                elif state == "between":
-                    if ch == "{":
-                        state = "body"
-                        depth = 1
-                        open_line = idx
-                    elif ch == ";":
-                        state = "abandon"  # declaration, not definition
-                        break
-                    elif ch in ")]}":
-                        state = "abandon"  # call expression argument, not a signature
-                        break
-                elif state == "body":
-                    if ch == "{":
-                        depth += 1
-                    elif ch == "}":
-                        depth -= 1
-                        if depth == 0:
-                            spans.append(FunctionSpan(
-                                name=name,
-                                start_line=idx + 1,
-                                end_line=li + 1,
-                            ))
-                            state = "done"
-                            break
-                ci += 1
-            if state in ("done", "abandon"):
-                break
-            li += 1
-            ci = 0
-        if state == "body":
+    for m in _CANDIDATE.finditer(struct):
+        name = m[1]
+        if name in _CONTROL:
+            continue
+        params_end = closer.get(m.end() - 1)
+        if params_end is None:
+            continue
+        after = _AFTER_PARAMS.search(struct, params_end + 1)
+        if after is None or after[0] != "{":
+            continue
+        start_line = bisect_right(newlines, m.start()) + 1
+        body_end = closer.get(after.start())
+        if body_end is None:
             raise DetectorFailure(
-                f"unbalanced braces after {name} at line {idx + 1}"
+                f"unbalanced braces after {name} at line {start_line}"
             )
+        spans.append(FunctionSpan(
+            name=name,
+            start_line=start_line,
+            end_line=bisect_right(newlines, body_end) + 1,
+        ))
     return spans
 
 

@@ -386,9 +386,32 @@ def test_template_dir_key_exits_2(toy_campaign, capsys):
      " non-negative number, got inf"),
     ('max_cost: "1.00"', 'max_cost: "1.0o"',
      "guards.max_cost must be a finite non-negative number, got '1.0o'"),
+    # counts take only integers: no fraction, bool or string is rounded
+    ("max_steps: 50", "max_steps: 2.7", "guards.max_steps must be an integer, got 2.7"),
+    ("max_steps: 50", "max_steps: true", "guards.max_steps must be an integer, got True"),
+    ("max_steps: 50", 'max_steps: "50"', "guards.max_steps must be an integer, got '50'"),
+    ("workers: 1", "workers: true", "workers must be an integer, got True"),
+    ("workers: 1", "workers: 1.0", "workers must be an integer, got 1.0"),
+    ("guards:\n", "budgets:\n  fn_all: 1500.9\nguards:\n",
+     "budgets.fn_all must be an integer, got 1500.9"),
+    # a NaN limit would pass every `<= 0` check and never fire
+    ("max_wall_time: 3600", "max_wall_time: .nan",
+     "guards.max_wall_time must be a finite number, got nan"),
+    ("max_wall_time: 3600", "max_wall_time: .inf",
+     "guards.max_wall_time must be a finite number, got inf"),
+    ("per_command_timeout: 60", "per_command_timeout: .nan",
+     "guards.per_command_timeout must be a finite number, got nan"),
+    ("per_command_timeout: 60", "per_command_timeout: true",
+     "guards.per_command_timeout must be a finite number, got True"),
+    ("per_command_timeout: 60", 'per_command_timeout: "60"',
+     "guards.per_command_timeout must be a finite number, got '60'"),
 ], ids=["adapter-typo", "backend-container", "backend-vm", "provider-mode-typo",
         "language-typo", "model-unpriced", "rate-missing", "rate-not-a-number",
-        "rate-negative", "rate-infinite", "max-cost-not-a-number"])
+        "rate-negative", "rate-infinite", "max-cost-not-a-number",
+        "max-steps-fraction", "max-steps-bool", "max-steps-string", "workers-bool",
+        "workers-fraction", "budget-fraction", "max-wall-time-nan",
+        "max-wall-time-infinite", "command-timeout-nan", "command-timeout-bool",
+        "command-timeout-string"])
 def test_unknown_adapter_or_backend_exits_2_before_any_job(toy_campaign, capsys,
                                                            old, new, message):
     text = toy_campaign["campaign"].read_text()

@@ -7,7 +7,7 @@ import pytest
 
 from histrepair import blame, context, gitio
 from histrepair.blame import BlameEntry
-from histrepair.bugs import BugSpec, FaultLocation, LocalizedLine
+from histrepair.bugs import BugRecord, BugSpec, FaultLocation, LocalizedLine
 from histrepair.context import (
     DEFAULT_BUDGETS,
     TRUNCATION_NOTICE,
@@ -98,6 +98,33 @@ def test_fn_pair_modified_line(make_repo):
     assert pair.after.body_text == "int f(int a) {\n    return a + 2;\n}"
     assert pair.before.name == pair.after.name == "f"
     assert (pair.before.start_line, pair.before.end_line) == (1, 3)
+
+
+def test_latin1_byte_keeps_the_study_row_and_contexts(make_repo):
+    # Latin-1 sources are common; a byte that is not UTF-8 must not cost
+    # the bug its blame or its history contexts
+    repo, shas = make_repo([
+        {"x.c": b"/* caf\xe9 */\n" + BEFORE_F.encode() + b"\n"},
+        {"x.c": b"/* caf\xe9 */\nint f(int a) {\n    return a + 2;\n}\n"},
+    ])
+    assert gitio.file_at(repo, shas[1], "x.c").startswith("/* caf\ufffd */\n")
+    spec = BugSpec(
+        bug_id="latin1-1",
+        snapshot_ref=shas[1],
+        locations=(FaultLocation("x.c", (LocalizedLine(line=3, kind="modified"),)),),
+        failing_tests=("t",),
+    )
+    fix = parse_unified_diff(
+        "--- a/x.c\n+++ b/x.c\n@@ -3 +3 @@\n-    return a + 2;\n+    return a + 1;\n")
+    report = blame.run_availability_study(
+        [BugRecord(spec=spec, repo_path=repo)], {"latin1-1": fix})
+    assert report.exclusions == []
+    assert [row.resolved_commit for row in report.rows] == [shas[1]]
+
+    assert extract_fn_all(repo, shas[1]).entries == (FnAllEntry("x.c", ("f",)),)
+    pair = extract_fn_pair(repo, shas[1], entry_for(repo, shas[1], "x.c", 3))
+    assert pair.before.body_text == BEFORE_F
+    assert pair.after.body_text == "int f(int a) {\n    return a + 2;\n}"
 
 
 def test_fn_pair_new_function_has_no_before(make_repo):

@@ -1,5 +1,7 @@
 """Comment stripping and the executable-line classifier."""
 
+import pytest
+
 from histrepair.sourcetext import (
     clean_source,
     executable_line_numbers,
@@ -87,3 +89,29 @@ def test_executable_line_numbers_mixed_file():
         "}",                 # 6
     ]) + "\n"
     assert executable_line_numbers(src) == {1, 5}
+
+
+# (text, content lines, structure lines) for corners of the scanner
+CLEAN_QUIRKS = [
+    # an escape pair is one blank in the structure view
+    ('s = "a\\nb";', ['s = "a\\nb";'], ['s = "   ";']),
+    ("c = '\\\\';", ["c = '\\\\';"], ["c = ' ';"]),
+    # a backslash before a newline escapes nothing; the string closes at EOL
+    ('x = "ab\\\ny = 1', ['x = "ab\\', "y = 1"], ['x = "   ', "y = 1"]),
+    # a backslash at the end of the text
+    ('x = "a\\', ['x = "a\\'], ['x = "  ']),
+    # "/*/" opens a comment and does not close it
+    ("a /*/ b */ c\n", ["a  c", ""], ["a  c", ""]),
+    # an unterminated block comment runs to the end and keeps its lines
+    ("a\n/* x\ny\nz", ["a", "", "", ""], ["a", "", "", ""]),
+    # quotes inside comments are plain comment text
+    ("/* it's */ x = 1; // \"\n", [" x = 1; ", ""], [" x = 1; ", ""]),
+    ("# don't\ny = '}'\n", ["", "y = '}'", ""], ["", "y = ' '", ""]),
+]
+
+
+@pytest.mark.parametrize("text, content, structure", CLEAN_QUIRKS)
+def test_clean_source_quirks(text, content, structure):
+    cleaned = clean_source(text)
+    assert cleaned.content_lines == content
+    assert cleaned.structure_lines == structure

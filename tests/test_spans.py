@@ -150,3 +150,22 @@ def test_window_span_clamps_to_file():
     assert span.end_line == len(C_SOURCE.splitlines())
     span = spans.window_span(FORM_FEED_PY, 4)
     assert (span.start_line, span.end_line) == (1, 5)
+
+
+# (text, spans as (name, start, end)) for corners of the c_family detector
+SPAN_QUIRKS = [
+    # a form feed is whitespace between a name and its "(" ...
+    ("int f\x0c(void) {\n    return 1;\n}\n", [("f", 1, 3)]),
+    # ... but a newline is not
+    ("int f\n(void) {\n    return 1;\n}\n", []),
+    # a closer after the ")" marks a call inside an argument list
+    ("int f() ) {\n}\n", []),
+    # a ";" after the ")" marks a call or a declaration
+    ("f(x);\n{\n}\n", []),
+]
+
+
+@pytest.mark.parametrize("text, expected", SPAN_QUIRKS)
+def test_c_family_quirks(text, expected):
+    got = spans.all_spans(text, "c_family")
+    assert [(s.name, s.start_line, s.end_line) for s in got] == expected
