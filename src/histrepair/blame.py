@@ -56,6 +56,7 @@ class JudgeCandidate:
 
     commit_id: str
     subject: str
+    author_time: int
     contexts: tuple[str, ...]  # +/-3 line snippets around each blamed line
 
 
@@ -64,11 +65,15 @@ CommitJudge = Callable[[list[JudgeCandidate]], int]
 
 
 def most_recent_judge_factory(repo: Path | str) -> CommitJudge:
-    """Deterministic stub judge: newest candidate by author time wins."""
+    """Deterministic stub judge: newest candidate by author time wins.
+
+    The candidates carry their author times, so the judge reads nothing
+    from `repo`.
+    """
 
     def judge(candidates: list[JudgeCandidate]) -> int:
-        times = [gitio.author_time(repo, c.commit_id) for c in candidates]
-        return max(range(len(candidates)), key=lambda i: (times[i], -i))
+        return max(range(len(candidates)),
+                   key=lambda i: (candidates[i].author_time, -i))
 
     return judge
 
@@ -158,12 +163,12 @@ def resolve_insertion(repo: Path | str, ref: str, path: str,
         return fallback_blame(repo, ref, path, insert_line)
     except NoFallbackAnchor:
         pass
-    add_commit = gitio.file_add_commit(repo, ref, path)
+    add_commit, add_time = gitio.file_add_commit(repo, ref, path)
     return BlameEntry(
         file_path=path,
         line_number=1,
         commit_id=add_commit,
-        author_time=gitio.author_time(repo, add_commit),
+        author_time=add_time,
         is_fallback=True,
         anchor_note="no executable line above insertion; using file add commit",
     )
@@ -172,13 +177,18 @@ def resolve_insertion(repo: Path | str, ref: str, path: str,
 def _judge_candidates(repo: Path | str, ref: str,
                       entries: list[BlameEntry],
                       ordered_commits: list[str]) -> list[JudgeCandidate]:
+    """One candidate per commit, from one subject query and one read per file."""
+    subjects = gitio.commit_subjects(repo, ordered_commits)
+    files: dict[str, list[str]] = {}
     candidates = []
     for sha in ordered_commits:
         contexts = []
         for e in entries:
             if e.commit_id != sha:
                 continue
-            lines = source_lines(gitio.file_at(repo, ref, e.file_path))
+            if e.file_path not in files:
+                files[e.file_path] = source_lines(gitio.file_at(repo, ref, e.file_path))
+            lines = files[e.file_path]
             lo = max(1, e.line_number - 3)
             hi = min(len(lines), e.line_number + 3)
             snippet = "\n".join(
@@ -187,7 +197,9 @@ def _judge_candidates(repo: Path | str, ref: str,
             contexts.append(f"{e.file_path}:{e.line_number}\n{snippet}")
         candidates.append(JudgeCandidate(
             commit_id=sha,
-            subject=gitio.commit_subject(repo, sha),
+            subject=subjects[sha],
+            # blame reports one author time per commit
+            author_time=next(e.author_time for e in entries if e.commit_id == sha),
             contexts=tuple(contexts),
         ))
     return candidates

@@ -199,9 +199,14 @@ def _reject_unknown_keys(raw, path: Path) -> None:
     if not isinstance(raw, dict):
         raise ConfigError(f"campaign config {path} is not a mapping")
     for section, known in _KNOWN_KEYS.items():
-        mapping = raw.get(section) if section else raw
-        if not isinstance(mapping, dict):
+        if section and section not in raw:
             continue
+        mapping = raw[section] if section else raw
+        if not isinstance(mapping, dict):
+            raise ConfigError(
+                f"key {section!r} in campaign config {path} must hold a mapping,"
+                f" got {mapping!r}"
+            )
         for key in mapping:
             if key not in known:
                 where = f"{section}.{key}" if section else key
@@ -221,9 +226,10 @@ def load_campaign(path: Path | str, overrides: dict | None = None) -> CampaignCo
 
     Unknown keys at the top level and in the guards, provider and
     budgets maps raise ConfigError, so a typo cannot silently fall back
-    to a default. So do a missing manifest, a value the config classes
-    reject, a count (steps, workers, budgets) that is not an integer,
-    and a time guard that is not a finite number.
+    to a default. So do one of those maps holding a scalar, a missing
+    manifest, a value the config classes reject, a count (steps,
+    workers, budgets) that is not an integer, and a time guard that is
+    not a finite number.
     """
     path = Path(path)
     if not path.exists():

@@ -65,16 +65,15 @@ def first_parent(repo: Path | str, commit: str) -> str | None:
     return out.strip() or None
 
 
-def commit_subject(repo: Path | str, commit: str) -> str:
-    return run_git(repo, "log", "-1", "--format=%s", commit).strip()
+def commit_subjects(repo: Path | str, commits: list[str]) -> dict[str, str]:
+    """The subject line of each of `commits`, read with one git call."""
+    out = run_git(repo, "log", "--no-walk=unsorted", "--format=%H%x00%s", *commits)
+    pairs = (line.split("\0", 1) for line in out.split("\n") if line)
+    return {sha: subject.strip() for sha, subject in pairs}
 
 
 def commit_message(repo: Path | str, commit: str) -> str:
     return run_git(repo, "log", "-1", "--format=%B", commit).rstrip("\n")
-
-
-def author_time(repo: Path | str, commit: str) -> int:
-    return int(run_git(repo, "log", "-1", "--format=%at", commit).strip())
 
 
 @dataclass(frozen=True)
@@ -127,14 +126,15 @@ def diff_hunks(repo: Path | str, old: str, new: str, path: str) -> list[Hunk]:
     return parse_unified_diff(out).files[0].hunks if out else []
 
 
-def file_add_commit(repo: Path | str, ref: str, path: str) -> str:
-    """The commit (reachable from ref) that added `path`."""
-    out = run_git(repo, "log", "--format=%H", "--diff-filter=A", "--follow",
+def file_add_commit(repo: Path | str, ref: str, path: str) -> tuple[str, int]:
+    """The commit (reachable from ref) that added `path`, and its author time."""
+    out = run_git(repo, "log", "--format=%H %at", "--diff-filter=A", "--follow",
                   ref, "--", path)
-    shas = out.split()
-    if not shas:
+    # newest first, so the last line is the add that started the file
+    words = out.split()
+    if not words:
         raise GitToolError(f"no add commit found for {path}")
-    return shas[-1]
+    return words[-2], int(words[-1])
 
 
 @dataclass

@@ -3,9 +3,17 @@
 Each bug gets a private clone in a temporary directory, checked out at
 the commit its snapshot ref names, with `compile` and `test` wrapper
 commands installed ahead of PATH so the agent sees the same abstract
-toolset regardless of the project underneath. There is no container
-backend: to isolate runs from the host, run histrepair itself inside a
-container.
+toolset regardless of the project underneath.
+
+The clone shares the host repo's object store read-only, through
+`.git/objects/info/alternates`, instead of copying it, so the cost of
+provisioning and teardown does not grow with the size of history. Git
+writes every new object (an agent's commit, a `gc` or `repack`) into
+the sandbox's own store, never into the host's. The agent can read the
+host repo's path in `origin` and in the alternates file, and through
+them its whole history; the snapshot-only base that ROADMAP item 2
+plans would close that. There is no container backend: to isolate runs
+from the host, run histrepair itself inside a container.
 
 Commands run under a non-interactive bash with a pinned environment
 allowlist so observations are reproducible. Every git call goes through
@@ -111,8 +119,9 @@ def provision(bug_id: str, repo_path: Path | str, snapshot_ref: str,
     """Create a fresh sandbox checked out at the buggy snapshot.
 
     `snapshot_ref` is resolved to its commit in the host repo before any
-    temp dir exists; the clone then checks out that commit, so the
-    worktree cannot land on anything else. An unknown ref or a failed
+    temp dir exists. The clone borrows the host's objects and writes no
+    worktree; the one checkout then writes the worktree at that commit,
+    so it cannot land on anything else. An unknown ref or a failed
     clone raises ProvisionError.
     """
     try:
@@ -123,7 +132,8 @@ def provision(bug_id: str, repo_path: Path | str, snapshot_ref: str,
     root = Path(tempfile.mkdtemp(prefix=f"histrepair-{bug_id}-"))
     worktree = root / "work"
     try:
-        gitio.run_git(repo_path, "clone", "--no-hardlinks", "--quiet", ".", str(worktree))
+        gitio.run_git(repo_path, "clone", "--shared", "--no-checkout", "--quiet", ".",
+                      str(worktree))
         gitio.run_git(worktree, "checkout", "--detach", "--quiet", commit)
     except GitToolError as exc:
         shutil.rmtree(root, ignore_errors=True)

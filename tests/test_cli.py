@@ -9,6 +9,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+import yaml
 
 import histrepair
 from histrepair import cli, synth
@@ -352,6 +353,19 @@ def test_unknown_budget_key_exits_2(toy_campaign, capsys):
     code, _, err = invoke("study", "--config", str(cfg), capsys=capsys)
     assert code == 2
     assert "unknown key 'budgets.fl_dif'" in err
+
+
+@pytest.mark.parametrize("section", ["guards", "provider", "budgets"])
+@pytest.mark.parametrize("value", [5, None])
+def test_map_key_holding_a_scalar_exits_2_and_names_it(toy_campaign, capsys,
+                                                      section, value):
+    raw = yaml.safe_load(toy_campaign["campaign"].read_text())
+    raw[section] = value
+    cfg = toy_campaign["root"] / "campaign_scalar.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    code, _, err = invoke("study", "--config", str(cfg), capsys=capsys)
+    assert code == 2
+    assert f"key {section!r}" in err and "must hold a mapping" in err
 
 
 def test_template_dir_key_exits_2(toy_campaign, capsys):

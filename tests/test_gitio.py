@@ -189,7 +189,7 @@ def test_file_add_commit_survives_later_edits(make_repo):
         {"a.txt": "v2\n"},
         {"a.txt": "v3\n"},
     ])
-    assert gitio.file_add_commit(repo, shas[2], "a.txt") == shas[0]
+    assert gitio.file_add_commit(repo, shas[2], "a.txt") == (shas[0], 1_600_000_000)
 
 
 def test_first_parent_and_root(make_repo):
@@ -233,10 +233,10 @@ def test_resolve_ref_and_errors(make_repo):
 
 
 def test_commit_metadata(make_repo):
-    repo, shas = make_repo([{"a.txt": "1\n"}])
-    assert gitio.commit_subject(repo, shas[0]) == "snapshot 0"
+    repo, shas = make_repo([{"a.txt": "1\n"}, {"a.txt": "2\n"}])
+    assert gitio.commit_subjects(repo, [shas[1], shas[0]]) == {
+        shas[0]: "snapshot 0", shas[1]: "snapshot 1"}
     assert gitio.commit_message(repo, shas[0]) == "snapshot 0"
-    assert gitio.author_time(repo, shas[0]) == 1_600_000_000
 
 
 def test_snapshot_worktree_checks_out_under_tmp_path(make_repo, snapshot_worktree, tmp_path):

@@ -53,6 +53,72 @@ def test_provision_resolves_the_ref_in_the_host_repo(toy, tmp_path):
             sb.teardown(h, tmp_path / "artifacts", "")
 
 
+def _copying_clone(repo, commit, dest):
+    """The reference sandbox checkout: a clone that copies every object."""
+    gitio.run_git(repo, "clone", "--no-hardlinks", "--quiet", ".", str(dest))
+    gitio.run_git(dest, "checkout", "--detach", "--quiet", commit)
+    return dest
+
+
+def _store(git_dir: Path) -> dict[str, bytes]:
+    objects = git_dir / "objects"
+    return {str(f.relative_to(objects)): f.read_bytes()
+            for f in sorted(objects.rglob("*")) if f.is_file()}
+
+
+def test_provision_borrows_the_host_object_store(toy, handle):
+    # the sandbox holds no object of its own, only the pointer to the host's
+    store = _store(handle.worktree_path / ".git")
+    assert list(store) == ["info/alternates"]
+    alternate = Path(store["info/alternates"].decode().strip())
+    assert alternate.resolve() == (toy["repo"] / ".git" / "objects").resolve()
+
+
+def test_sandbox_writes_leave_the_host_store_untouched(toy, tmp_path):
+    host = toy["repo"] / ".git"
+    before = _store(host)
+    handle = sb.provision(synth.TOY_BUG_ID, toy["repo"], toy["snapshot"], ADAPTER)
+    try:
+        result = sb.exec_command(handle, " && ".join([
+            "echo '# agent' >> calc.py",
+            "git -c user.name=agent -c user.email=agent@example.invalid"
+            " commit --quiet -am agent",
+            "git gc --quiet --prune=now",
+            "git repack --quiet -a -d",
+            "git prune",
+        ]))
+        assert result.exit_code == 0, result.stderr
+        # the agent's commit is readable in the sandbox and absent from the host
+        head = gitio.run_git(handle.worktree_path, "rev-parse", "HEAD").strip()
+        assert gitio.run_git(toy["repo"], "cat-file", "-t", head, check=False) == ""
+        assert "agent" in gitio.run_git(handle.worktree_path, "log", "-1", "--format=%s")
+    finally:
+        sb.teardown(handle, tmp_path / "artifacts", "")
+    assert _store(host) == before
+
+
+def test_sandbox_shows_what_a_copying_clone_shows(toy, handle, tmp_path):
+    reference = _copying_clone(toy["repo"], toy["snapshot"], tmp_path / "reference")
+    for args in (("for-each-ref",), ("remote", "-v"), ("log", "--all", "--oneline"),
+                 ("rev-parse", "HEAD"), ("status", "--porcelain")):
+        assert gitio.run_git(handle.worktree_path, *args) == \
+               gitio.run_git(reference, *args), args
+
+
+@pytest.mark.parametrize("edit", [
+    lambda work: (work / "util.py").write_text("# helper\n"),
+    lambda work: (work / "calc.py").unlink(),
+], ids=["add", "delete"])
+def test_final_patch_through_alternates_matches_a_copying_clone(toy, handle,
+                                                                tmp_path, edit):
+    reference = _copying_clone(toy["repo"], toy["snapshot"], tmp_path / "reference")
+    for work in (handle.worktree_path, reference):
+        edit(work)
+    patch = sb.final_patch(handle)
+    assert patch
+    assert patch == sb.final_patch(sb.SandboxHandle("reference", reference))
+
+
 def test_provision_bad_ref(toy, tmp_path, monkeypatch):
     monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
     with pytest.raises(ProvisionError):
