@@ -8,7 +8,7 @@ everything: transcript, cost, termination reason, final patch.
 import tempfile
 from pathlib import Path
 
-from histrepair import loop, sandbox, synth
+from histrepair import loop, records, sandbox, synth
 from histrepair.config import BUILTIN_ADAPTERS, ProviderSettings
 from histrepair.provider import ScriptedProvider
 
@@ -60,9 +60,9 @@ print("\nfinal patch:")
 print(record.final_patch)
 
 # records persist as line-delimited JSON, one file per (bug, config)
-out = work / loop.record_filename(record.bug_id, record.config)
-loop.write_run_record(record, out)
-reloaded = loop.load_run_record(out)
+out = work / records.record_filename(record.bug_id, record.config)
+records.write_run_record(record, out)
+reloaded = records.load_run_record(out)
 print(f"record round-trips: {reloaded.total_cost == record.total_cost}")
 
 sandbox.teardown(handle, work / "artifacts", record.final_patch)

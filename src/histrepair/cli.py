@@ -5,16 +5,17 @@ prompt preview), repair (one bug, one config), batch (the full
 campaign), report (metrics over a records directory).
 
 Exit codes: 0 success, 2 usage/configuration error, 4 a repair run
-terminated by a guard or failed its tests, 3 any other domain error.
+terminated by a guard or failed its tests, 3 any other domain error,
+and from `batch`, any job that failed without a record.
 
 Each subcommand imports the layers it runs (blame, the loop and its
-sandbox, the metrics) when it runs, so a cold call pays only for those.
+sandbox, the records, the metrics) when it runs, so a cold call pays
+only for those.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 from pathlib import Path
@@ -40,8 +41,9 @@ from .errors import (
 from .patches import parse_unified_diff
 
 if TYPE_CHECKING:
-    from . import loop as loop_mod
     from . import metrics as metrics_mod
+    from .records import RunRecord
+    from .sandbox import VerdictMemo
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -107,21 +109,15 @@ def _write_prompts(out_dir: Path, stem: str, bundle, ctx) -> None:
         save_context(ctx, out_dir / f"{stem}.context.json")
 
 
-def record_is_complete(path: Path) -> bool:
-    if not path.exists():
-        return False
-    try:
-        lines = [l for l in path.read_text().splitlines() if l.strip()]
-        return bool(lines) and json.loads(lines[-1]).get("type") == "result"
-    except (json.JSONDecodeError, OSError):
-        return False
+def run_one_job(cfg: CampaignConfig, rec: BugRecord, heuristic: str,
+                verdicts: VerdictMemo) -> RunRecord:
+    """One full repair: provision, loop, persist record and artifacts.
 
-
-def run_one_job(cfg: CampaignConfig, rec: BugRecord,
-                heuristic: str) -> loop_mod.RunRecord:
-    """One full repair: provision, loop, persist record and artifacts."""
+    `verdicts` is the CLI call's memo of final-patch verdicts.
+    """
     from . import loop as loop_mod
     from . import sandbox as sb
+    from .records import record_filename
 
     bug_id = rec.spec.bug_id
     # provider and prompts come first: a configuration problem must
@@ -140,6 +136,7 @@ def run_one_job(cfg: CampaignConfig, rec: BugRecord,
             rates=cfg.provider.rates(),
             guards=cfg.guards,
             sentinel=cfg.sentinel,
+            verdicts=verdicts,
         )
         record = loop_mod.run(
             bug_id, heuristic,
@@ -150,7 +147,7 @@ def run_one_job(cfg: CampaignConfig, rec: BugRecord,
         sb.teardown(handle, cfg.out_dir / "artifacts" / stem,
                     record.final_patch if record is not None else "")
     records_dir = cfg.out_dir / "records"
-    loop_mod.write_run_record(record, records_dir / loop_mod.record_filename(bug_id, heuristic))
+    loop_mod.write_run_record(record, records_dir / record_filename(bug_id, heuristic))
     return record
 
 
@@ -169,12 +166,12 @@ def _load_categories(cfg: CampaignConfig) -> dict[str, str]:
 
 def rows_from_records(records_dir: Path,
                       categories: dict[str, str]) -> list[metrics_mod.OutcomeRow]:
-    from . import loop as loop_mod
     from . import metrics as metrics_mod
+    from .records import load_run_record
 
     rows = []
     for path in sorted(records_dir.glob("*.jsonl")):
-        record = loop_mod.load_run_record(path)
+        record = load_run_record(path)
         if record.bug_id not in categories:
             raise ConfigError(f"record {path.name}: bug not in manifest")
         rows.append(metrics_mod.OutcomeRow(
@@ -234,12 +231,13 @@ def cmd_repair(cfg: CampaignConfig, bug_id: str, heuristic: str) -> int:
         raise ConfigError(
             f"heuristic {heuristic!r} is not among campaign configs {cfg.configs}"
         )
-    from . import loop as loop_mod
+    from .records import record_filename
+    from .sandbox import VerdictMemo
 
     rec = _find_record(cfg, bug_id)
     cfg.freeze_into(cfg.out_dir)
-    record = run_one_job(cfg, rec, heuristic)
-    path = cfg.out_dir / "records" / loop_mod.record_filename(bug_id, heuristic)
+    record = run_one_job(cfg, rec, heuristic, VerdictMemo())
+    path = cfg.out_dir / "records" / record_filename(bug_id, heuristic)
     print(path)
     if record.tests_passed_at_end:
         return EXIT_OK
@@ -250,19 +248,24 @@ def cmd_repair(cfg: CampaignConfig, bug_id: str, heuristic: str) -> int:
 def cmd_batch(cfg: CampaignConfig) -> int:
     from concurrent.futures import ThreadPoolExecutor, as_completed
 
-    from . import blame, sandbox  # noqa: F401  (loaded here, not in a worker)
-    from . import loop as loop_mod
+    from . import blame, loop  # noqa: F401  (loaded here, not in a worker)
+    from .records import record_filename, record_is_complete
+    from .sandbox import VerdictMemo
 
     # every layer a job runs loads before the pool starts, so no
     # worker's first job races another for an import
     records = load_manifest(cfg.manifest)
     cfg.freeze_into(cfg.out_dir)
     records_dir = cfg.out_dir / "records"
+    verdicts = VerdictMemo()
     jobs = []
     skipped = 0
-    for rec in records:
-        for heuristic in cfg.configs:
-            path = records_dir / loop_mod.record_filename(rec.spec.bug_id, heuristic)
+    # config-major: the runs of one bug, which may end in the same
+    # patch, are far apart in the queue, so one rarely waits on another's
+    # verification
+    for heuristic in cfg.configs:
+        for rec in records:
+            path = records_dir / record_filename(rec.spec.bug_id, heuristic)
             if record_is_complete(path):
                 skipped += 1
                 continue
@@ -274,7 +277,7 @@ def cmd_batch(cfg: CampaignConfig) -> int:
     def one(job):
         rec, heuristic = job
         try:
-            record = run_one_job(cfg, rec, heuristic)
+            record = run_one_job(cfg, rec, heuristic, verdicts)
             return (rec.spec.bug_id, heuristic, record.termination, None)
         except Exception as exc:
             return (rec.spec.bug_id, heuristic, "", f"{type(exc).__name__}: {exc}")
@@ -295,7 +298,8 @@ def cmd_batch(cfg: CampaignConfig) -> int:
           f"{len(failures)} failed")
     for bug_id, heuristic, error in failures:
         print(f"  failed: {bug_id} {heuristic}: {error}", file=sys.stderr)
-    return EXIT_OK
+    # a failed job has no record; the next batch runs it again
+    return EXIT_DOMAIN if failures else EXIT_OK
 
 
 def cmd_report(cfg: CampaignConfig, records_dir: Path | None,

@@ -13,11 +13,12 @@ class HistRepairError(Exception):
 # --- repository / blame stage ------------------------------------------------
 
 class GitToolError(HistRepairError):
-    """The git invocation itself failed; carries stderr."""
+    """The git invocation itself failed; carries stderr and the exit code."""
 
-    def __init__(self, message: str, stderr: str = ""):
+    def __init__(self, message: str, stderr: str = "", returncode: int = 1):
         super().__init__(message)
         self.stderr = stderr
+        self.returncode = returncode
 
 
 class BlameParseError(GitToolError):

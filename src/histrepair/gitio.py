@@ -30,20 +30,21 @@ _BLAME_KEYS = {
 
 
 def run_git(repo: Path | str, *args: str, check: bool = True,
-            errors: str = "replace") -> str:
+            errors: str = "replace", input: str | None = None) -> str:
     """Run a git command in `repo` and return stdout as UTF-8 text.
 
     `errors` is the decode policy; "strict" raises UnicodeDecodeError
-    on a byte that is not UTF-8 instead of replacing it.
+    on a byte that is not UTF-8 instead of replacing it. `input`, when
+    given, is written to the command's stdin.
     """
     proc = subprocess.run(
         ["git", "-C", str(repo), *args],
-        capture_output=True, text=True, errors=errors,
+        capture_output=True, text=True, errors=errors, input=input,
     )
     if check and proc.returncode != 0:
         raise GitToolError(
             f"git {' '.join(args[:2])}... exited {proc.returncode}",
-            stderr=proc.stderr,
+            stderr=proc.stderr, returncode=proc.returncode,
         )
     return proc.stdout
 

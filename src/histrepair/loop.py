@@ -4,17 +4,23 @@ One run drives a single bug under a single configuration: query the
 provider, parse exactly one bash action, execute it in the sandbox,
 feed the observation back, and stop on the completion sentinel or a
 guard. The transcript is append-only; the run record is the full
-audit trail and serializes to line-delimited JSON.
+audit trail and serializes to line-delimited JSON (`records`).
+
+When the loop ends it takes the final patch once and asks for its
+verdict: the patch is applied in a fresh sandbox at the same snapshot
+and the tests run there (`sandbox.verify`), never in the sandbox the
+agent worked in, so nothing the agent changed outside the patch (the
+test wrapper, say) counts. An empty patch is not a repair and runs no
+test. Verdicts are remembered per distinct patch for one CLI call, so a
+flaky test gives one verdict per distinct patch, not one per run.
 """
 
 from __future__ import annotations
 
-import json
 import re
 import time
 from dataclasses import dataclass, field
 from decimal import Decimal
-from pathlib import Path
 from typing import Callable
 
 from . import sandbox as sb
@@ -27,7 +33,15 @@ from .errors import (
     ProviderFailure,
     SandboxDead,
 )
-from .provider import Provider, TokenUsage, accumulate_cost
+from .provider import Provider, accumulate_cost
+# the records' home is `records`; perfbench wraps loop.write_run_record
+# and imports loop.comparable_record_lines, so both stay reachable here
+from .records import (  # noqa: F401
+    RunRecord,
+    TranscriptMessage,
+    comparable_record_lines,
+    write_run_record,
+)
 
 # per-stream observation cap: keep the head and the tail, drop the middle
 OBS_HEAD = 6000
@@ -35,27 +49,6 @@ OBS_TAIL = 2000
 
 _FENCE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
 _TEST_INVOCATION = re.compile(r"(?:^|[;&|(\n])\s*test(?:\s|[);&|]|$)")
-
-
-@dataclass
-class TranscriptMessage:
-    role: str        # system | user | assistant | observation
-    content: str
-    step_index: int
-    token_usage: TokenUsage | None = None
-
-
-@dataclass
-class RunRecord:
-    bug_id: str
-    config: str
-    transcript: list[TranscriptMessage]
-    steps_taken: int
-    total_cost: Decimal
-    wall_time: float
-    termination: str  # CompletedSignal | StepLimit | CostLimit | Timeout | ProviderError | SandboxError
-    tests_passed_at_end: bool
-    final_patch: str
 
 
 def parse_action(model_output: str) -> str:
@@ -120,6 +113,8 @@ class LoopHarness:
     guards: GuardConfig = field(default_factory=GuardConfig)
     sentinel: str = DEFAULT_SENTINEL
     clock: Callable[[], float] = time.monotonic
+    # one memo per CLI call, shared by its runs
+    verdicts: sb.VerdictMemo = field(default_factory=sb.VerdictMemo)
 
 
 def run(bug_id: str, config: str, system_prompt: str, user_prompt: str,
@@ -227,22 +222,14 @@ def run(bug_id: str, config: str, system_prompt: str, user_prompt: str,
         else:
             termination = check_guards()
 
-    # capture the patch and verify tests independently of the transcript;
-    # a run whose patch cannot be taken (the agent removed .git, say) is
-    # not a pass, so its tests do not run
-    passed_at_end = False
+    # a run whose patch cannot be taken (the agent removed .git, say)
+    # has no patch, and an empty patch is not a pass
     try:
         patch = sb.final_patch(handle)
     except Exception:
         patch = ""
-    else:
-        try:
-            _, final_outcome = sb.run_test(
-                handle, timeout=guards.per_command_timeout, step_index=steps + 1,
-            )
-            passed_at_end = final_outcome.all_passed
-        except SandboxDead:
-            pass
+    passed_at_end = sb.verify(handle, patch, harness.verdicts,
+                              timeout=guards.per_command_timeout, step_index=steps + 1)
 
     return RunRecord(
         bug_id=bug_id,
@@ -255,86 +242,3 @@ def run(bug_id: str, config: str, system_prompt: str, user_prompt: str,
         tests_passed_at_end=passed_at_end,
         final_patch=patch,
     )
-
-
-# ---------------------------------------------------------------------------
-# persistence: one JSONL file per (bug, config)
-
-def record_filename(bug_id: str, config: str) -> str:
-    return f"{bug_id}__{config}.jsonl"
-
-
-def write_run_record(record: RunRecord, path: Path | str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps({
-        "type": "meta",
-        "bug_id": record.bug_id,
-        "config": record.config,
-    })]
-    for msg in record.transcript:
-        obj: dict = {
-            "type": "message",
-            "role": msg.role,
-            "step_index": msg.step_index,
-            "content": msg.content,
-        }
-        if msg.token_usage is not None:
-            obj["input_tokens"] = msg.token_usage.input_tokens
-            obj["output_tokens"] = msg.token_usage.output_tokens
-        lines.append(json.dumps(obj))
-    lines.append(json.dumps({
-        "type": "result",
-        "termination": record.termination,
-        "steps_taken": record.steps_taken,
-        "total_cost": str(record.total_cost),
-        "tests_passed_at_end": record.tests_passed_at_end,
-        "final_patch": record.final_patch,
-        "wall_time": record.wall_time,
-    }))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def load_run_record(path: Path | str) -> RunRecord:
-    meta: dict = {}
-    result: dict = {}
-    transcript: list[TranscriptMessage] = []
-    for raw in Path(path).read_text().splitlines():
-        if not raw.strip():
-            continue
-        obj = json.loads(raw)
-        if obj["type"] == "meta":
-            meta = obj
-        elif obj["type"] == "message":
-            usage = None
-            if "input_tokens" in obj:
-                usage = TokenUsage(obj["input_tokens"], obj["output_tokens"])
-            transcript.append(TranscriptMessage(
-                role=obj["role"], content=obj["content"],
-                step_index=obj["step_index"], token_usage=usage,
-            ))
-        elif obj["type"] == "result":
-            result = obj
-    return RunRecord(
-        bug_id=meta["bug_id"],
-        config=meta["config"],
-        transcript=transcript,
-        steps_taken=result["steps_taken"],
-        total_cost=Decimal(result["total_cost"]),
-        wall_time=result["wall_time"],
-        termination=result["termination"],
-        tests_passed_at_end=result["tests_passed_at_end"],
-        final_patch=result["final_patch"],
-    )
-
-
-def comparable_record_lines(path: Path | str) -> list[str]:
-    """Record lines with wall-clock fields dropped, for replay checks."""
-    lines = []
-    for raw in Path(path).read_text().splitlines():
-        if not raw.strip():
-            continue
-        obj = json.loads(raw)
-        obj.pop("wall_time", None)
-        lines.append(json.dumps(obj, sort_keys=True))
-    return lines

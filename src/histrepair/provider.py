@@ -18,18 +18,13 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 from .errors import ProviderFailure
+from .records import TokenUsage
 
 # money carries six fractional digits, enough for sub-cent token prices
 CENT6 = Decimal("0.000001")
 
 MAX_ATTEMPTS = 3
 BACKOFF_BASE_SECONDS = 0.5
-
-
-@dataclass(frozen=True)
-class TokenUsage:
-    input_tokens: int
-    output_tokens: int
 
 
 @dataclass(frozen=True)

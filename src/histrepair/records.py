@@ -1,0 +1,133 @@
+"""Run records: the schema of one (bug, config) run and its JSONL file.
+
+A record is one `meta` line, one `message` line per transcript entry
+and a closing `result` line, in that order; a file whose last line is
+not the `result` line is incomplete, and `batch` runs its job again.
+This module imports only the stdlib, so `report` can read records
+without loading the loop, the provider or the sandbox.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from decimal import Decimal
+from pathlib import Path
+
+
+@dataclass(frozen=True)
+class TokenUsage:
+    input_tokens: int
+    output_tokens: int
+
+
+@dataclass
+class TranscriptMessage:
+    role: str        # system | user | assistant | observation
+    content: str
+    step_index: int
+    token_usage: TokenUsage | None = None
+
+
+@dataclass
+class RunRecord:
+    bug_id: str
+    config: str
+    transcript: list[TranscriptMessage]
+    steps_taken: int
+    total_cost: Decimal
+    wall_time: float
+    termination: str  # CompletedSignal | StepLimit | CostLimit | Timeout | ProviderError | SandboxError
+    tests_passed_at_end: bool
+    final_patch: str
+
+
+def record_filename(bug_id: str, config: str) -> str:
+    return f"{bug_id}__{config}.jsonl"
+
+
+def write_run_record(record: RunRecord, path: Path | str) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [json.dumps({
+        "type": "meta",
+        "bug_id": record.bug_id,
+        "config": record.config,
+    })]
+    for msg in record.transcript:
+        obj: dict = {
+            "type": "message",
+            "role": msg.role,
+            "step_index": msg.step_index,
+            "content": msg.content,
+        }
+        if msg.token_usage is not None:
+            obj["input_tokens"] = msg.token_usage.input_tokens
+            obj["output_tokens"] = msg.token_usage.output_tokens
+        lines.append(json.dumps(obj))
+    lines.append(json.dumps({
+        "type": "result",
+        "termination": record.termination,
+        "steps_taken": record.steps_taken,
+        "total_cost": str(record.total_cost),
+        "tests_passed_at_end": record.tests_passed_at_end,
+        "final_patch": record.final_patch,
+        "wall_time": record.wall_time,
+    }))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def load_run_record(path: Path | str) -> RunRecord:
+    meta: dict = {}
+    result: dict = {}
+    transcript: list[TranscriptMessage] = []
+    for raw in Path(path).read_text().splitlines():
+        if not raw.strip():
+            continue
+        obj = json.loads(raw)
+        if obj["type"] == "meta":
+            meta = obj
+        elif obj["type"] == "message":
+            usage = None
+            if "input_tokens" in obj:
+                usage = TokenUsage(obj["input_tokens"], obj["output_tokens"])
+            transcript.append(TranscriptMessage(
+                role=obj["role"], content=obj["content"],
+                step_index=obj["step_index"], token_usage=usage,
+            ))
+        elif obj["type"] == "result":
+            result = obj
+    return RunRecord(
+        bug_id=meta["bug_id"],
+        config=meta["config"],
+        transcript=transcript,
+        steps_taken=result["steps_taken"],
+        total_cost=Decimal(result["total_cost"]),
+        wall_time=result["wall_time"],
+        termination=result["termination"],
+        tests_passed_at_end=result["tests_passed_at_end"],
+        final_patch=result["final_patch"],
+    )
+
+
+def comparable_record_lines(path: Path | str) -> list[str]:
+    """Record lines with wall-clock fields dropped, for replay checks."""
+    lines = []
+    for raw in Path(path).read_text().splitlines():
+        if not raw.strip():
+            continue
+        obj = json.loads(raw)
+        obj.pop("wall_time", None)
+        lines.append(json.dumps(obj, sort_keys=True))
+    return lines
+
+
+def record_is_complete(path: Path) -> bool:
+    """Whether the record at `path` exists and ends with its result line."""
+    if not path.exists():
+        return False
+    try:
+        lines = [l for l in path.read_text().splitlines() if l.strip()]
+        return bool(lines) and json.loads(lines[-1]).get("type") == "result"
+    except (json.JSONDecodeError, OSError):
+        return False

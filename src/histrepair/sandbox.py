@@ -1,19 +1,29 @@
 """Isolated execution environments for repair runs.
 
-Each bug gets a private clone in a temporary directory, checked out at
-the commit its snapshot ref names, with `compile` and `test` wrapper
+Each bug gets a private repository in a temporary directory, checked out
+at the commit its snapshot ref names, with `compile` and `test` wrapper
 commands installed ahead of PATH so the agent sees the same abstract
 toolset regardless of the project underneath.
 
-The clone shares the host repo's object store read-only, through
-`.git/objects/info/alternates`, instead of copying it, so the cost of
-provisioning and teardown does not grow with the size of history. Git
-writes every new object (an agent's commit, a `gc` or `repack`) into
-the sandbox's own store, never into the host's. The agent can read the
-host repo's path in `origin` and in the alternates file, and through
-them its whole history; the snapshot-only base that ROADMAP item 2
+Provisioning runs three git processes: one `rev-parse` in the host repo
+that resolves the snapshot and names the host's object store, a
+`git init` without templates, and one `checkout --detach` of the
+snapshot after `.git/objects/info/alternates` is written to point at
+that store. The sandbox reads the host's objects instead of copying them, so the cost of
+provisioning and teardown does not grow with the size of history, and
+git writes every new object (an agent's commit, a `gc` or `repack`) into
+the sandbox's own store, never into the host's. The sandbox has no
+`origin` and no refs, so `git log --all` shows only the snapshot's
+ancestry. What remains visible: the alternates file names the host's
+path, and `git cat-file --batch-all-objects` lists every host object,
+the future fix included; the snapshot-only base that ROADMAP item 2
 plans would close that. There is no container backend: to isolate runs
 from the host, run histrepair itself inside a container.
+
+A run's verdict never comes from the sandbox the agent worked in.
+`verify` applies the final patch to a fresh sandbox at the same commit,
+runs the adapter's `test` there and destroys it; a `VerdictMemo` gives
+each distinct (repo, commit, patch) one verification per CLI call.
 
 Commands run under a non-interactive bash with a pinned environment
 allowlist so observations are reproducible. Every git call goes through
@@ -30,7 +40,9 @@ import shutil
 import signal
 import subprocess
 import tempfile
+import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,11 +102,15 @@ def parse_failing_block(output: str) -> TestOutcome:
 
 @dataclass
 class SandboxHandle:
-    """One live sandbox: its worktree and command log."""
+    """One live sandbox: its worktree, what it was made from, and its command log."""
 
     bug_id: str
     worktree_path: Path
     alive: bool = True
+    # what a twin for verification is provisioned from
+    host: Path | None = None             # the host repo
+    commit: str = ""                     # the resolved snapshot commit
+    adapter: ProjectAdapter | None = None
     _root: Path | None = None            # temp root owning the worktree
     _env: dict = field(default_factory=dict)
     _log: list[tuple[int, str, CommandResult]] = field(default_factory=list)
@@ -119,21 +135,25 @@ def provision(bug_id: str, repo_path: Path | str, snapshot_ref: str,
     """Create a fresh sandbox checked out at the buggy snapshot.
 
     `snapshot_ref` is resolved to its commit in the host repo before any
-    temp dir exists. The clone borrows the host's objects and writes no
-    worktree; the one checkout then writes the worktree at that commit,
-    so it cannot land on anything else. An unknown ref or a failed
-    clone raises ProvisionError.
+    temp dir exists, by the same `rev-parse` that names the host's
+    object store. The new repository borrows that store through its
+    alternates file, and the one checkout writes the worktree at that
+    commit, so it cannot land on anything else. An unknown ref or a
+    failed checkout raises ProvisionError.
     """
     try:
-        commit = gitio.run_git(repo_path, "rev-parse", "--verify",
-                               f"{snapshot_ref}^{{commit}}").strip()
+        objects, commit = gitio.run_git(
+            repo_path, "rev-parse", "--path-format=absolute", "--git-path", "objects",
+            "--verify", f"{snapshot_ref}^{{commit}}").splitlines()
     except GitToolError as exc:
         raise ProvisionError(f"unknown snapshot {snapshot_ref!r}: {exc.stderr}") from exc
     root = Path(tempfile.mkdtemp(prefix=f"histrepair-{bug_id}-"))
     worktree = root / "work"
     try:
-        gitio.run_git(repo_path, "clone", "--shared", "--no-checkout", "--quiet", ".",
-                      str(worktree))
+        # no template: nothing to copy, and no hook from the user's
+        # init.templateDir can run in a sandbox
+        gitio.run_git(root, "init", "--quiet", "--template=", str(worktree))
+        (worktree / ".git" / "objects" / "info" / "alternates").write_text(objects + "\n")
         gitio.run_git(worktree, "checkout", "--detach", "--quiet", commit)
     except GitToolError as exc:
         shutil.rmtree(root, ignore_errors=True)
@@ -152,7 +172,8 @@ def provision(bug_id: str, repo_path: Path | str, snapshot_ref: str,
         "PYTHONDONTWRITEBYTECODE": "1",
     }
     return SandboxHandle(
-        bug_id=bug_id, worktree_path=worktree, _root=root, _env=env,
+        bug_id=bug_id, worktree_path=worktree, host=Path(repo_path), commit=commit,
+        adapter=adapter, _root=root, _env=env,
     )
 
 
@@ -227,6 +248,76 @@ def final_patch(handle: SandboxHandle) -> str:
     return gitio.run_git(handle.worktree_path, "diff", "HEAD", errors="strict")
 
 
+@dataclass(frozen=True)
+class Verdict:
+    """One verification: whether the tests passed, and the command that decided it."""
+
+    passed: bool
+    command: str
+    result: CommandResult | None  # None when the sandbox died under the command
+
+
+class VerdictMemo:
+    """Verdicts by (host repo, commit, patch text), each computed once.
+
+    Single-flight: a caller asking for a key that another thread is
+    verifying waits for that verdict instead of verifying again. A
+    verification that raises stores nothing, so the next caller for the
+    key tries again. One memo serves one CLI call.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._slots: dict[tuple, list] = {}   # key -> [key lock, verdict or None]
+
+    def get(self, key: tuple, compute: Callable[[], Verdict]) -> Verdict:
+        with self._lock:
+            slot = self._slots.setdefault(key, [threading.Lock(), None])
+        with slot[0]:
+            if slot[1] is None:
+                slot[1] = compute()
+            return slot[1]
+
+
+def verify(handle: SandboxHandle, patch: str, memo: VerdictMemo,
+           timeout: float = DEFAULT_COMMAND_TIMEOUT, step_index: int = 0) -> bool:
+    """Whether `patch` makes the tests pass at `handle`'s snapshot.
+
+    The verdict comes from a fresh sandbox at the same commit with only
+    the patch applied, never from `handle` itself. An empty patch is not
+    a repair: it runs nothing and is not a pass. The deciding command
+    and its result are appended to `handle`'s log at `step_index`. A
+    fresh sandbox that cannot be provisioned raises ProvisionError.
+    """
+    if not patch:
+        return False
+    verdict = memo.get((handle.host, handle.commit, patch),
+                       lambda: _verify_fresh(handle, patch, timeout))
+    if verdict.result is not None:
+        handle._log.append((step_index, verdict.command, verdict.result))
+    return verdict.passed
+
+
+def _verify_fresh(agent: SandboxHandle, patch: str, timeout: float) -> Verdict:
+    fresh = provision(agent.bug_id, agent.host, agent.commit, agent.adapter)
+    try:
+        start = time.monotonic()
+        try:
+            gitio.run_git(fresh.worktree_path, "apply", input=patch)
+        except GitToolError as exc:
+            # a patch that does not apply is not a pass
+            return Verdict(False, "git apply", CommandResult(
+                stdout="", stderr=exc.stderr, exit_code=exc.returncode,
+                duration=time.monotonic() - start))
+        try:
+            result, outcome = run_test(fresh, timeout=timeout)
+        except SandboxDead:
+            return Verdict(False, "test", None)
+        return Verdict(outcome.all_passed, "test", result)
+    finally:
+        _destroy(fresh)
+
+
 def render_command_log(handle: SandboxHandle) -> str:
     """Plain-text log: one block per executed command with a step header."""
     blocks = []
@@ -254,7 +345,11 @@ def teardown(handle: SandboxHandle, persist_dir: Path | str, patch: str) -> None
     persist_dir.mkdir(parents=True, exist_ok=True)
     (persist_dir / f"{handle.bug_id}.patch").write_text(patch)
     (persist_dir / f"{handle.bug_id}.commands.log").write_text(render_command_log(handle))
+    _destroy(handle)
 
+
+def _destroy(handle: SandboxHandle) -> None:
+    """Kill what the sandbox's commands started and remove its files."""
     for pgid in handle._pgids:
         with contextlib.suppress(ProcessLookupError):
             os.killpg(pgid, signal.SIGKILL)

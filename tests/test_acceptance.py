@@ -26,6 +26,7 @@ from histrepair.bugs import FaultLocation, LocalizedLine, categorize_bug
 from histrepair.config import BUILTIN_ADAPTERS
 from histrepair.loop import GuardConfig, LoopHarness
 from histrepair.provider import ScriptedProvider
+from histrepair.records import load_run_record
 
 from test_patches import partition_category, random_fix_patch
 
@@ -438,7 +439,7 @@ def test_09_end_to_end_toy_campaign(tmp_path):
         records = list((toy["root"] / "out" / "records").glob("*.jsonl"))
         assert len(records) == 4
         for path in records:
-            record = loop.load_run_record(path)
+            record = load_run_record(path)
             assert record.termination == "CompletedSignal"
             assert record.tests_passed_at_end is True
 

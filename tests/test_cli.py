@@ -14,6 +14,7 @@ import yaml
 import histrepair
 from histrepair import cli, synth
 from histrepair.cli import main
+from histrepair.errors import ProvisionError
 
 BUG = synth.TOY_BUG_ID
 
@@ -248,7 +249,7 @@ def test_batch_continues_past_failing_jobs(toy_campaign, capsys):
     code, out, err = invoke(
         "batch", "--config", str(toy_campaign["campaign"]), capsys=capsys,
     )
-    assert code == 0
+    assert code == 3
     assert "1 failed" in out
     assert "fn_all" in err
     records_dir = toy_campaign["root"] / "out" / "records"
@@ -262,7 +263,7 @@ def test_batch_prints_progress_in_completion_order(toy_campaign, capsys, monkeyp
     others_printed = threading.Event()
     lines: list[str] = []
 
-    def fake_job(cfg, rec, heuristic):
+    def fake_job(cfg, rec, heuristic, verdicts):
         if heuristic == first:
             others_printed.wait(timeout=10)
         return SimpleNamespace(termination="CompletedSignal")
@@ -281,6 +282,109 @@ def test_batch_prints_progress_in_completion_order(toy_campaign, capsys, monkeyp
     assert code == 0
     assert lines[-1] == f"[4/4] {BUG} {first}: CompletedSignal"
     assert [line.split("]")[0] for line in lines] == ["[1/4", "[2/4", "[3/4", "[4/4"]
+
+
+def test_batch_exits_3_when_a_job_failed_and_reruns_it(toy_campaign, capsys, monkeypatch):
+    from histrepair import sandbox as sb
+
+    real = sb.provision
+    calls = []
+
+    def provision_once_broken(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise ProvisionError("disk full")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sb, "provision", provision_once_broken)
+    cfg = str(toy_campaign["campaign"])
+    code, out, err = invoke("batch", "--config", cfg, capsys=capsys)
+    assert code == 3
+    assert "FAILED ProvisionError: disk full" in out
+    assert "4 run, 0 skipped (already complete), 1 failed" in out
+    records_dir = toy_campaign["root"] / "out" / "records"
+    assert len(list(records_dir.glob("*.jsonl"))) == 3
+    # the next batch runs exactly the failed job
+    code, out, _ = invoke("batch", "--config", cfg, capsys=capsys)
+    assert code == 0
+    assert "1 run, 3 skipped" in out
+
+
+# --- final verification -----------------------------------------------------
+
+def _spy_tests(monkeypatch):
+    """Record the sandbox of every command that runs the test wrapper."""
+    from histrepair import loop, sandbox as sb
+
+    seen = []
+    real = sb.exec_command
+
+    def spy(handle, command, *args, **kwargs):
+        if loop.invokes_test(command):
+            seen.append(handle.worktree_path)
+        return real(handle, command, *args, **kwargs)
+
+    monkeypatch.setattr(sb, "exec_command", spy)
+    return seen
+
+
+def test_batch_verifies_a_shared_patch_once(toy_campaign, capsys, monkeypatch):
+    # every config's script makes the same fix and runs `test` once
+    tests = _spy_tests(monkeypatch)
+    code, _, _ = invoke("batch", "--config", str(toy_campaign["campaign"]),
+                        "--workers", "2", capsys=capsys)
+    assert code == 0
+    assert len(tests) == 4 + 1  # one per run, then one verification
+    out = toy_campaign["root"] / "out"
+    patches = set()
+    for heuristic in ("non_history", "fn_all", "fn_pair", "fl_diff"):
+        result = json.loads((out / "records" / f"{BUG}__{heuristic}.jsonl")
+                            .read_text().splitlines()[-1])
+        assert result["tests_passed_at_end"] is True
+        patches.add(result["final_patch"])
+        log = (out / "artifacts" / f"{BUG}__{heuristic}" / f"{BUG}.commands.log").read_text()
+        last = log.split("\n\n=== ")[-1]
+        assert last.startswith("step 5 (exit 0)\n$ test\n"), last
+    assert len(patches) == 1
+
+
+def test_each_batch_call_verifies_again(toy_campaign, capsys, monkeypatch):
+    tests = _spy_tests(monkeypatch)
+    cfg = str(toy_campaign["campaign"])
+    counts = []
+    for name in ("first", "second"):
+        before = len(tests)
+        out = toy_campaign["root"] / name
+        assert invoke("batch", "--config", cfg, "--out", str(out), capsys=capsys)[0] == 0
+        counts.append(len(tests) - before)
+        for path in (out / "records").glob("*.jsonl"):
+            assert json.loads(path.read_text().splitlines()[-1])["tests_passed_at_end"]
+    assert counts[0] == counts[1]
+
+
+def test_repair_whose_patch_does_not_apply_is_recorded_as_no_pass(
+        toy_campaign, capsys, monkeypatch, tmp_path):
+    # the tests pass in the agent's sandbox, but a binary file's diff
+    # carries no content, so the patch does not apply to a fresh sandbox
+    _script_repair(
+        toy_campaign, monkeypatch, tmp_path,
+        "sed -i 's/return a - b  # fast path/return a + b/' calc.py",
+        "printf '\\000\\001' > blob.bin",
+        "test",
+        "echo COMPLETE_REPAIR_SIGNAL",
+    )
+    code, out, _ = invoke(
+        "repair", "--config", str(toy_campaign["campaign"]),
+        "--bug", BUG, "--heuristic", "non_history", capsys=capsys,
+    )
+    assert code == 4
+    result = json.loads(Path(out.strip()).read_text().splitlines()[-1])
+    assert result["termination"] == "CompletedSignal"
+    assert "Binary files" in result["final_patch"]
+    assert result["tests_passed_at_end"] is False
+    log = (toy_campaign["root"] / "out" / "artifacts" / f"{BUG}__non_history"
+           / f"{BUG}.commands.log").read_text()
+    assert "\n$ git apply\n" in log.split("=== step 5")[-1]
 
 
 # --- report -----------------------------------------------------------------
@@ -522,10 +626,17 @@ def test_cli_import_leaves_heavy_modules_unloaded(toy_campaign):
               "histrepair.sandbox", "histrepair.metrics", "histrepair.stats")
     assert _modules_loaded_after(
         f"from histrepair import cli\ncli.load_campaign({cfg!r})", layers) == []
-    # prompts render with the stdlib, so no command loads a template engine
+    # prompts render with the stdlib, so no command loads a template engine;
+    # verdicts are keyed on the patch text itself, and hashlib's libcrypto
+    # would add megabytes to a run's peak RSS
     for command, *args in (["study"], ["context", "--bug", BUG, "--heuristic", "fn_pair"],
-                           ["batch"], ["report"]):
+                           ["batch"], ["repair", "--bug", BUG, "--heuristic", "fn_all"],
+                           ["report"]):
         argv = [command, "--config", cfg, *args]
         assert _modules_loaded_after(
             f"from histrepair import cli\nassert cli.main({argv!r}) == 0",
-            ("jinja2",)) == [], command
+            ("jinja2", "hashlib", "_hashlib")) == [], command
+    # report reads records through `records` alone
+    assert _modules_loaded_after(
+        f"from histrepair import cli\nassert cli.main({['report', '--config', cfg]!r}) == 0",
+        ("histrepair.loop", "histrepair.provider", "histrepair.sandbox")) == []

@@ -4,7 +4,7 @@ from decimal import Decimal
 
 import pytest
 
-from histrepair import loop, sandbox as sb, synth
+from histrepair import loop, records, sandbox as sb, synth
 from histrepair.config import BUILTIN_ADAPTERS
 from histrepair.errors import AmbiguousAction, EmptyAction, NoActionFound
 from histrepair.loop import (
@@ -336,6 +336,38 @@ def test_end_state_verified_independently_of_claims(toy):
     assert "+    return a + b" in record.final_patch
 
 
+def test_rewritten_test_wrapper_is_not_a_pass(toy):
+    # the wrapper lives outside the worktree, so the patch cannot carry
+    # the rewrite, and the fresh verification sandbox has the real one
+    sentinel = loop.DEFAULT_SENTINEL
+    replies = [
+        reply(block("echo '# touched' >> calc.py")),
+        reply(block("printf '#!/usr/bin/env bash\\necho \"Failing tests: 0\"\\n'"
+                    " > ../bin/test")),
+        reply(block("test")),
+        reply(block(f"echo {sentinel}")),
+    ]
+    record = run_with(toy, replies)
+    assert record.termination == "CompletedSignal"
+    assert "+# touched" in record.final_patch
+    assert record.tests_passed_at_end is False
+
+
+def test_empty_patch_runs_no_test_and_is_not_a_pass(toy, monkeypatch):
+    commands = []
+    real = sb.exec_command
+
+    def spy(handle, command, *args, **kwargs):
+        commands.append(command)
+        return real(handle, command, *args, **kwargs)
+
+    monkeypatch.setattr(sb, "exec_command", spy)
+    record = run_with(toy, [reply(block("ls"))])
+    assert record.final_patch == ""
+    assert record.tests_passed_at_end is False
+    assert commands == ["ls"]
+
+
 def test_output_that_is_not_utf8_does_not_end_the_run(toy):
     # Latin-1 sources are common; one `cat` of such a file must not kill the job
     replies = [reply(block("printf 'caf\\xe9\\n'"))] + \
@@ -376,9 +408,9 @@ def test_observation_clipping_applies_in_run(toy):
 
 def test_record_round_trip(toy, tmp_path):
     record = run_with(toy, synth._scripted_replies(loop.DEFAULT_SENTINEL))
-    path = tmp_path / loop.record_filename(record.bug_id, record.config)
-    loop.write_run_record(record, path)
-    loaded = loop.load_run_record(path)
+    path = tmp_path / records.record_filename(record.bug_id, record.config)
+    records.write_run_record(record, path)
+    loaded = records.load_run_record(path)
     assert loaded.bug_id == record.bug_id
     assert loaded.config == record.config
     assert loaded.steps_taken == record.steps_taken
@@ -397,7 +429,7 @@ def test_record_file_shape(toy, tmp_path):
     import json
     record = run_with(toy, synth._scripted_replies(loop.DEFAULT_SENTINEL))
     path = tmp_path / "r.jsonl"
-    loop.write_run_record(record, path)
+    records.write_run_record(record, path)
     rows = [json.loads(x) for x in path.read_text().splitlines()]
     assert rows[0]["type"] == "meta"
     assert rows[-1]["type"] == "result"
@@ -410,7 +442,7 @@ def test_replay_is_byte_identical_modulo_wall_time(toy, tmp_path):
     for i in range(2):
         record = run_with(toy, synth._scripted_replies(loop.DEFAULT_SENTINEL))
         path = tmp_path / f"run{i}.jsonl"
-        loop.write_run_record(record, path)
+        records.write_run_record(record, path)
         paths.append(path)
     assert comparable_record_lines(paths[0]) == comparable_record_lines(paths[1])
     # the raw files differ only in the wall-clock field
@@ -418,4 +450,4 @@ def test_replay_is_byte_identical_modulo_wall_time(toy, tmp_path):
 
 
 def test_record_filename_shape():
-    assert loop.record_filename("bug-7", "fl_diff") == "bug-7__fl_diff.jsonl"
+    assert records.record_filename("bug-7", "fl_diff") == "bug-7__fl_diff.jsonl"

@@ -97,12 +97,25 @@ def test_sandbox_writes_leave_the_host_store_untouched(toy, tmp_path):
     assert _store(host) == before
 
 
-def test_sandbox_shows_what_a_copying_clone_shows(toy, handle, tmp_path):
-    reference = _copying_clone(toy["repo"], toy["snapshot"], tmp_path / "reference")
-    for args in (("for-each-ref",), ("remote", "-v"), ("log", "--all", "--oneline"),
-                 ("rev-parse", "HEAD"), ("status", "--porcelain")):
-        assert gitio.run_git(handle.worktree_path, *args) == \
-               gitio.run_git(reference, *args), args
+def test_sandbox_shows_no_remote_no_refs_and_only_the_snapshot_ancestry(toy, tmp_path):
+    # a later fix on a host side branch must not be listed in the sandbox
+    repo = toy["repo"]
+    gitio.run_git(repo, "checkout", "--quiet", "-b", "fix", toy["snapshot"])
+    (repo / "calc.py").write_text("# SECRET FIX\n")
+    secret = synth.commit_all(repo, "SECRET FIX", 2)
+    gitio.run_git(repo, "checkout", "--quiet", "main")
+    handle = sb.provision(synth.TOY_BUG_ID, repo, toy["snapshot"], ADAPTER)
+    try:
+        work = handle.worktree_path
+        assert gitio.run_git(work, "remote", "-v") == ""
+        assert gitio.run_git(work, "for-each-ref") == ""
+        listed = gitio.run_git(work, "log", "--all", "--format=%H").split()
+        assert listed == gitio.run_git(repo, "rev-list", toy["snapshot"]).split()
+        assert secret not in listed
+        assert gitio.run_git(work, "rev-parse", "HEAD").strip() == toy["snapshot"]
+        assert gitio.run_git(work, "status", "--porcelain") == ""
+    finally:
+        sb.teardown(handle, tmp_path / "artifacts", "")
 
 
 @pytest.mark.parametrize("edit", [
@@ -368,3 +381,49 @@ def test_dead_sandbox_refuses_commands(toy, tmp_path):
     sb.teardown(handle, tmp_path / "artifacts", "")
     with pytest.raises(SandboxDead):
         sb.exec_command(handle, "echo hello")
+
+
+def test_verdict_memo_computes_each_key_once_under_contention():
+    import sys
+    import threading
+
+    memo = sb.VerdictMemo()
+    calls = {"a": 0, "b": 0}
+    count_lock = threading.Lock()
+    seen = []
+
+    def compute(key):
+        with count_lock:
+            calls[key] += 1
+        time.sleep(0.01)
+        return sb.Verdict(key == "a", "test", None)
+
+    def ask(key):
+        seen.append((key, memo.get((key,), lambda: compute(key))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=("ab"[i % 2],)) for i in range(16)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert calls == {"a": 1, "b": 1}
+    assert len(seen) == 16
+    assert {v.passed for k, v in seen if k == "a"} == {True}
+    assert {v.passed for k, v in seen if k == "b"} == {False}
+
+
+def test_verdict_memo_retries_a_key_whose_verification_raised():
+    memo = sb.VerdictMemo()
+
+    def broken():
+        raise ProvisionError("no sandbox")
+
+    with pytest.raises(ProvisionError):
+        memo.get(("k",), broken)
+    assert memo.get(("k",), lambda: sb.Verdict(True, "test", None)).passed is True
