@@ -22,6 +22,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import yaml
 
@@ -297,6 +298,10 @@ def _http_provider(settings: ProviderSettings, bug_id: str, config: str):
         )
     if not settings.endpoint:
         raise ConfigError("live provider needs an endpoint")
+    # urlopen would also read file: and ftp: URLs
+    if urlsplit(settings.endpoint).scheme not in ("http", "https"):
+        raise ConfigError(
+            f"provider endpoint {settings.endpoint!r} is not an http or https URL")
     return HttpProvider(
         endpoint=settings.endpoint,
         model=settings.model,

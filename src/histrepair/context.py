@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -337,13 +337,9 @@ def _truncate_fn_pair(payload: FnPair, budget: int) -> tuple[FnPair, bool]:
 
     # labels and separators count against the budget too, so each side
     # gets half of what remains after that fixed overhead
-    def head_len(label: str, side: FunctionSnapshot | None) -> int:
-        if side is None:
-            return len(f"{label}: (absent)")
-        return len(f"{label}: {side.name} "
-                   f"({side.file_path}:{side.start_line}-{side.end_line})") + 1
-
-    overhead = head_len("Before", payload.before) + 2 + head_len("After", payload.after)
+    sides = (("Before", payload.before), ("After", payload.after))
+    overhead = 2 + sum(len(_render_side(label, side and replace(side, body_text="")))
+                       for label, side in sides)
     side_budget = max(1, (budget - overhead) // 2)
     cut = False
 
@@ -353,11 +349,7 @@ def _truncate_fn_pair(payload: FnPair, budget: int) -> tuple[FnPair, bool]:
             return side
         text, did = _truncate_text_at_lines(side.body_text, side_budget)
         cut = cut or did
-        return FunctionSnapshot(
-            file_path=side.file_path, name=side.name,
-            start_line=side.start_line, end_line=side.end_line,
-            body_text=text,
-        )
+        return replace(side, body_text=text)
 
     before = shrink(payload.before)
     after = shrink(payload.after)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Protocol
@@ -25,6 +25,7 @@ CENT6 = Decimal("0.000001")
 
 MAX_ATTEMPTS = 3
 BACKOFF_BASE_SECONDS = 0.5
+REQUEST_TIMEOUT_SECONDS = 120.0
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class ScriptedProvider:
 
     replies: list[dict]
     cursor: int = 0
-    calls: list[list[dict]] = field(default_factory=list)
 
     @classmethod
     def from_file(cls, path: Path | str) -> "ScriptedProvider":
@@ -58,7 +58,6 @@ class ScriptedProvider:
         return cls(replies=replies)
 
     def complete(self, messages: list[dict]) -> ProviderReply:
-        self.calls.append(messages)
         if self.cursor >= len(self.replies):
             raise ProviderFailure("scripted provider exhausted its replies")
         reply = self.replies[self.cursor]
@@ -77,19 +76,22 @@ class HttpProvider:
     """Chat-completions endpoint client with bounded retry.
 
     Credentials come from the environment at call time and are never
-    persisted anywhere.
+    persisted anywhere. A reply is billed only when it carries its token
+    counts; one without them, or without string content, is retried and
+    then fails like a dead endpoint.
     """
 
     endpoint: str
     model: str
     api_key_env: str = "MODEL_API_KEY"
-    timeout: float = 120.0
     sleeper: Callable[[float], None] = time.sleep
 
     def complete(self, messages: list[dict]) -> ProviderReply:
         # imported here so that commands which never call a live model
-        # do not pay for loading the HTTP stack
-        import requests
+        # do not load the HTTP stack
+        import http.client
+        import urllib.error
+        import urllib.request
 
         key = os.environ.get(self.api_key_env, "")
         headers = {"Content-Type": "application/json"}
@@ -97,29 +99,52 @@ class HttpProvider:
             headers["Authorization"] = f"Bearer {key}"
         # greedy decoding for every run
         body = {"model": self.model, "messages": messages, "temperature": 0.0}
+        request = urllib.request.Request(
+            self.endpoint, data=json.dumps(body).encode("utf-8"), headers=headers,
+            method="POST",
+        )
         last_error: Exception | None = None
         for attempt in range(MAX_ATTEMPTS):
             try:
-                resp = requests.post(
-                    self.endpoint, json=body, headers=headers, timeout=self.timeout,
-                )
-                resp.raise_for_status()
-                data = resp.json()
-                usage = data.get("usage", {})
-                return ProviderReply(
-                    text=data["choices"][0]["message"]["content"],
-                    usage=TokenUsage(
-                        input_tokens=int(usage.get("prompt_tokens", 0)),
-                        output_tokens=int(usage.get("completion_tokens", 0)),
-                    ),
-                )
-            except (requests.RequestException, KeyError, ValueError) as exc:
+                with urllib.request.urlopen(
+                        request, timeout=REQUEST_TIMEOUT_SECONDS) as resp:
+                    return _parse_reply(resp.read())
+            # OSError covers URLError, HTTPError and socket timeouts; a body
+            # cut short raises IncompleteRead, an HTTPException only
+            except (OSError, http.client.HTTPException, ValueError) as exc:
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()  # the error holds the response body open
                 last_error = exc
                 if attempt + 1 < MAX_ATTEMPTS:
                     self.sleeper(BACKOFF_BASE_SECONDS * (2 ** attempt))
+        if isinstance(last_error, ValueError):
+            raise ProviderFailure(
+                f"malformed reply: {last_error} (after {MAX_ATTEMPTS} attempts)")
         raise ProviderFailure(
             f"provider failed after {MAX_ATTEMPTS} attempts: {last_error}"
         )
+
+
+def _parse_reply(raw: bytes) -> ProviderReply:
+    """The text and token counts of one chat-completions reply body.
+
+    ValueError unless `choices[0].message.content` is a string and
+    `usage.prompt_tokens` and `usage.completion_tokens` are non-negative
+    integers, so no reply is billed as free or hands the loop a
+    non-string.
+    """
+    try:
+        data = json.loads(raw)
+        text = data["choices"][0]["message"]["content"]
+        counts = (data["usage"]["prompt_tokens"], data["usage"]["completion_tokens"])
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ValueError(f"{type(exc).__name__}: {exc}") from exc
+    if not isinstance(text, str):
+        raise ValueError(f"content is {type(text).__name__}, not a string")
+    # bool is an int subclass, so test the exact type
+    if not all(type(n) is int and n >= 0 for n in counts):
+        raise ValueError(f"token counts {counts!r} are not non-negative integers")
+    return ProviderReply(text=text, usage=TokenUsage(*counts))
 
 
 def accumulate_cost(usage: TokenUsage, rates: tuple[Decimal, Decimal]) -> Decimal:

@@ -241,11 +241,18 @@ def test_outcome(result: CommandResult) -> TestOutcome:
 
 
 def final_patch(handle: SandboxHandle) -> str:
-    """Unified diff of the worktree against the buggy snapshot."""
+    """Unified diff of the worktree against the buggy snapshot.
+
+    The diff is taken against the snapshot commit, not HEAD, so edits
+    the agent committed stay in the patch. `--binary` writes a binary
+    file's full content, so `git apply` can replay it in a fresh
+    sandbox; a text-only diff is the same as without it.
+    """
     # intent-to-add makes brand-new files visible to diff
     gitio.run_git(handle.worktree_path, "add", "-N", ".")
     # strict: a patch with a byte that is not UTF-8 must fail, not be altered
-    return gitio.run_git(handle.worktree_path, "diff", "HEAD", errors="strict")
+    return gitio.run_git(handle.worktree_path, "diff", "--binary", handle.commit,
+                         errors="strict")
 
 
 @dataclass(frozen=True)

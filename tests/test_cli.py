@@ -169,7 +169,7 @@ def test_repair_takes_the_final_patch_once(toy_campaign, capsys, monkeypatch):
     real = gitio.run_git
 
     def spy(repo, *args, **kwargs):
-        if args[:2] == ("diff", "HEAD"):
+        if args[:2] == ("diff", "--binary"):
             diffs.append(repo)
         return real(repo, *args, **kwargs)
 
@@ -362,10 +362,10 @@ def test_each_batch_call_verifies_again(toy_campaign, capsys, monkeypatch):
     assert counts[0] == counts[1]
 
 
-def test_repair_whose_patch_does_not_apply_is_recorded_as_no_pass(
-        toy_campaign, capsys, monkeypatch, tmp_path):
-    # the tests pass in the agent's sandbox, but a binary file's diff
-    # carries no content, so the patch does not apply to a fresh sandbox
+def test_repair_that_adds_a_binary_file_passes(toy_campaign, capsys, monkeypatch,
+                                               tmp_path):
+    # the patch carries the binary file's content, so it applies to a
+    # fresh sandbox
     _script_repair(
         toy_campaign, monkeypatch, tmp_path,
         "sed -i 's/return a - b  # fast path/return a + b/' calc.py",
@@ -373,18 +373,51 @@ def test_repair_whose_patch_does_not_apply_is_recorded_as_no_pass(
         "test",
         "echo COMPLETE_REPAIR_SIGNAL",
     )
-    code, out, _ = invoke(
+    code, out, err = invoke(
         "repair", "--config", str(toy_campaign["campaign"]),
         "--bug", BUG, "--heuristic", "non_history", capsys=capsys,
     )
-    assert code == 4
+    assert code == 0, err
     result = json.loads(Path(out.strip()).read_text().splitlines()[-1])
     assert result["termination"] == "CompletedSignal"
-    assert "Binary files" in result["final_patch"]
-    assert result["tests_passed_at_end"] is False
-    log = (toy_campaign["root"] / "out" / "artifacts" / f"{BUG}__non_history"
-           / f"{BUG}.commands.log").read_text()
-    assert "\n$ git apply\n" in log.split("=== step 5")[-1]
+    assert "GIT binary patch" in result["final_patch"]
+    assert result["tests_passed_at_end"] is True
+
+
+def test_repair_that_commits_its_fix_passes(toy_campaign, capsys, monkeypatch, tmp_path):
+    # the patch is taken against the snapshot, so a commit keeps the fix in it
+    _script_repair(
+        toy_campaign, monkeypatch, tmp_path,
+        "sed -i 's/return a - b  # fast path/return a + b/' calc.py",
+        "git -c user.name=a -c user.email=a@a commit -qam fix",
+        "test",
+        "echo COMPLETE_REPAIR_SIGNAL",
+    )
+    code, out, err = invoke(
+        "repair", "--config", str(toy_campaign["campaign"]),
+        "--bug", BUG, "--heuristic", "non_history", capsys=capsys,
+    )
+    assert code == 0, err
+    result = json.loads(Path(out.strip()).read_text().splitlines()[-1])
+    assert "+    return a + b" in result["final_patch"]
+    assert result["tests_passed_at_end"] is True
+
+
+@pytest.mark.parametrize("endpoint", [
+    "file:///etc/passwd", "ftp://models.example.invalid/v1", "localhost:8080/v1",
+])
+def test_http_provider_endpoint_that_is_not_http_exits_2(toy_campaign, capsys,
+                                                         monkeypatch, endpoint):
+    cfg = toy_campaign["root"] / "campaign_http.yaml"
+    cfg.write_text(toy_campaign["campaign"].read_text().replace(
+        "  mode: scripted\n", f"  mode: http\n  endpoint: {endpoint}\n", 1))
+    monkeypatch.setenv("MODEL_API_KEY", "sk-test")
+    code, _, err = invoke(
+        "repair", "--config", str(cfg), "--bug", BUG, "--heuristic", "non_history",
+        capsys=capsys,
+    )
+    assert code == 2
+    assert f"provider endpoint {endpoint!r} is not an http or https URL" in err
 
 
 # --- report -----------------------------------------------------------------
@@ -628,14 +661,16 @@ def test_cli_import_leaves_heavy_modules_unloaded(toy_campaign):
         f"from histrepair import cli\ncli.load_campaign({cfg!r})", layers) == []
     # prompts render with the stdlib, so no command loads a template engine;
     # verdicts are keyed on the patch text itself, and hashlib's libcrypto
-    # would add megabytes to a run's peak RSS
+    # would add megabytes to a run's peak RSS; the HTTP stack loads only
+    # when the http provider makes a call
     for command, *args in (["study"], ["context", "--bug", BUG, "--heuristic", "fn_pair"],
                            ["batch"], ["repair", "--bug", BUG, "--heuristic", "fn_all"],
                            ["report"]):
         argv = [command, "--config", cfg, *args]
         assert _modules_loaded_after(
             f"from histrepair import cli\nassert cli.main({argv!r}) == 0",
-            ("jinja2", "hashlib", "_hashlib")) == [], command
+            ("jinja2", "hashlib", "_hashlib", "requests", "urllib.request",
+             "http.client")) == [], command
     # report reads records through `records` alone
     assert _modules_loaded_after(
         f"from histrepair import cli\nassert cli.main({['report', '--config', cfg]!r}) == 0",

@@ -1,4 +1,4 @@
-"""The package imports no third-party module it does not declare."""
+"""The package and its tests import no third-party module they do not declare."""
 
 import ast
 import re
@@ -9,14 +9,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "histrepair"
+TESTS = ROOT / "tests"
 
 # declared distribution -> the top-level module it provides
-RUNTIME = {"pyyaml": "yaml", "requests": "requests"}
+RUNTIME = {"pyyaml": "yaml"}
+# the `test` extra: the runner, and the oracles the statistics tests use
+TEST_EXTRA = {"numpy": "numpy", "pytest": "pytest", "scipy": "scipy"}
 
 
-def _third_party_imports() -> set[str]:
+def _third_party_imports(root: Path) -> set[str]:
     found = set()
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path in sorted(root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 found.update(alias.name.split(".")[0] for alias in node.names)
@@ -25,13 +28,31 @@ def _third_party_imports() -> set[str]:
     return found - set(sys.stdlib_module_names) - {"__future__", "histrepair"}
 
 
+def _declared(requirements: list[str]) -> set[str]:
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in requirements}
+
+
 def test_package_imports_only_its_runtime_dependencies():
-    assert _third_party_imports() == set(RUNTIME.values())
+    assert _third_party_imports(PACKAGE) == set(RUNTIME.values())
+
+
+def test_tests_import_only_declared_dependencies():
+    # a module the tests import but nothing declares fails only on the
+    # machines that happen to lack it
+    local = {path.stem for path in TESTS.glob("*.py")}
+    undeclared = (_third_party_imports(TESTS) - local
+                  - set(RUNTIME.values()) - set(TEST_EXTRA.values()))
+    assert undeclared == set()
+
+
+def _project() -> dict:
+    tomllib = pytest.importorskip("tomllib")
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
 
 
 def test_pyproject_declares_exactly_the_runtime_dependencies():
-    tomllib = pytest.importorskip("tomllib")
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
-                for dep in project["dependencies"]}
-    assert declared == set(RUNTIME)
+    assert _declared(_project()["dependencies"]) == set(RUNTIME)
+
+
+def test_pyproject_test_extra_declares_what_the_tests_may_import():
+    assert _declared(_project()["optional-dependencies"]["test"]) == set(TEST_EXTRA)

@@ -1,5 +1,8 @@
 """Agent loop: action parsing, guards, termination, records."""
 
+import io
+import json
+import urllib.request
 from decimal import Decimal
 
 import pytest
@@ -15,7 +18,7 @@ from histrepair.loop import (
     invokes_test,
     parse_action,
 )
-from histrepair.provider import ScriptedProvider
+from histrepair.provider import HttpProvider, ScriptedProvider
 
 RATES = (Decimal("0.28"), Decimal("0.42"))
 FLAT = (Decimal("1.00"), Decimal("0.00"))  # each 100k input tokens cost 0.100000
@@ -41,13 +44,13 @@ def fresh_sandbox(toy):
                         BUILTIN_ADAPTERS["local-python"])
 
 
-def run_with(toy, replies, guards=None, clock=None):
+def run_with(toy, replies, guards=None, clock=None, provider=None):
     handle = fresh_sandbox(toy)
     kwargs = {}
     if clock is not None:
         kwargs["clock"] = clock
     harness = LoopHarness(
-        provider=ScriptedProvider(replies=replies),
+        provider=provider or ScriptedProvider(replies=replies),
         rates=RATES,
         guards=guards or GuardConfig(),
         **kwargs,
@@ -286,6 +289,60 @@ def test_provider_exhaustion_terminates_run(toy):
     assert record.tests_passed_at_end is False
 
 
+@pytest.mark.parametrize("edit", [
+    lambda payload: payload["choices"][0]["message"].update(content=None),
+    lambda payload: payload["choices"][0]["message"].update(
+        content=[{"type": "text", "text": block("ls")}]),
+    lambda payload: payload.pop("usage"),
+], ids=["null-content", "list-content", "no-usage"])
+def test_reply_the_provider_cannot_bill_or_parse_ends_the_run(toy, tmp_path,
+                                                             monkeypatch, edit):
+    # a tool-call reply carries null content and some endpoints send a
+    # list of parts; neither, nor a reply without token counts, reaches
+    # parse_action or the bill
+    payload = {"choices": [{"message": {"content": block("ls")}}],
+               "usage": {"prompt_tokens": 900, "completion_tokens": 30}}
+    edit(payload)
+    monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout=None:
+                        io.BytesIO(json.dumps(payload).encode("utf-8")))
+    provider = HttpProvider(endpoint="https://api.example.invalid/v1/chat",
+                            model="m", sleeper=lambda seconds: None)
+    record = run_with(toy, [], provider=provider)
+    assert record.termination == "ProviderError"
+    assert record.steps_taken == 0
+    assert [m.role for m in record.transcript] == ["system", "user"]
+    assert record.tests_passed_at_end is False
+    path = tmp_path / "r.jsonl"
+    records.write_run_record(record, path)
+    assert records.record_is_complete(path)
+
+
+class RecordingProvider:
+    """Scripted replies that keep the messages of every call."""
+
+    def __init__(self, replies):
+        self.scripted = ScriptedProvider(replies=replies)
+        self.calls = []
+
+    def complete(self, messages):
+        self.calls.append(messages)
+        return self.scripted.complete(messages)
+
+
+def test_provider_receives_the_transcript_with_observations_as_user_turns(toy):
+    provider = RecordingProvider(synth._scripted_replies(loop.DEFAULT_SENTINEL))
+    record = run_with(toy, [], provider=provider)
+    assert record.termination == "CompletedSignal"
+    assert [m["role"] for m in provider.calls[-1]] == \
+        ["system", "user"] + ["assistant", "user"] * 3
+    assert provider.calls[0] == [{"role": "system", "content": "sys"},
+                                 {"role": "user", "content": "user"}]
+    # each call sends the whole transcript so far, in order
+    sent = [{"role": "user" if m.role == "observation" else m.role,
+             "content": m.content} for m in record.transcript]
+    assert provider.calls == [sent[:2 + 2 * i] for i in range(4)]
+
+
 def test_two_consecutive_sandbox_deaths(toy, monkeypatch):
     def always_dead(handle, command, timeout=0, step_index=0):
         raise sb.SandboxDead("gone")
@@ -426,7 +483,6 @@ def test_record_round_trip(toy, tmp_path):
 
 
 def test_record_file_shape(toy, tmp_path):
-    import json
     record = run_with(toy, synth._scripted_replies(loop.DEFAULT_SENTINEL))
     path = tmp_path / "r.jsonl"
     records.write_run_record(record, path)

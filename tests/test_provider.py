@@ -1,15 +1,22 @@
 """Providers and cost accounting."""
 
+import copy
+import http.client
+import io
+import json
+import urllib.error
+import urllib.request
 from decimal import Decimal
 
 import pytest
-import requests
 
 from histrepair.errors import ProviderFailure
 from histrepair.provider import (
     BACKOFF_BASE_SECONDS,
     MAX_ATTEMPTS,
+    REQUEST_TIMEOUT_SECONDS,
     HttpProvider,
+    ProviderReply,
     ScriptedProvider,
     TokenUsage,
     accumulate_cost,
@@ -27,8 +34,6 @@ def test_scripted_provider_replays_in_order():
     second = provider.complete([{"role": "user", "content": "again"}])
     assert (first.text, first.usage) == ("one", TokenUsage(10, 1))
     assert (second.text, second.usage) == ("two", TokenUsage(20, 2))
-    assert len(provider.calls) == 2
-    assert provider.calls[0][0]["content"] == "hi"
 
 
 def test_scripted_provider_exhaustion():
@@ -47,102 +52,144 @@ def test_scripted_provider_from_file(tmp_path):
     assert provider.complete([]).usage == TokenUsage(0, 0)
 
 
-class FakeResponse:
-    def __init__(self, payload=None, fail=False):
-        self.payload = payload or {}
-        self.fail = fail
-
-    def raise_for_status(self):
-        if self.fail:
-            raise requests.HTTPError("boom")
-
-    def json(self):
-        return self.payload
-
-
 GOOD_PAYLOAD = {
     "choices": [{"message": {"content": "fixed it"}}],
     "usage": {"prompt_tokens": 321, "completion_tokens": 45},
 }
 
 
+def fake_urlopen(monkeypatch, *outcomes):
+    """Patch urlopen to answer with `outcomes` in turn; returns the calls it saw.
+
+    An outcome is an exception to raise, raw body bytes, or a payload to
+    serve as JSON. The last outcome repeats.
+    """
+    seen = []
+
+    def urlopen(request, timeout=None):
+        seen.append((request, timeout))
+        outcome = outcomes[min(len(seen), len(outcomes)) - 1]
+        if isinstance(outcome, Exception):
+            raise outcome
+        if not isinstance(outcome, bytes):
+            outcome = json.dumps(outcome).encode("utf-8")
+        return io.BytesIO(outcome)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return seen
+
+
+def http_provider(sleeps=None):
+    return HttpProvider(endpoint="https://api.example.invalid/v1/chat", model="m1",
+                        sleeper=(sleeps if sleeps is not None else []).append)
+
+
 def test_http_provider_success(monkeypatch):
-    seen = {}
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        seen["url"] = url
-        seen["json"] = json
-        seen["headers"] = headers
-        return FakeResponse(GOOD_PAYLOAD)
-
-    monkeypatch.setattr(requests, "post", fake_post)
+    seen = fake_urlopen(monkeypatch, GOOD_PAYLOAD)
     monkeypatch.setenv("MODEL_API_KEY", "sk-test")
-    provider = HttpProvider(endpoint="https://api.example.invalid/v1/chat", model="m1")
-    reply = provider.complete([{"role": "user", "content": "q"}])
-    assert reply.text == "fixed it"
-    assert reply.usage == TokenUsage(321, 45)
-    assert seen["json"]["model"] == "m1"
-    assert seen["json"]["temperature"] == 0.0
-    assert seen["headers"]["Authorization"] == "Bearer sk-test"
+    messages = [{"role": "user", "content": "q"}]
+    reply = http_provider().complete(messages)
+    assert reply == ProviderReply(text="fixed it", usage=TokenUsage(321, 45))
+    [(request, timeout)] = seen
+    assert request.full_url == "https://api.example.invalid/v1/chat"
+    assert request.get_method() == "POST"
+    assert json.loads(request.data) == {"model": "m1", "messages": messages,
+                                        "temperature": 0.0}
+    assert request.get_header("Content-type") == "application/json"
+    assert request.get_header("Authorization") == "Bearer sk-test"
+    assert timeout == REQUEST_TIMEOUT_SECONDS == 120.0
 
 
 def test_http_provider_omits_auth_without_key(monkeypatch):
-    seen = {}
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        seen["headers"] = headers
-        return FakeResponse(GOOD_PAYLOAD)
-
-    monkeypatch.setattr(requests, "post", fake_post)
+    seen = fake_urlopen(monkeypatch, GOOD_PAYLOAD)
     monkeypatch.delenv("MODEL_API_KEY", raising=False)
-    HttpProvider(endpoint="https://x.invalid", model="m").complete([])
-    assert "Authorization" not in seen["headers"]
+    http_provider().complete([])
+    assert not seen[0][0].has_header("Authorization")
 
 
 def test_http_provider_retries_with_backoff(monkeypatch):
-    calls = {"n": 0}
+    seen = fake_urlopen(monkeypatch, urllib.error.URLError("transient"),
+                        TimeoutError("timed out"), GOOD_PAYLOAD)
     sleeps = []
-
-    def flaky_post(url, json=None, headers=None, timeout=None):
-        calls["n"] += 1
-        if calls["n"] < 3:
-            raise requests.ConnectionError("transient")
-        return FakeResponse(GOOD_PAYLOAD)
-
-    monkeypatch.setattr(requests, "post", flaky_post)
-    provider = HttpProvider(
-        endpoint="https://x.invalid", model="m", sleeper=sleeps.append,
-    )
-    reply = provider.complete([])
+    reply = http_provider(sleeps).complete([])
     assert reply.text == "fixed it"
-    assert calls["n"] == 3
+    assert len(seen) == 3
     assert sleeps == [BACKOFF_BASE_SECONDS, BACKOFF_BASE_SECONDS * 2]
 
 
 def test_http_provider_gives_up_after_max_attempts(monkeypatch):
-    calls = {"n": 0}
+    seen = fake_urlopen(monkeypatch, urllib.error.URLError("down"))
+    with pytest.raises(ProviderFailure, match="provider failed after 3 attempts"):
+        http_provider().complete([])
+    assert len(seen) == MAX_ATTEMPTS
 
-    def always_fail(url, json=None, headers=None, timeout=None):
-        calls["n"] += 1
-        raise requests.ConnectionError("down")
 
-    monkeypatch.setattr(requests, "post", always_fail)
-    provider = HttpProvider(endpoint="https://x.invalid", model="m",
-                            sleeper=lambda s: None)
-    with pytest.raises(ProviderFailure):
-        provider.complete([])
-    assert calls["n"] == MAX_ATTEMPTS
+def test_http_provider_closes_the_body_of_an_http_error(monkeypatch):
+    error_body = io.BytesIO(b'{"error": "overloaded"}')
+    error = urllib.error.HTTPError("https://api.example.invalid/v1/chat", 503,
+                                   "Service Unavailable", {}, error_body)
+    fake_urlopen(monkeypatch, error, GOOD_PAYLOAD)
+    assert http_provider().complete([]).text == "fixed it"
+    assert error_body.closed
+
+
+def test_http_provider_retries_a_body_cut_short(monkeypatch):
+    seen = fake_urlopen(monkeypatch, http.client.IncompleteRead(b"{"), GOOD_PAYLOAD)
+    assert http_provider().complete([]).text == "fixed it"
+    assert len(seen) == 2
 
 
 def test_http_provider_malformed_body_is_failure(monkeypatch):
-    monkeypatch.setattr(
-        requests, "post",
-        lambda url, json=None, headers=None, timeout=None: FakeResponse({"nope": 1}),
-    )
-    provider = HttpProvider(endpoint="https://x.invalid", model="m",
-                            sleeper=lambda s: None)
+    fake_urlopen(monkeypatch, {"nope": 1})
     with pytest.raises(ProviderFailure):
-        provider.complete([])
+        http_provider().complete([])
+
+
+def _edited(edit):
+    """A copy of GOOD_PAYLOAD after `edit` changed it."""
+    payload = copy.deepcopy(GOOD_PAYLOAD)
+    edit(payload)
+    return payload
+
+
+def _message(payload):
+    return payload["choices"][0]["message"]
+
+
+@pytest.mark.parametrize("payload", [
+    _edited(lambda p: p.pop("usage")),
+    _edited(lambda p: p["usage"].pop("prompt_tokens")),
+    _edited(lambda p: p["usage"].pop("completion_tokens")),
+    _edited(lambda p: p.update(usage=None)),
+    _edited(lambda p: p["usage"].update(prompt_tokens=None)),
+    _edited(lambda p: p["usage"].update(prompt_tokens=-1)),
+    _edited(lambda p: p["usage"].update(prompt_tokens=321.0)),
+    _edited(lambda p: p["usage"].update(prompt_tokens="321")),
+    _edited(lambda p: p["usage"].update(completion_tokens=True)),
+    _edited(lambda p: _message(p).update(content=None)),
+    _edited(lambda p: _message(p).update(content=["fixed it"])),
+    _edited(lambda p: p.update(choices=[])),
+    _edited(lambda p: p["choices"][0].update(message="fixed it")),
+    [GOOD_PAYLOAD],
+    b"<html>busy</html>",
+], ids=["no-usage", "no-prompt-tokens", "no-completion-tokens", "null-usage",
+        "null-prompt-tokens", "negative-tokens", "float-tokens", "string-tokens",
+        "bool-tokens", "null-content", "list-content", "no-choices",
+        "string-message", "list-body", "not-json"])
+def test_http_provider_fails_a_reply_it_cannot_bill_or_parse(monkeypatch, payload):
+    # such a reply is neither billed as free nor handed to the loop
+    seen = fake_urlopen(monkeypatch, payload)
+    sleeps = []
+    with pytest.raises(ProviderFailure, match="^malformed reply: "):
+        http_provider(sleeps).complete([])
+    assert len(seen) == MAX_ATTEMPTS
+    assert sleeps == [BACKOFF_BASE_SECONDS, BACKOFF_BASE_SECONDS * 2]
+
+
+def test_http_provider_retries_a_malformed_reply_then_bills_the_good_one(monkeypatch):
+    seen = fake_urlopen(monkeypatch, _edited(lambda p: p.pop("usage")), GOOD_PAYLOAD)
+    assert http_provider().complete([]).usage == TokenUsage(321, 45)
+    assert len(seen) == 2
 
 
 # cost oracle, computed by hand at 0.28/1M input and 0.42/1M output:

@@ -129,7 +129,8 @@ def test_final_patch_through_alternates_matches_a_copying_clone(toy, handle,
         edit(work)
     patch = sb.final_patch(handle)
     assert patch
-    assert patch == sb.final_patch(sb.SandboxHandle("reference", reference))
+    assert patch == sb.final_patch(
+        sb.SandboxHandle("reference", reference, commit=handle.commit))
 
 
 def test_provision_bad_ref(toy, tmp_path, monkeypatch):
@@ -338,6 +339,28 @@ def test_final_patch_tracks_edits_and_new_files(handle):
     assert "+    return a + b" in patch
     assert "util.py" in patch
     assert "+# helper" in patch
+
+
+def test_final_patch_carries_binary_content_that_applies(toy, handle):
+    sb.exec_command(handle, "printf '\\000\\001' > blob.bin")
+    patch = sb.final_patch(handle)
+    assert "GIT binary patch" in patch
+    fresh = sb.provision(synth.TOY_BUG_ID, toy["repo"], toy["snapshot"], ADAPTER)
+    try:
+        gitio.run_git(fresh.worktree_path, "apply", input=patch)
+        assert (fresh.worktree_path / "blob.bin").read_bytes() == b"\x00\x01"
+    finally:
+        sb.teardown(fresh, toy["root"] / "fresh-artifacts", "")
+
+
+def test_verify_does_not_pass_a_patch_that_does_not_apply(handle):
+    patch = ("diff --git a/calc.py b/calc.py\n--- a/calc.py\n+++ b/calc.py\n"
+             "@@ -1,1 +1,1 @@\n-not a line of the snapshot\n+x = 1\n")
+    assert sb.verify(handle, patch, sb.VerdictMemo(), step_index=7) is False
+    step, command, result = handle._log[-1]
+    assert (step, command) == (7, "git apply")
+    assert result.exit_code != 0
+    assert "patch does not apply" in result.stderr
 
 
 def test_final_patch_unavailable_after_worktree_loss(handle):
