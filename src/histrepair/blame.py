@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import gitio
-from .bugs import BugRecord, BugSpec, FaultLocation, categorize_bug
+from .bugs import CATEGORIES, BugRecord, BugSpec, FaultLocation, categorize_bug
 from .errors import (
     FileNotInSnapshot,
     JudgeError,
@@ -289,7 +289,7 @@ class AvailabilityReport:
     def counts(self) -> dict[str, dict[str, int]]:
         table: dict[str, dict[str, int]] = {
             cat: {"Blameable": 0, "Blameless": 0}
-            for cat in ("SL", "SH", "SFMH", "MFMH")
+            for cat in CATEGORIES
         }
         for row in self.rows:
             table[row.category][row.blameability] += 1
@@ -351,7 +351,7 @@ def render_availability_table(report: AvailabilityReport) -> str:
     lines.append(header)
     lines.append("-" * len(header))
     total_able = total_less = 0
-    for cat in ("SL", "SH", "SFMH", "MFMH"):
+    for cat in CATEGORIES:
         able = counts[cat]["Blameable"]
         less = counts[cat]["Blameless"]
         total_able += able

@@ -68,34 +68,26 @@ def prepare_bundle(cfg: CampaignConfig, rec: BugRecord, heuristic: str):
     Returns (bundle, context-or-None). A fn_pair that cannot anchor
     degrades to a notice line instead of failing the run.
     """
-    if heuristic == "non_history":
-        bundle = render_prompts(
-            rec.spec, None,
-            repo_path=AGENT_REPO_PATH, sentinel=cfg.sentinel,
-        )
-        return bundle, None
-    from . import blame as blame_mod
+    ctx = None
+    note = ""
+    if heuristic != "non_history":
+        from . import blame as blame_mod
 
-    summary = blame_mod.summarize_blame(rec.repo_path, rec.spec)
-    anchor = next(
-        (e for e in summary.entries if e.commit_id == summary.resolved_commit),
-        None,
-    )
-    try:
-        ctx = build_context(
-            rec.repo_path, heuristic, summary.resolved_commit,
-            entry=anchor, language=cfg.language, budgets=cfg.budgets,
+        summary = blame_mod.summarize_blame(rec.repo_path, rec.spec)
+        anchor = next(
+            (e for e in summary.entries if e.commit_id == summary.resolved_commit),
+            None,
         )
-    except FnPairUnavailable as exc:
-        bundle = render_prompts(
-            rec.spec, None,
-            repo_path=AGENT_REPO_PATH, sentinel=cfg.sentinel,
-            history_note=f"historical context unavailable: {exc}",
-        )
-        return bundle, None
+        try:
+            ctx = build_context(
+                rec.repo_path, heuristic, summary.resolved_commit,
+                entry=anchor, language=cfg.language, budgets=cfg.budgets,
+            )
+        except FnPairUnavailable as exc:
+            note = f"historical context unavailable: {exc}"
     bundle = render_prompts(
         rec.spec, ctx,
-        repo_path=AGENT_REPO_PATH, sentinel=cfg.sentinel,
+        repo_path=AGENT_REPO_PATH, sentinel=cfg.sentinel, history_note=note,
     )
     return bundle, ctx
 
@@ -191,7 +183,7 @@ def rows_from_records(records_dir: Path,
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_study(cfg: CampaignConfig, out: Path | None) -> int:
+def cmd_study(cfg: CampaignConfig, args: argparse.Namespace) -> int:
     from . import blame as blame_mod
 
     records = load_manifest(cfg.manifest)
@@ -200,7 +192,7 @@ def cmd_study(cfg: CampaignConfig, out: Path | None) -> int:
         if rec.fix_patch_path is not None and rec.fix_patch_path.exists():
             patches[rec.spec.bug_id] = parse_unified_diff(rec.fix_patch_path.read_text())
     report = blame_mod.run_availability_study(records, patches)
-    out_dir = out or (cfg.out_dir / "study")
+    out_dir = args.out or (cfg.out_dir / "study")
     blame_mod.write_study_outputs(report, out_dir)
     cfg.freeze_into(out_dir)
     print(blame_mod.render_availability_table(report), end="")
@@ -213,20 +205,18 @@ def cmd_study(cfg: CampaignConfig, out: Path | None) -> int:
     return EXIT_OK
 
 
-def cmd_context(cfg: CampaignConfig, bug_id: str, heuristic: str,
-                out: Path | None) -> int:
-    if heuristic not in HEURISTICS:
-        raise ConfigError(f"unknown heuristic {heuristic!r}")
-    rec = _find_record(cfg, bug_id)
-    bundle, ctx = prepare_bundle(cfg, rec, heuristic)
-    out_dir = out or (cfg.out_dir / "context")
-    _write_prompts(out_dir, f"{bug_id}__{heuristic}", bundle, ctx)
+def cmd_context(cfg: CampaignConfig, args: argparse.Namespace) -> int:
+    rec = _find_record(cfg, args.bug)
+    bundle, ctx = prepare_bundle(cfg, rec, args.heuristic)
+    out_dir = args.out or (cfg.out_dir / "context")
+    _write_prompts(out_dir, f"{args.bug}__{args.heuristic}", bundle, ctx)
     cfg.freeze_into(out_dir)
     print(f"token estimate: {bundle.token_estimate}")
     return EXIT_OK
 
 
-def cmd_repair(cfg: CampaignConfig, bug_id: str, heuristic: str) -> int:
+def cmd_repair(cfg: CampaignConfig, args: argparse.Namespace) -> int:
+    bug_id, heuristic = args.bug, args.heuristic
     if heuristic not in cfg.configs:
         raise ConfigError(
             f"heuristic {heuristic!r} is not among campaign configs {cfg.configs}"
@@ -245,7 +235,7 @@ def cmd_repair(cfg: CampaignConfig, bug_id: str, heuristic: str) -> int:
     return EXIT_GUARD
 
 
-def cmd_batch(cfg: CampaignConfig) -> int:
+def cmd_batch(cfg: CampaignConfig, args: argparse.Namespace) -> int:
     from concurrent.futures import ThreadPoolExecutor, as_completed
 
     from . import blame, loop  # noqa: F401  (loaded here, not in a worker)
@@ -302,14 +292,13 @@ def cmd_batch(cfg: CampaignConfig) -> int:
     return EXIT_DOMAIN if failures else EXIT_OK
 
 
-def cmd_report(cfg: CampaignConfig, records_dir: Path | None,
-               out: Path | None) -> int:
+def cmd_report(cfg: CampaignConfig, args: argparse.Namespace) -> int:
     from . import metrics as metrics_mod
 
-    records_dir = records_dir or (cfg.out_dir / "records")
+    records_dir = args.records_dir or (cfg.out_dir / "records")
     categories = _load_categories(cfg)
     rows = rows_from_records(records_dir, categories)
-    out_dir = out or (cfg.out_dir / "report")
+    out_dir = args.out or (cfg.out_dir / "report")
     paths = metrics_mod.export_report(rows, out_dir)
     cfg.freeze_into(out_dir)
     print(Path(paths["table"]).read_text(), end="")
@@ -319,70 +308,44 @@ def cmd_report(cfg: CampaignConfig, records_dir: Path | None,
 
 # ---------------------------------------------------------------------------
 
+def _path_or_none(text: str) -> Path | None:
+    # an empty directory flag overrides nothing
+    return Path(text) if text else None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="histrepair",
         description="History-aware automated program repair toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", required=True, help="campaign YAML file")
-        p.add_argument("--out", default=None, help="output directory override")
-
-    p_study = sub.add_parser("study", help="blame availability study")
-    add_common(p_study)
-
-    p_context = sub.add_parser("context", help="build context and prompts for one bug")
-    add_common(p_context)
-    p_context.add_argument("--bug", required=True)
-    p_context.add_argument("--heuristic", required=True, choices=HEURISTICS)
-
-    p_repair = sub.add_parser("repair", help="repair one bug under one config")
-    p_repair.add_argument("--config", required=True)
-    p_repair.add_argument("--bug", required=True)
-    p_repair.add_argument("--heuristic", required=True, choices=HEURISTICS)
-
-    p_batch = sub.add_parser("batch", help="run the full campaign")
-    p_batch.add_argument("--config", required=True)
-    p_batch.add_argument("--workers", type=int, default=None)
-    p_batch.add_argument("--out", default=None)
-
-    p_report = sub.add_parser("report", help="aggregate records into reports")
-    p_report.add_argument("--config", required=True)
-    p_report.add_argument("--records-dir", default=None)
-    p_report.add_argument("--out", default=None)
+    config = ("--config", {"required": True, "help": "campaign YAML file"})
+    out = ("--out", {"type": _path_or_none, "help": "output directory override"})
+    bug = ("--bug", {"required": True})
+    heuristic = ("--heuristic", {"required": True, "choices": HEURISTICS})
+    for name, run, help_text, flags in (
+        ("study", cmd_study, "blame availability study", (config, out)),
+        ("context", cmd_context, "build context and prompts for one bug",
+         (config, out, bug, heuristic)),
+        ("repair", cmd_repair, "repair one bug under one config", (config, bug, heuristic)),
+        ("batch", cmd_batch, "run the full campaign",
+         (config, ("--workers", {"type": int}), out)),
+        ("report", cmd_report, "aggregate records into reports",
+         (config, ("--records-dir", {"type": _path_or_none}), out)),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(run=run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        overrides = {}
-        if getattr(args, "out", None):
-            overrides["out_dir"] = args.out
-        if getattr(args, "workers", None) is not None:
-            overrides["workers"] = args.workers
-        cfg = load_campaign(args.config, overrides)
-        if args.command == "study":
-            return cmd_study(cfg, Path(args.out) if args.out else None)
-        if args.command == "context":
-            return cmd_context(
-                cfg, args.bug, args.heuristic,
-                Path(args.out) if args.out else None,
-            )
-        if args.command == "repair":
-            return cmd_repair(cfg, args.bug, args.heuristic)
-        if args.command == "batch":
-            return cmd_batch(cfg)
-        if args.command == "report":
-            return cmd_report(
-                cfg,
-                Path(args.records_dir) if args.records_dir else None,
-                Path(args.out) if args.out else None,
-            )
-        parser.error(f"unknown command {args.command}")
+        cfg = load_campaign(args.config, {"out_dir": getattr(args, "out", None),
+                                          "workers": getattr(args, "workers", None)})
+        return args.run(cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -396,7 +359,6 @@ def main(argv: list[str] | None = None) -> int:
         traceback.print_exc()
         print(f"unexpected error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -100,12 +100,20 @@ def _snapshot(file_path: str, text: str, span: spans.FunctionSpan) -> FunctionSn
     )
 
 
-def _span_at(text: str, line: int, language: str) -> spans.FunctionSpan:
-    """Enclosing span with the window degradation on detector failure."""
+def _scan(text: str, language: str) -> list[spans.FunctionSpan] | None:
+    """Every span of one file version, or None when the detector fails."""
     try:
-        return spans.enclosing_span(text, line, language)
+        return spans.all_spans(text, language)
     except DetectorFailure:
+        return None
+
+
+def _span_or_window(found: list[spans.FunctionSpan] | None, text: str,
+                    line: int) -> spans.FunctionSpan:
+    """The innermost span at `line`, or the window when the version did not scan."""
+    if found is None:
         return spans.window_span(text, line)
+    return spans.innermost_span(found, line)
 
 
 def extract_fn_all(repo: Path | str, commit_id: str,
@@ -157,7 +165,9 @@ def extract_fn_pair(repo: Path | str, commit_id: str, entry: BlameEntry,
     matched by name in the commit's own version. A function introduced
     by the commit has no before side. Raises FnPairUnavailable when the
     line sits outside any function on both sides. Each version is read
-    once and scanned for spans at most once.
+    once and scanned for spans once; in a version the detector cannot
+    scan, a side at a known line is the window around it and a side
+    matched by name is absent.
     """
     path = entry.commit_path or entry.file_path
     line = entry.commit_line or entry.line_number
@@ -170,44 +180,41 @@ def extract_fn_pair(repo: Path | str, commit_id: str, entry: BlameEntry,
         except FileNotInSnapshot:
             pass
 
+    after_spans = _scan(after_text, language)
+    before_spans = None if before_text is None else _scan(before_text, language)
     before: FunctionSnapshot | None = None
     after: FunctionSnapshot | None = None
-    before_spans: list[spans.FunctionSpan] | None = None
 
     if before_text is not None:
         hunks = gitio.diff_hunks(repo, parent, commit_id, path)  # type: ignore[arg-type]
         pre_line = _preimage_line(hunks, line)
         if pre_line is not None:
             try:
-                before_spans = spans.all_spans(before_text, language)
-                span = spans.innermost_span(before_spans, pre_line)
-            except DetectorFailure:
-                span = spans.window_span(before_text, pre_line)
+                before = _snapshot(path, before_text,
+                                   _span_or_window(before_spans, before_text, pre_line))
             except NotInFunction:
-                span = None
-            if span is not None:
-                before = _snapshot(path, before_text, span)
+                pass
         if before is not None:
-            # match the after side by name, preferring the span that
-            # still contains the blamed line (overloads)
-            candidates = [s for s in spans.all_spans(after_text, language)
-                          if s.name == before.name]
-            containing = [s for s in candidates if s.contains(line)]
-            pick = (containing or candidates or [None])[0]
+            if after_spans is None:
+                pick = spans.window_span(after_text, line)
+            else:
+                # match the after side by name, preferring the span that
+                # still contains the blamed line (overloads)
+                candidates = [s for s in after_spans if s.name == before.name]
+                containing = [s for s in candidates if s.contains(line)]
+                pick = (containing or candidates or [None])[0]
             if pick is not None:
                 after = _snapshot(path, after_text, pick)
             return FnPair(before=before, after=after)
 
     # no usable before side: anchor on the after version
     try:
-        after = _snapshot(path, after_text, _span_at(after_text, line, language))
+        after = _snapshot(path, after_text, _span_or_window(after_spans, after_text, line))
     except NotInFunction:
         raise FnPairUnavailable(
             f"{path}:{line} is outside any function in both versions"
         ) from None
-    if before_text is not None:
-        if before_spans is None:
-            before_spans = spans.all_spans(before_text, language)
+    if before_spans is not None:
         named = [s for s in before_spans if s.name == after.name]
         if named:
             before = _snapshot(path, before_text, named[0])

@@ -6,6 +6,13 @@ feed the observation back, and stop on the completion sentinel or a
 guard. The transcript is append-only; the run record is the full
 audit trail and serializes to line-delimited JSON (`records`).
 
+Every step ends at one site, which charges it and then checks the
+guards in order (steps, cost, wall time) unless the step completed the
+run. A reply that holds no action is retried once within its step; a
+second such reply makes the step malformed. Two endings charge no
+step: a provider failure (ProviderError) and a second sandbox death
+with no command run between the two (SandboxError).
+
 When the loop ends it takes the final patch once and asks for its
 verdict: the patch is applied in a fresh sandbox at the same snapshot
 and the tests run there (`sandbox.verify`), never in the sandbox the
@@ -46,6 +53,12 @@ from .records import (  # noqa: F401
 # per-stream observation cap: keep the head and the tail, drop the middle
 OBS_HEAD = 6000
 OBS_TAIL = 2000
+
+# the note after a step's first and its second reply that holds no action
+_ACTION_ERROR_NOTES = (
+    ("action error", "Reply with exactly ONE bash code block containing ONE command."),
+    ("malformed action", "This step is recorded as malformed."),
+)
 
 _FENCE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
 _TEST_INVOCATION = re.compile(r"(?:^|[;&|(\n])\s*test(?:\s|[);&|]|$)")
@@ -132,95 +145,67 @@ def run(bug_id: str, config: str, system_prompt: str, user_prompt: str,
     dead_streak = 0
     termination: str | None = None
 
-    def query() -> str | None:
-        """One provider call; bills cost. None signals ProviderError."""
-        nonlocal cost
-        try:
-            reply = harness.provider.complete(_provider_messages(transcript))
-        except ProviderFailure:
-            return None
-        transcript.append(TranscriptMessage(
-            "assistant", reply.text, steps + 1, token_usage=reply.usage,
-        ))
-        cost += accumulate_cost(reply.usage, harness.rates)
-        return reply.text
-
-    def check_guards() -> str | None:
-        if steps >= guards.max_steps:
-            return "StepLimit"
-        if cost >= guards.max_cost:
-            return "CostLimit"
-        if harness.clock() - start >= guards.max_wall_time:
-            return "Timeout"
-        return None
-
     while termination is None:
-        text = query()
-        if text is None:
-            termination = "ProviderError"
-            break
-
-        try:
-            command = parse_action(text)
-        except ActionParseError as exc:
-            transcript.append(TranscriptMessage(
-                "observation",
-                f"action error: {type(exc).__name__}: {exc}. "
-                "Reply with exactly ONE bash code block containing ONE command.",
-                steps + 1,
-            ))
-            retry = query()  # one in-step retry before the step is charged
-            if retry is None:
+        command = None
+        for label, advice in _ACTION_ERROR_NOTES:
+            try:
+                reply = harness.provider.complete(_provider_messages(transcript))
+            except ProviderFailure:
                 termination = "ProviderError"
                 break
+            transcript.append(TranscriptMessage(
+                "assistant", reply.text, steps + 1, token_usage=reply.usage,
+            ))
+            cost += accumulate_cost(reply.usage, harness.rates)
             try:
-                command = parse_action(retry)
-            except ActionParseError as exc2:
+                command = parse_action(reply.text)
+                break
+            except ActionParseError as exc:
                 transcript.append(TranscriptMessage(
                     "observation",
-                    f"malformed action: {type(exc2).__name__}: {exc2}. "
-                    "This step is recorded as malformed.",
+                    f"{label}: {type(exc).__name__}: {exc}. {advice}",
                     steps + 1,
                 ))
-                steps += 1
-                termination = check_guards()
-                continue
+        if termination is not None:
+            break
 
-        try:
-            result = sb.exec_command(
-                handle, command,
-                timeout=guards.per_command_timeout, step_index=steps + 1,
-            )
-        except SandboxDead as exc:
-            dead_streak += 1
-            if dead_streak >= 2:
-                termination = "SandboxError"
-                break
-            transcript.append(TranscriptMessage(
-                "observation", f"ToolError: {exc}", steps + 1,
-            ))
-            steps += 1
-            termination = check_guards()
-            continue
-        dead_streak = 0
+        if command is not None:
+            try:
+                result = sb.exec_command(
+                    handle, command,
+                    timeout=guards.per_command_timeout, step_index=steps + 1,
+                )
+            except SandboxDead as exc:
+                dead_streak += 1
+                if dead_streak >= 2:
+                    termination = "SandboxError"
+                    break
+                transcript.append(TranscriptMessage(
+                    "observation", f"ToolError: {exc}", steps + 1,
+                ))
+            else:
+                dead_streak = 0
+                outcome: sb.TestOutcome | None = None
+                if invokes_test(command):
+                    outcome = last_test = sb.test_outcome(result)
+                obs = _observation_text(result, outcome)
+                if harness.sentinel in command:
+                    if last_test is not None and last_test.all_passed:
+                        termination = "CompletedSignal"
+                    else:
+                        obs += ("\ncompletion signal ignored: tests have not "
+                                "been verified as passing. Run `test` first.")
+                transcript.append(TranscriptMessage("observation", obs, steps + 1))
 
-        outcome: sb.TestOutcome | None = None
-        if invokes_test(command):
-            outcome = last_test = sb.test_outcome(result)
-
-        signaled = harness.sentinel in command
-        completed = signaled and last_test is not None and last_test.all_passed
-        obs = _observation_text(result, outcome)
-        if signaled and not completed:
-            obs += ("\ncompletion signal ignored: tests have not been "
-                    "verified as passing. Run `test` first.")
-        transcript.append(TranscriptMessage("observation", obs, steps + 1))
+        # the step site: every step is charged here
         steps += 1
-
-        if completed:
-            termination = "CompletedSignal"
-        else:
-            termination = check_guards()
+        if termination is None:
+            if steps >= guards.max_steps:
+                termination = "StepLimit"
+            elif cost >= guards.max_cost:
+                termination = "CostLimit"
+            elif harness.clock() - start >= guards.max_wall_time:
+                termination = "Timeout"
 
     # a run whose patch cannot be taken (the agent removed .git, say)
     # has no patch, and an empty patch is not a pass

@@ -384,8 +384,7 @@ def export_report(rows: list[OutcomeRow], out_dir: Path | str,
     table = metrics_table(rows)
     overlap = overlap_regions(rows)
     frontier = tradeoff_frontier(rows)
-    categories = sorted({r.category for r in rows},
-                        key=lambda c: CATEGORIES.index(c) if c in CATEGORIES else 99)
+    categories = [c for c in CATEGORIES if any(r.category == c for r in rows)]
     reports = [
         stat_test_report(rows, metric, cat)
         for metric in metrics for cat in categories

@@ -148,11 +148,6 @@ def function_names(text: str, language: str = "c_family") -> list[str]:
     return [s.name for s in spans]
 
 
-def enclosing_span(text: str, line: int, language: str = "c_family") -> FunctionSpan:
-    """The innermost function span containing 1-based `line`."""
-    return innermost_span(all_spans(text, language), line)
-
-
 def innermost_span(found: list[FunctionSpan], line: int) -> FunctionSpan:
     """The innermost span of an all_spans result containing `line`."""
     hits = [s for s in found if s.contains(line)]

@@ -151,6 +151,31 @@ def test_fn_pair_inserted_line_recovers_before_by_name(make_repo):
     assert pair.before.body_text == BEFORE_F
 
 
+def test_fn_pair_after_version_the_detector_cannot_scan_gets_a_window(make_repo):
+    # the commit edits f and leaves g unclosed: the before side is f, and
+    # the after side degrades to the window instead of failing the job
+    repo, shas = make_repo([
+        {"x.c": BEFORE_F + "\n"},
+        {"x.c": "int f(int a) {\n    return a + 2;\n}\n\nint g() {\n"},
+    ])
+    pair = extract_fn_pair(repo, shas[1], entry_for(repo, shas[1], "x.c", 2))
+    assert pair.before.body_text == BEFORE_F
+    assert (pair.after.name, pair.after.start_line, pair.after.end_line) == \
+        ("(window)", 1, 5)
+
+
+def test_fn_pair_before_version_the_detector_cannot_scan_is_absent(make_repo):
+    # the parent leaves g unclosed and the commit adds g's blamed line:
+    # the before side, matched by name, is absent
+    repo, shas = make_repo([
+        {"x.c": BEFORE_F + "\nint g() {\n"},
+        {"x.c": BEFORE_F + "\nint g() {\n    return 0;\n}\n"},
+    ])
+    pair = extract_fn_pair(repo, shas[1], entry_for(repo, shas[1], "x.c", 5))
+    assert pair.before is None
+    assert pair.after.body_text == "int g() {\n    return 0;\n}"
+
+
 def test_fn_pair_outside_functions_unavailable(make_repo):
     repo, shas = make_repo([
         {"x.c": "int LIMIT = 10;\n"},

@@ -1,7 +1,9 @@
 """Every public name in the package has a caller outside tests.
 
 Two guards: top-level functions and classes need a reference, and the
-fields, properties and methods of each class need a read.
+fields, properties and methods of each class need a read. A member read
+counts for the receiver's class wherever the AST makes that class
+plain, so a dead member is not hidden by a read of a namesake.
 """
 
 import ast
@@ -66,6 +68,7 @@ ALLOWED_MEMBERS = {
     ("gitio", "BlameLine.headers"): "the tests' porcelain parse oracle",
     ("patches", "Hunk.old_line_numbers"): "the tests' hunk parse oracle",
     ("metrics", "Strata.n"): "stratified quartiles for the allowlisted stratify",
+    ("metrics", "Strata.median"): "stratified quartiles for the allowlisted stratify",
     ("metrics", "Strata.q1"): "stratified quartiles for the allowlisted stratify",
     ("metrics", "Strata.q3"): "stratified quartiles for the allowlisted stratify",
     ("sandbox", "CommandResult.duration"): "per-step durations will go into the "
@@ -77,38 +80,133 @@ ALLOWED_MEMBERS = {
 }
 
 
-def _reads(tree: ast.AST) -> set[str]:
-    """Attribute names a module reads, plus its string constants.
+def _class_named(expr: ast.AST, classes) -> str | None:
+    """The package class an annotation or a callee names, if plain.
 
-    A string constant covers a member reached by name, as in
-    getattr(row, "steps").
+    `K`, `mod.K` and `K | None` name K; anything else names none.
     """
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            found.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found.add(node.value)
+    if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.BitOr):
+        sides = [e for e in (expr.left, expr.right)
+                 if not (isinstance(e, ast.Constant) and e.value is None)]
+        return _class_named(sides[0], classes) if len(sides) == 1 else None
+    name = getattr(expr, "id", getattr(expr, "attr", None))
+    return name if name in classes else None
+
+
+def _own_nodes(scope: ast.AST):
+    """The nodes of a function body, not those of scopes nested in it."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _receiver_classes(tree: ast.AST, classes) -> dict[ast.Attribute, str]:
+    """Attribute reads whose receiver's class the AST makes plain.
+
+    A receiver is plain when it is a name that every binding in its
+    function gives one package class: `self` in that class's method, a
+    parameter annotated with the class, or an assignment from a call
+    of the class.
+    """
+    methods = {fn: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    found = {}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound: dict[str, set] = {}
+        params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        for i, arg in enumerate(params):
+            if i == 0 and fn in methods and arg.arg in ("self", "cls"):
+                bound.setdefault(arg.arg, set()).add(methods[fn])
+            else:
+                bound.setdefault(arg.arg, set()).add(
+                    arg.annotation and _class_named(arg.annotation, classes))
+        constructed = {}
+        for node in _own_nodes(fn):
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)):
+                constructed[node.targets[0]] = _class_named(node.value.func, classes)
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.setdefault(node.id, set()).add(constructed.get(node))
+        for node in _own_nodes(fn):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and len(bound.get(node.value.id, ())) == 1):
+                (cls,) = bound[node.value.id]
+                if cls is not None:
+                    found[node] = cls
     return found
 
 
+def _reads(tree: ast.AST, classes) -> tuple[set[tuple[str, str]], set[str]]:
+    """(class, member) pairs a module reads, and the member names it may read.
+
+    A read through a receiver whose class is plain counts for that
+    class only. A read through any other receiver may reach any class,
+    except a read through a module the file imports. A string constant
+    covers a member reached by name, as in getattr(row, "steps").
+    """
+    modules = {(alias.asname or alias.name).split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names if alias.name not in classes}
+    plain = _receiver_classes(tree, classes)
+    keyed, named = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node in plain:
+                keyed.add((plain[node], node.attr))
+            elif not (isinstance(node.value, ast.Name) and node.value.id in modules):
+                named.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)
+    return keyed, named
+
+
+def _members(cls: ast.ClassDef) -> list[str]:
+    """The fields, properties and methods a class body defines."""
+    names = []
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.append(node.name)
+    return names
+
+
+def _unread_members(trees: list[ast.AST], sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, Class.member) of each public member no tree reads.
+
+    `sources` maps a module name to its text. A read through a class
+    counts for the nearest class in its bases that defines the member.
+    """
+    defined = {(stem, cls) for stem, text in sources.items()
+               for cls in ast.walk(ast.parse(text)) if isinstance(cls, ast.ClassDef)}
+    bases = {cls.name: [getattr(b, "id", getattr(b, "attr", "")) for b in cls.bases]
+             for _, cls in defined}
+    members = {cls.name: _members(cls) for _, cls in defined}
+
+    def definer(cls, attr):
+        if attr in members.get(cls, ()):
+            return cls
+        return next((d for b in bases.get(cls, ()) if (d := definer(b, attr))), None)
+
+    keyed, named = set(), set()
+    for tree in trees:
+        k, n = _reads(tree, bases)
+        keyed |= {(definer(cls, attr), attr) for cls, attr in k}
+        named |= n
+    return {(stem, f"{cls.name}.{name}") for stem, cls in defined for name in _members(cls)
+            if not (name.startswith("_") or name in named or (cls.name, name) in keyed)}
+
+
 def _unread_public_members() -> set[tuple[str, str]]:
-    read = set().union(*map(_reads, _caller_trees()))
-    unread = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for node in cls.body:
-                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                    name = node.target.id
-                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    name = node.name
-                else:
-                    continue
-                if not name.startswith("_") and name not in read:
-                    unread.add((path.stem, f"{cls.name}.{name}"))
-    return unread
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    return _unread_members(_caller_trees(), sources)
 
 
 def test_every_public_member_is_read_outside_tests():
@@ -117,3 +215,20 @@ def test_every_public_member_is_read_outside_tests():
     assert not stray, f"class members only tests read (delete them): {stray}"
     stale = sorted(f"{mod}.{name}" for mod, name in set(ALLOWED_MEMBERS) - unread)
     assert not stale, f"allowlisted members that are now read: {stale}"
+
+
+def test_member_guard_counts_a_read_for_the_receivers_class_only():
+    sources = {"m": (
+        "class A:\n    x: int\n    y: int\n    z: int\n    w: int\n\n"
+        "class B(A):\n    x: int\n\n"
+        "    def total(self):\n        return self.x + self.w\n"
+    )}
+    caller = ast.parse(
+        "import itertools\nfrom m import A, B\n\n"
+        "def use(b: B, a: A | None):\n    made = A()\n"
+        "    return b.total(), itertools.y, made.z\n"
+    )
+    # B's read of self.x leaves A.x unread, a module's y is no member,
+    # and B's read of the inherited w counts for A
+    unread = _unread_members([ast.parse(sources["m"]), caller], sources)
+    assert unread == {("m", "A.x"), ("m", "A.y")}

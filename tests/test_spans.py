@@ -49,15 +49,15 @@ function outer() {
     return inner();
 }
 """
-    inner = spans.enclosing_span(nested, 3, "c_family")
+    inner = spans.innermost_span(spans.all_spans(nested, "c_family"), 3)
     assert (inner.name, inner.start_line, inner.end_line) == ("inner", 2, 4)
-    outer = spans.enclosing_span(nested, 5, "c_family")
+    outer = spans.innermost_span(spans.all_spans(nested, "c_family"), 5)
     assert (outer.name, outer.start_line, outer.end_line) == ("outer", 1, 6)
 
 
 def test_enclosing_span_outside_raises():
     with pytest.raises(NotInFunction):
-        spans.enclosing_span(C_SOURCE, 4, "c_family")
+        spans.innermost_span(spans.all_spans(C_SOURCE, "c_family"), 4)
 
 
 def test_declaration_is_not_a_definition():
@@ -121,7 +121,7 @@ def test_python_spans_match_hand_count():
 
 
 def test_python_enclosing_span():
-    span = spans.enclosing_span(PY_SOURCE, 11, "python")
+    span = spans.innermost_span(spans.all_spans(PY_SOURCE, "python"), 11)
     assert span.name == "fetch"
     assert span.contains(11)
 
@@ -131,14 +131,14 @@ def test_function_names_in_source_order():
 
 
 def test_slice_text_returns_exact_lines():
-    span = spans.enclosing_span(C_SOURCE, 2, "c_family")
+    span = spans.innermost_span(spans.all_spans(C_SOURCE, "c_family"), 2)
     assert span.slice_text(C_SOURCE) == "int add(int a, int b) {\n    return a + b;\n}"
 
 
 def test_slice_text_counts_only_newlines():
     # a form feed is not a line break for clean_source or git
     text = "int a() {\n    return 1;\n}\n\x0c\nint b() {\n    return 2;\n}\n"
-    span = spans.enclosing_span(text, 6, "c_family")
+    span = spans.innermost_span(spans.all_spans(text, "c_family"), 6)
     assert (span.name, span.start_line, span.end_line) == ("b", 5, 7)
     assert span.slice_text(text) == "int b() {\n    return 2;\n}"
 
