@@ -9,8 +9,11 @@ far the window had to extend. A file with no executable line above the
 insertion at all anchors on the commit that added the file.
 
 When several distinct commits share the blame, a judge picks one. The
-judge is a callable so tests can stub it and production can back it
-with a model call.
+judge is a callable, so tests can stub it. It sees only each
+candidate's commit id and author time, both from the blame itself; the
+shipped judge picks the newest candidate by author time. The CLI
+resolves each bug once per call and reuses that commit for every
+history config.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
     NoFallbackAnchor,
 )
 from .patches import Patch
-from .sourcetext import executable_line_numbers, source_lines
+from .sourcetext import executable_line_numbers
 
 # an anchor farther than this above its insertion carries an anchor_note
 FALLBACK_WINDOW = 5
@@ -55,9 +58,7 @@ class JudgeCandidate:
     """What the judge sees for one candidate commit."""
 
     commit_id: str
-    subject: str
     author_time: int
-    contexts: tuple[str, ...]  # +/-3 line snippets around each blamed line
 
 
 # a judge maps the candidate list to an index into it
@@ -174,37 +175,6 @@ def resolve_insertion(repo: Path | str, ref: str, path: str,
     )
 
 
-def _judge_candidates(repo: Path | str, ref: str,
-                      entries: list[BlameEntry],
-                      ordered_commits: list[str]) -> list[JudgeCandidate]:
-    """One candidate per commit, from one subject query and one read per file."""
-    subjects = gitio.commit_subjects(repo, ordered_commits)
-    files: dict[str, list[str]] = {}
-    candidates = []
-    for sha in ordered_commits:
-        contexts = []
-        for e in entries:
-            if e.commit_id != sha:
-                continue
-            if e.file_path not in files:
-                files[e.file_path] = source_lines(gitio.file_at(repo, ref, e.file_path))
-            lines = files[e.file_path]
-            lo = max(1, e.line_number - 3)
-            hi = min(len(lines), e.line_number + 3)
-            snippet = "\n".join(
-                f"{n:>5} {lines[n - 1]}" for n in range(lo, hi + 1)
-            )
-            contexts.append(f"{e.file_path}:{e.line_number}\n{snippet}")
-        candidates.append(JudgeCandidate(
-            commit_id=sha,
-            subject=subjects[sha],
-            # blame reports one author time per commit
-            author_time=next(e.author_time for e in entries if e.commit_id == sha),
-            contexts=tuple(contexts),
-        ))
-    return candidates
-
-
 def summarize_blame(repo: Path | str, spec: BugSpec,
                     judge: CommitJudge | None = None) -> BlameSummary:
     """Resolve one bug to a single explaining commit.
@@ -217,21 +187,19 @@ def summarize_blame(repo: Path | str, spec: BugSpec,
     for loc in spec.locations:
         entries.extend(blame_lines(repo, ref, loc))
 
-    # first-appearance order keeps judging deterministic
-    ordered: list[str] = []
-    for e in entries:
-        if e.commit_id not in ordered:
-            ordered.append(e.commit_id)
-    unique = frozenset(ordered)
+    # first-appearance order keeps judging deterministic; blame reports
+    # one author time per commit
+    times = {e.commit_id: e.author_time for e in entries}
+    unique = frozenset(times)
     blameability = "Blameless" if spec.all_insertion else "Blameable"
 
     if len(unique) == 1:
-        resolved, method = ordered[0], "single"
+        resolved, method = entries[0].commit_id, "single"
     elif len(unique) >= 2:
-        candidates = _judge_candidates(repo, ref, entries, ordered)
+        candidates = [JudgeCandidate(sha, t) for sha, t in times.items()]
         if judge is None:
             judge = most_recent_judge_factory(repo)
-        shas = ", ".join(c.commit_id for c in candidates)
+        shas = ", ".join(times)
         try:
             idx = judge(candidates)
         except Exception as exc:
@@ -306,8 +274,7 @@ class AvailabilityReport:
 
 
 def run_availability_study(records: list[BugRecord],
-                           patches: dict[str, Patch],
-                           judge: CommitJudge | None = None) -> AvailabilityReport:
+                           patches: dict[str, Patch]) -> AvailabilityReport:
     """Summarize and categorize every bug; failures become exclusions.
 
     `patches` maps bug_id to its parsed fix patch, which
@@ -319,7 +286,7 @@ def run_availability_study(records: list[BugRecord],
         bug_id = rec.spec.bug_id
         try:
             category = categorize_bug(patches[bug_id])
-            summary = summarize_blame(rec.repo_path, rec.spec, judge=judge)
+            summary = summarize_blame(rec.repo_path, rec.spec)
         except KeyError:
             report.exclusions.append((bug_id, "no fix patch in manifest"))
             continue

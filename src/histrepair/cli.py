@@ -43,7 +43,7 @@ from .patches import parse_unified_diff
 if TYPE_CHECKING:
     from . import metrics as metrics_mod
     from .records import RunRecord
-    from .sandbox import VerdictMemo
+    from .sandbox import CallMemo
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -62,18 +62,23 @@ def _find_record(cfg: CampaignConfig, bug_id: str) -> BugRecord:
     raise NotFound(f"bug {bug_id!r} is not in the manifest")
 
 
-def prepare_bundle(cfg: CampaignConfig, rec: BugRecord, heuristic: str):
+def prepare_bundle(cfg: CampaignConfig, rec: BugRecord, heuristic: str,
+                   memo: CallMemo):
     """Blame, extract, truncate and render for one (bug, heuristic).
 
-    Returns (bundle, context-or-None). A fn_pair that cannot anchor
-    degrades to a notice line instead of failing the run.
+    Returns (bundle, context-or-None). The bug is blamed once per
+    `memo`, the CLI call's, for all its history configs. A fn_pair that
+    cannot anchor degrades to a notice line instead of failing the run.
     """
     ctx = None
     note = ""
     if heuristic != "non_history":
         from . import blame as blame_mod
 
-        summary = blame_mod.summarize_blame(rec.repo_path, rec.spec)
+        summary = memo.get(
+            ("blame", rec.repo_path, rec.spec.bug_id),
+            lambda: blame_mod.summarize_blame(rec.repo_path, rec.spec),
+        )
         anchor = next(
             (e for e in summary.entries if e.commit_id == summary.resolved_commit),
             None,
@@ -102,10 +107,11 @@ def _write_prompts(out_dir: Path, stem: str, bundle, ctx) -> None:
 
 
 def run_one_job(cfg: CampaignConfig, rec: BugRecord, heuristic: str,
-                verdicts: VerdictMemo) -> RunRecord:
+                memo: CallMemo) -> RunRecord:
     """One full repair: provision, loop, persist record and artifacts.
 
-    `verdicts` is the CLI call's memo of final-patch verdicts.
+    `memo` is the CLI call's memo of blame summaries and final-patch
+    verdicts.
     """
     from . import loop as loop_mod
     from . import sandbox as sb
@@ -115,7 +121,7 @@ def run_one_job(cfg: CampaignConfig, rec: BugRecord, heuristic: str,
     # provider and prompts come first: a configuration problem must
     # surface before any sandbox exists
     provider = make_provider(cfg.provider, bug_id, heuristic)
-    bundle, ctx = prepare_bundle(cfg, rec, heuristic)
+    bundle, ctx = prepare_bundle(cfg, rec, heuristic, memo)
     stem = f"{bug_id}__{heuristic}"
     _write_prompts(cfg.out_dir / "context", stem, bundle, ctx)
 
@@ -128,7 +134,7 @@ def run_one_job(cfg: CampaignConfig, rec: BugRecord, heuristic: str,
             rates=cfg.provider.rates(),
             guards=cfg.guards,
             sentinel=cfg.sentinel,
-            verdicts=verdicts,
+            verdicts=memo,
         )
         record = loop_mod.run(
             bug_id, heuristic,
@@ -206,8 +212,10 @@ def cmd_study(cfg: CampaignConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_context(cfg: CampaignConfig, args: argparse.Namespace) -> int:
+    from .sandbox import CallMemo
+
     rec = _find_record(cfg, args.bug)
-    bundle, ctx = prepare_bundle(cfg, rec, args.heuristic)
+    bundle, ctx = prepare_bundle(cfg, rec, args.heuristic, CallMemo())
     out_dir = args.out or (cfg.out_dir / "context")
     _write_prompts(out_dir, f"{args.bug}__{args.heuristic}", bundle, ctx)
     cfg.freeze_into(out_dir)
@@ -222,11 +230,11 @@ def cmd_repair(cfg: CampaignConfig, args: argparse.Namespace) -> int:
             f"heuristic {heuristic!r} is not among campaign configs {cfg.configs}"
         )
     from .records import record_filename
-    from .sandbox import VerdictMemo
+    from .sandbox import CallMemo
 
     rec = _find_record(cfg, bug_id)
     cfg.freeze_into(cfg.out_dir)
-    record = run_one_job(cfg, rec, heuristic, VerdictMemo())
+    record = run_one_job(cfg, rec, heuristic, CallMemo())
     path = cfg.out_dir / "records" / record_filename(bug_id, heuristic)
     print(path)
     if record.tests_passed_at_end:
@@ -240,14 +248,14 @@ def cmd_batch(cfg: CampaignConfig, args: argparse.Namespace) -> int:
 
     from . import blame, loop  # noqa: F401  (loaded here, not in a worker)
     from .records import record_filename, record_is_complete
-    from .sandbox import VerdictMemo
+    from .sandbox import CallMemo
 
     # every layer a job runs loads before the pool starts, so no
     # worker's first job races another for an import
     records = load_manifest(cfg.manifest)
     cfg.freeze_into(cfg.out_dir)
     records_dir = cfg.out_dir / "records"
-    verdicts = VerdictMemo()
+    memo = CallMemo()
     jobs = []
     skipped = 0
     # config-major: the runs of one bug, which may end in the same
@@ -267,7 +275,7 @@ def cmd_batch(cfg: CampaignConfig, args: argparse.Namespace) -> int:
     def one(job):
         rec, heuristic = job
         try:
-            record = run_one_job(cfg, rec, heuristic, verdicts)
+            record = run_one_job(cfg, rec, heuristic, memo)
             return (rec.spec.bug_id, heuristic, record.termination, None)
         except Exception as exc:
             return (rec.spec.bug_id, heuristic, "", f"{type(exc).__name__}: {exc}")
@@ -309,8 +317,9 @@ def cmd_report(cfg: CampaignConfig, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _path_or_none(text: str) -> Path | None:
-    # an empty directory flag overrides nothing
-    return Path(text) if text else None
+    # an empty directory flag overrides nothing; a relative one is
+    # relative to the working directory, whichever command reads it
+    return Path(text).resolve() if text else None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -66,13 +66,6 @@ def first_parent(repo: Path | str, commit: str) -> str | None:
     return out.strip() or None
 
 
-def commit_subjects(repo: Path | str, commits: list[str]) -> dict[str, str]:
-    """The subject line of each of `commits`, read with one git call."""
-    out = run_git(repo, "log", "--no-walk=unsorted", "--format=%H%x00%s", *commits)
-    pairs = (line.split("\0", 1) for line in out.split("\n") if line)
-    return {sha: subject.strip() for sha, subject in pairs}
-
-
 def commit_message(repo: Path | str, commit: str) -> str:
     return run_git(repo, "log", "-1", "--format=%B", commit).rstrip("\n")
 

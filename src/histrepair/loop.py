@@ -127,7 +127,7 @@ class LoopHarness:
     sentinel: str = DEFAULT_SENTINEL
     clock: Callable[[], float] = time.monotonic
     # one memo per CLI call, shared by its runs
-    verdicts: sb.VerdictMemo = field(default_factory=sb.VerdictMemo)
+    verdicts: sb.CallMemo = field(default_factory=sb.CallMemo)
 
 
 def run(bug_id: str, config: str, system_prompt: str, user_prompt: str,

@@ -310,6 +310,60 @@ def test_batch_exits_3_when_a_job_failed_and_reruns_it(toy_campaign, capsys, mon
     assert "1 run, 3 skipped" in out
 
 
+def _spy_blame(monkeypatch, fail=False):
+    """Record the bug of every blame; with `fail`, every blame raises."""
+    from histrepair import blame
+
+    seen = []
+    real = blame.summarize_blame
+
+    def spy(repo, spec, *args, **kwargs):
+        seen.append(spec.bug_id)
+        if fail:
+            raise RuntimeError("blame broke")
+        return real(repo, spec, *args, **kwargs)
+
+    monkeypatch.setattr(blame, "summarize_blame", spy)
+    return seen
+
+
+def test_batch_blames_each_bug_once_for_all_history_configs(toy_campaign, capsys,
+                                                            monkeypatch):
+    blamed = _spy_blame(monkeypatch)
+    code, out, _ = invoke("batch", "--config", str(toy_campaign["campaign"]),
+                          "--workers", "2", capsys=capsys)
+    assert code == 0
+    assert "4 run, 0 skipped" in out
+    assert blamed == [BUG]
+
+
+def test_each_batch_call_blames_again(toy_campaign, capsys, monkeypatch):
+    blamed = _spy_blame(monkeypatch)
+    cfg = str(toy_campaign["campaign"])
+    counts = []
+    for name in ("first", "second"):
+        before = len(blamed)
+        out = toy_campaign["root"] / name
+        assert invoke("batch", "--config", cfg, "--out", str(out), capsys=capsys)[0] == 0
+        counts.append(len(blamed) - before)
+    assert counts[0] == counts[1] >= 1
+
+
+def test_batch_whose_blame_raises_fails_each_history_job(toy_campaign, capsys,
+                                                         monkeypatch):
+    # a blame that raised is not kept: every history job tries and fails
+    blamed = _spy_blame(monkeypatch, fail=True)
+    code, out, _ = invoke("batch", "--config", str(toy_campaign["campaign"]),
+                          "--workers", "2", capsys=capsys)
+    assert code == 3
+    failed = sorted(line.split()[2].rstrip(":") for line in out.splitlines()
+                    if "FAILED RuntimeError: blame broke" in line)
+    assert failed == ["fl_diff", "fn_all", "fn_pair"]
+    assert blamed == [BUG] * 3
+    records_dir = toy_campaign["root"] / "out" / "records"
+    assert [p.name for p in records_dir.glob("*.jsonl")] == [f"{BUG}__non_history.jsonl"]
+
+
 # --- final verification -----------------------------------------------------
 
 def _spy_tests(monkeypatch):
@@ -624,6 +678,21 @@ def test_out_override_wins(toy_campaign, tmp_path, capsys):
     assert code == 0
     assert (other / "availability.txt").exists()
     assert not (toy_campaign["root"] / "out" / "study").exists()
+
+
+def test_relative_out_is_relative_to_the_working_directory(toy_campaign, tmp_path,
+                                                           capsys, monkeypatch):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    cfg = os.path.relpath(toy_campaign["campaign"], work)
+    out = (work / "o2").resolve()
+    for command in ("batch", "report"):
+        assert invoke(command, "--config", cfg, "--out", "o2", capsys=capsys)[0] == 0
+        frozen = json.loads((out / "effective_config.json").read_text())
+        assert frozen["out_dir"] == str(out), command
+    assert len(list((out / "records").glob("*.jsonl"))) == 4
+    assert not (toy_campaign["root"] / "o2").exists()
 
 
 def test_frozen_config_is_valid_json(toy_campaign, capsys):

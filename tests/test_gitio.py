@@ -234,8 +234,6 @@ def test_resolve_ref_and_errors(make_repo):
 
 def test_commit_metadata(make_repo):
     repo, shas = make_repo([{"a.txt": "1\n"}, {"a.txt": "2\n"}])
-    assert gitio.commit_subjects(repo, [shas[1], shas[0]]) == {
-        shas[0]: "snapshot 0", shas[1]: "snapshot 1"}
     assert gitio.commit_message(repo, shas[0]) == "snapshot 0"
 
 

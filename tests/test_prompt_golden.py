@@ -21,6 +21,7 @@ from histrepair.context import (
     HistoricalContext,
     render_prompts,
 )
+from histrepair.sandbox import CallMemo
 
 GOLDEN = Path(__file__).parent / "golden_prompts"
 
@@ -47,7 +48,8 @@ def rendered_cases(tmp_path: Path) -> dict:
     toy = synth.build_toy_campaign(tmp_path / "toy")
     cfg = load_campaign(toy["campaign"])
     (rec,) = load_manifest(cfg.manifest)
-    cases = {f"toy__{h}": cli.prepare_bundle(cfg, rec, h)[0] for h in HEURISTICS}
+    memo = CallMemo()
+    cases = {f"toy__{h}": cli.prepare_bundle(cfg, rec, h, memo)[0] for h in HEURISTICS}
     cases["toy__fn_pair_note"] = render_prompts(
         rec.spec, None, repo_path=cli.AGENT_REPO_PATH, sentinel=cfg.sentinel,
         history_note=f"historical context unavailable: calc.py:{toy['buggy_line']}"

@@ -61,10 +61,6 @@ def test_every_public_name_has_a_caller_outside_tests():
 
 # public class members allowed to have no read yet, each with its reason
 ALLOWED_MEMBERS = {
-    ("blame", "JudgeCandidate.subject"): "the judge interface that tests stub; "
-                                         "a model-backed judge reads it",
-    ("blame", "JudgeCandidate.contexts"): "the judge interface that tests stub; "
-                                          "a model-backed judge reads it",
     ("gitio", "BlameLine.headers"): "the tests' porcelain parse oracle",
     ("patches", "Hunk.old_line_numbers"): "the tests' hunk parse oracle",
     ("metrics", "Strata.n"): "stratified quartiles for the allowlisted stratify",
