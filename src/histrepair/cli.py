@@ -10,18 +10,24 @@ and from `batch`, any job that failed without a record.
 
 Each subcommand imports the layers it runs (blame, the loop and its
 sandbox, the records, the metrics) when it runs, so a cold call pays
-only for those.
+only for those. The module top loads only `config` and `errors`:
+`report` and the set-up path never load git, the context builder or
+`traceback`. The names below that stand for `bugs`, `context` and
+`patches` functions are deferred bindings rather than imports inside
+the functions that use them, because the benchmark's tracer wraps
+`build_context`, `render_prompts`, `load_manifest` and
+`parse_unified_diff` at cli's own attributes: cli must call them
+through its globals for the tracer to see those calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
-import traceback
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .bugs import BugRecord, categorize_bug, load_manifest
 from .config import (
     BUILTIN_ADAPTERS,
     HEURISTICS,
@@ -29,7 +35,6 @@ from .config import (
     load_campaign,
     make_provider,
 )
-from .context import build_context, render_prompts, save_context
 from .errors import (
     ConfigError,
     EmptyScope,
@@ -38,10 +43,10 @@ from .errors import (
     NotFound,
     UniverseMismatch,
 )
-from .patches import parse_unified_diff
 
 if TYPE_CHECKING:
     from . import metrics as metrics_mod
+    from .bugs import BugRecord
     from .records import RunRecord
     from .sandbox import CallMemo
 
@@ -53,6 +58,22 @@ EXIT_GUARD = 4
 # the path the agent is told the project lives at; stable across
 # provisioned worktrees so transcripts replay byte-identically
 AGENT_REPO_PATH = "."
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for `module.name` that imports `module` on its first call."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(module, __package__), name)(*args, **kwargs)
+
+    return call
+
+
+load_manifest = _deferred(".bugs", "load_manifest")
+categorize_bug = _deferred(".bugs", "categorize_bug")
+build_context = _deferred(".context", "build_context")
+render_prompts = _deferred(".context", "render_prompts")
+save_context = _deferred(".context", "save_context")
+parse_unified_diff = _deferred(".patches", "parse_unified_diff")
 
 
 def _find_record(cfg: CampaignConfig, bug_id: str) -> BugRecord:
@@ -246,7 +267,7 @@ def cmd_repair(cfg: CampaignConfig, args: argparse.Namespace) -> int:
 def cmd_batch(cfg: CampaignConfig, args: argparse.Namespace) -> int:
     from concurrent.futures import ThreadPoolExecutor, as_completed
 
-    from . import blame, loop  # noqa: F401  (loaded here, not in a worker)
+    from . import blame, bugs, context, loop  # noqa: F401  (loaded here, not in a worker)
     from .records import record_filename, record_is_complete
     from .sandbox import CallMemo
 
@@ -365,6 +386,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except Exception as exc:  # unexpected: show the trace, fail as domain
+        import traceback
+
         traceback.print_exc()
         print(f"unexpected error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -78,7 +78,8 @@ class HttpProvider:
     Credentials come from the environment at call time and are never
     persisted anywhere. A reply is billed only when it carries its token
     counts; one without them, or without string content, is retried and
-    then fails like a dead endpoint.
+    then fails like a dead endpoint. A 4xx status other than 408 or 429
+    fails at once.
     """
 
     endpoint: str
@@ -114,6 +115,12 @@ class HttpProvider:
             except (OSError, http.client.HTTPException, ValueError) as exc:
                 if isinstance(exc, urllib.error.HTTPError):
                     exc.close()  # the error holds the response body open
+                    # a client error other than a timeout or a rate
+                    # limit would fail the same way on every attempt
+                    if 400 <= exc.code < 500 and exc.code not in (408, 429):
+                        raise ProviderFailure(
+                            f"provider refused the request: HTTP {exc.code} {exc.reason}"
+                        ) from exc
                 last_error = exc
                 if attempt + 1 < MAX_ATTEMPTS:
                     self.sleeper(BACKOFF_BASE_SECONDS * (2 ** attempt))

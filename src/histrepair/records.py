@@ -3,8 +3,8 @@
 A record is one `meta` line, one `message` line per transcript entry
 and a closing `result` line, in that order; a file whose last line is
 not the `result` line is incomplete, and `batch` runs its job again.
-This module imports only the stdlib, so `report` can read records
-without loading the loop, the provider or the sandbox.
+This module imports only the stdlib and `errors`, so `report` can read
+records without loading the loop, the provider or the sandbox.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
+
+from .errors import HistRepairError
 
 
 @dataclass(frozen=True)
@@ -78,36 +80,56 @@ def write_run_record(record: RunRecord, path: Path | str) -> None:
 
 
 def load_run_record(path: Path | str) -> RunRecord:
-    meta: dict = {}
-    result: dict = {}
+    """The record at `path`.
+
+    HistRepairError, naming the file and what it lacks, when a line is
+    not a record line or the meta or result line is missing.
+    """
+    path = Path(path)
+    meta: dict | None = None
+    result: dict | None = None
     transcript: list[TranscriptMessage] = []
-    for raw in Path(path).read_text().splitlines():
+    for number, raw in enumerate(path.read_text().splitlines(), 1):
         if not raw.strip():
             continue
-        obj = json.loads(raw)
-        if obj["type"] == "meta":
-            meta = obj
-        elif obj["type"] == "message":
-            usage = None
-            if "input_tokens" in obj:
-                usage = TokenUsage(obj["input_tokens"], obj["output_tokens"])
-            transcript.append(TranscriptMessage(
-                role=obj["role"], content=obj["content"],
-                step_index=obj["step_index"], token_usage=usage,
-            ))
-        elif obj["type"] == "result":
-            result = obj
-    return RunRecord(
-        bug_id=meta["bug_id"],
-        config=meta["config"],
-        transcript=transcript,
-        steps_taken=result["steps_taken"],
-        total_cost=Decimal(result["total_cost"]),
-        wall_time=result["wall_time"],
-        termination=result["termination"],
-        tests_passed_at_end=result["tests_passed_at_end"],
-        final_patch=result["final_patch"],
-    )
+        try:
+            obj = json.loads(raw)
+            if obj["type"] == "meta":
+                meta = obj
+            elif obj["type"] == "message":
+                usage = None
+                if "input_tokens" in obj:
+                    usage = TokenUsage(obj["input_tokens"], obj["output_tokens"])
+                transcript.append(TranscriptMessage(
+                    role=obj["role"], content=obj["content"],
+                    step_index=obj["step_index"], token_usage=usage,
+                ))
+            elif obj["type"] == "result":
+                result = obj
+        except (ValueError, LookupError, TypeError) as exc:
+            # a JSON error's own message counts lines within this one line
+            reason = getattr(exc, "msg", exc)
+            raise HistRepairError(
+                f"record {path}: line {number} is not a record line "
+                f"({type(exc).__name__}: {reason})") from None
+    for kind, obj in (("meta", meta), ("result", result)):
+        if obj is None:
+            raise HistRepairError(f"record {path}: no {kind} line")
+    try:
+        return RunRecord(
+            bug_id=meta["bug_id"],
+            config=meta["config"],
+            transcript=transcript,
+            steps_taken=result["steps_taken"],
+            total_cost=Decimal(result["total_cost"]),
+            wall_time=result["wall_time"],
+            termination=result["termination"],
+            tests_passed_at_end=result["tests_passed_at_end"],
+            final_patch=result["final_patch"],
+        )
+    except KeyError as exc:
+        raise HistRepairError(
+            f"record {path}: no field {exc} in its meta or result line") from None
 
 
 def comparable_record_lines(path: Path | str) -> list[str]:

@@ -496,6 +496,22 @@ def test_report_after_batch(toy_campaign, capsys):
     assert all(p["success_rate"] == 1.0 for p in frontier)
 
 
+@pytest.mark.parametrize("cut, complaint", [
+    (lambda text: text[:-40], "is not a record line"),
+    (lambda text: "".join(text.splitlines(keepends=True)[:-1]), "no result line"),
+], ids=["cut-mid-line", "no-result-line"])
+def test_report_names_a_bad_record(toy_campaign, capsys, cut, complaint):
+    cfg = str(toy_campaign["campaign"])
+    assert invoke("repair", "--config", cfg, "--bug", BUG, "--heuristic", "non_history")[0] == 0
+    record = toy_campaign["root"] / "out" / "records" / f"{BUG}__non_history.jsonl"
+    record.write_text(cut(record.read_text()))
+    capsys.readouterr()
+    code, _, err = invoke("report", "--config", cfg, capsys=capsys)
+    assert code == 3
+    assert err.startswith("error: ") and str(record) in err and complaint in err
+    assert "Traceback" not in err
+
+
 def test_report_without_records_exits_3(toy_campaign, capsys):
     code, _, err = invoke(
         "report", "--config", str(toy_campaign["campaign"]), capsys=capsys,
@@ -708,39 +724,51 @@ def test_frozen_config_is_valid_json(toy_campaign, capsys):
 
 # --- cold start -------------------------------------------------------------
 
-def _modules_loaded_after(code: str, watched: tuple[str, ...]) -> list[str]:
-    """Which of `watched` a fresh interpreter holds after running `code`."""
+# modules of note besides histrepair's own: git runs through subprocess,
+# and only a crash needs traceback. numpy, scipy and requests would cost over a second of
+# every cold call; prompts render with the stdlib, not jinja2; verdicts
+# are keyed on the patch text itself, where hashlib's libcrypto would add
+# megabytes to a run's peak RSS; and the HTTP stack loads only when the
+# http provider makes a call
+WATCHED = ("subprocess", "traceback", "numpy", "scipy", "requests", "jinja2",
+           "hashlib", "_hashlib", "urllib.request", "http.client")
+
+# campaign validation checks span detector names
+SETUP = {"cli", "config", "errors", "sourcetext", "spans"}
+GIT = {"blame", "bugs", "gitio", "patches", "subprocess"}
+JOB = GIT | {"context", "loop", "provider", "records", "sandbox"}
+# every histrepair module and watched module each cold call loads on the
+# toy campaign
+COLD_LOADS = {
+    "setup": SETUP,
+    "study": SETUP | GIT,
+    "context": SETUP | GIT | {"context", "sandbox"},
+    "repair": SETUP | JOB,
+    # the thread pool's concurrent.futures loads logging, which loads traceback
+    "batch": SETUP | JOB | {"traceback"},
+    "report": SETUP | {"bugs", "metrics", "patches", "records", "stats"},
+}
+
+
+def _modules_loaded_after(code: str) -> set[str]:
+    """The histrepair modules, by bare name, and the WATCHED modules a
+    fresh interpreter holds after running `code`."""
     src = str(Path(histrepair.__file__).resolve().parents[1])
     probe = (f"import json, sys\n{code}\n"
-             f"print(json.dumps(sorted(m for m in {watched!r} if m in sys.modules)))")
+             "print(json.dumps([m.removeprefix('histrepair.') for m in sys.modules\n"
+             f"                  if m.startswith('histrepair.') or m in {WATCHED!r}]))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def test_cli_import_leaves_heavy_modules_unloaded(toy_campaign):
-    # scipy, numpy and requests cost over a second of every cold CLI call
-    assert _modules_loaded_after("import histrepair.cli",
-                                 ("numpy", "requests", "scipy")) == []
-    # loading a campaign needs none of the prompt, loop or report layers
     cfg = str(toy_campaign["campaign"])
-    layers = ("jinja2", "histrepair.loop", "histrepair.provider",
-              "histrepair.sandbox", "histrepair.metrics", "histrepair.stats")
-    assert _modules_loaded_after(
-        f"from histrepair import cli\ncli.load_campaign({cfg!r})", layers) == []
-    # prompts render with the stdlib, so no command loads a template engine;
-    # verdicts are keyed on the patch text itself, and hashlib's libcrypto
-    # would add megabytes to a run's peak RSS; the HTTP stack loads only
-    # when the http provider makes a call
+    calls = {"setup": f"from histrepair import cli\ncli.load_campaign({cfg!r})"}
     for command, *args in (["study"], ["context", "--bug", BUG, "--heuristic", "fn_pair"],
-                           ["batch"], ["repair", "--bug", BUG, "--heuristic", "fn_all"],
-                           ["report"]):
+                           ["repair", "--bug", BUG, "--heuristic", "fn_all"],
+                           ["batch"], ["report"]):
         argv = [command, "--config", cfg, *args]
-        assert _modules_loaded_after(
-            f"from histrepair import cli\nassert cli.main({argv!r}) == 0",
-            ("jinja2", "hashlib", "_hashlib", "requests", "urllib.request",
-             "http.client")) == [], command
-    # report reads records through `records` alone
-    assert _modules_loaded_after(
-        f"from histrepair import cli\nassert cli.main({['report', '--config', cfg]!r}) == 0",
-        ("histrepair.loop", "histrepair.provider", "histrepair.sandbox")) == []
+        calls[command] = f"from histrepair import cli\nassert cli.main({argv!r}) == 0"
+    loaded = {name: _modules_loaded_after(code) for name, code in calls.items()}
+    assert loaded == COLD_LOADS

@@ -133,6 +133,31 @@ def test_http_provider_closes_the_body_of_an_http_error(monkeypatch):
     assert error_body.closed
 
 
+def _http_error(status):
+    return urllib.error.HTTPError("https://api.example.invalid/v1/chat", status,
+                                  "reason", {}, io.BytesIO(b"{}"))
+
+
+@pytest.mark.parametrize("status", [400, 401])
+def test_http_provider_fails_a_client_error_at_once(monkeypatch, status):
+    seen = fake_urlopen(monkeypatch, _http_error(status))
+    sleeps = []
+    with pytest.raises(ProviderFailure, match=f"HTTP {status}"):
+        http_provider(sleeps).complete([])
+    assert len(seen) == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("status", [429, 503])
+def test_http_provider_retries_a_rate_limit_or_server_error(monkeypatch, status):
+    seen = fake_urlopen(monkeypatch, _http_error(status))
+    sleeps = []
+    with pytest.raises(ProviderFailure, match="provider failed after 3 attempts"):
+        http_provider(sleeps).complete([])
+    assert len(seen) == MAX_ATTEMPTS
+    assert sleeps == [BACKOFF_BASE_SECONDS, BACKOFF_BASE_SECONDS * 2]
+
+
 def test_http_provider_retries_a_body_cut_short(monkeypatch):
     seen = fake_urlopen(monkeypatch, http.client.IncompleteRead(b"{"), GOOD_PAYLOAD)
     assert http_provider().complete([]).text == "fixed it"
