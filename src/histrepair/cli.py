@@ -48,7 +48,7 @@ if TYPE_CHECKING:
     from . import metrics as metrics_mod
     from .bugs import BugRecord
     from .records import RunRecord
-    from .sandbox import CallMemo
+    from .gitio import CallMemo
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -233,7 +233,7 @@ def cmd_study(cfg: CampaignConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_context(cfg: CampaignConfig, args: argparse.Namespace) -> int:
-    from .sandbox import CallMemo
+    from .gitio import CallMemo
 
     rec = _find_record(cfg, args.bug)
     bundle, ctx = prepare_bundle(cfg, rec, args.heuristic, CallMemo())
@@ -251,7 +251,7 @@ def cmd_repair(cfg: CampaignConfig, args: argparse.Namespace) -> int:
             f"heuristic {heuristic!r} is not among campaign configs {cfg.configs}"
         )
     from .records import record_filename
-    from .sandbox import CallMemo
+    from .gitio import CallMemo
 
     rec = _find_record(cfg, bug_id)
     cfg.freeze_into(cfg.out_dir)
@@ -269,7 +269,7 @@ def cmd_batch(cfg: CampaignConfig, args: argparse.Namespace) -> int:
 
     from . import blame, bugs, context, loop  # noqa: F401  (loaded here, not in a worker)
     from .records import record_filename, record_is_complete
-    from .sandbox import CallMemo
+    from .gitio import CallMemo
 
     # every layer a job runs loads before the pool starts, so no
     # worker's first job races another for an import

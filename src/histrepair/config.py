@@ -5,6 +5,15 @@ secrets only (the provider API key env name); command-line flags
 override file values. Every output directory receives a frozen JSON
 copy of the effective configuration so results stay auditable.
 
+The file is read by `_read_yaml`, a strict reader of the YAML a campaign
+needs: block mappings and sequences, one-line flow collections, plain
+and quoted scalars, and comments. It returns exactly what PyYAML's
+`safe_load` returns, or raises ConfigError naming the line; it refuses
+duplicate keys, tabs, anchors, tags, block scalars, and every plain
+scalar YAML 1.1 reads as something other than a string, a decimal
+number, a boolean spelt true/false, or null. So the package needs no
+YAML library, and the tests hold the reader to PyYAML's values.
+
 This module is also the one home of campaign policy: the heuristic
 configs, the context budgets, the completion sentinel, the per-command
 timeout, the run guards and the project adapters. The layers that apply
@@ -19,12 +28,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import asdict, dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from urllib.parse import urlsplit
-
-import yaml
 
 from .errors import ConfigError
 
@@ -158,6 +166,9 @@ class CampaignConfig:
         unknown = [c for c in self.configs if c not in HEURISTICS]
         if unknown:
             raise ConfigError(f"unknown heuristic configs: {unknown}")
+        repeated = sorted({c for c in self.configs if self.configs.count(c) > 1})
+        if repeated:
+            raise ConfigError(f"heuristic configs listed more than once: {repeated}")
         if self.workers < 1:
             raise ConfigError("worker count must be >= 1")
         bad = sorted(k for k, v in self.budgets.items() if v <= 0)
@@ -214,6 +225,13 @@ def _reject_unknown_keys(raw, path: Path) -> None:
                 raise ConfigError(f"unknown key {where!r} in campaign config {path}")
 
 
+def _configs(value) -> tuple:
+    """The campaign's `configs` list as a tuple; ConfigError unless a list."""
+    if not isinstance(value, list):
+        raise ConfigError(f"configs must be a list of heuristic names, got {value!r}")
+    return tuple(value)
+
+
 def _converted(mapping: dict, converters: dict) -> dict:
     """The keys `mapping` sets, each through its converter if it has one.
 
@@ -222,23 +240,268 @@ def _converted(mapping: dict, converters: dict) -> dict:
     return {k: converters[k](v) if k in converters else v for k, v in mapping.items()}
 
 
+# --- the campaign file's YAML -------------------------------------------------
+#
+# Of the plain scalars YAML 1.1 reads as something other than a string,
+# the reader accepts only the null, boolean, integer and float forms
+# below, and refuses the rest.
+
+_NULLS = {"~", "null", "Null", "NULL"}
+_BOOLS = {"true": True, "True": True, "TRUE": True,
+          "false": False, "False": False, "FALSE": False}
+# YAML 1.1 booleans besides true/false, the merge key and the value key
+_SPECIAL_WORDS = {"yes", "Yes", "YES", "no", "No", "NO", "on", "On", "ON",
+                  "off", "Off", "OFF", "<<", "="}
+_INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)")
+_FLOAT = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?")
+# what else YAML 1.1 may read as a number, a date or a time
+_NUMBER_LIKE = re.compile(r"[-+]?\.?[0-9]|[-+]?\.(?:inf|Inf|INF|nan|NaN|NAN)$")
+_COMMENT_TAIL = re.compile(r"(?: +#.*)?")
+
+
+class _YamlReader:
+    """One campaign file's node lines, read top-down by indentation."""
+
+    def __init__(self, text: str, path: Path):
+        self.path = path
+        self.lines = []   # (line number, indent, content) of each line with a node
+        for number, line in enumerate(text.split("\n"), 1):
+            # a tab, a control character, a line or byte-order mark: YAML
+            # refuses some and reads others specially
+            if not line.isprintable():
+                bad = next(c for c in line if not c.isprintable())
+                self.refuse(number, f"character {bad!r} is not allowed")
+            content = line.lstrip(" ")
+            if content and not content.startswith("#"):
+                self.lines.append((number, len(line) - len(content), content.rstrip(" ")))
+        self.pos = 0
+        for number, indent, content in self.lines:
+            if indent == 0 and content[:3] in ("---", "...") and content[3:4] in ("", " "):
+                if (number != self.lines[0][0] or content[:3] != "---"
+                        or not _COMMENT_TAIL.fullmatch(content, 3)):
+                    self.refuse(number, "the only document marker allowed is a leading '---'")
+                self.pos = 1
+
+    def refuse(self, number: int, why: str):
+        raise ConfigError(f"invalid YAML in {self.path}: line {number}: {why}")
+
+    def document(self):
+        if self.pos == len(self.lines):
+            return None
+        value = self.block()
+        if self.pos < len(self.lines):
+            self.refuse(self.lines[self.pos][0], "unexpected indentation")
+        return value
+
+    def block(self):
+        """The block mapping or sequence that starts at the current line."""
+        _, indent, content = self.lines[self.pos]
+        return self.sequence(indent) if _is_entry(content) else self.mapping(indent)
+
+    def mapping(self, indent: int) -> dict:
+        mapping = {}
+        while self.pos < len(self.lines):
+            number, at, content = self.lines[self.pos]
+            if at < indent:
+                break
+            if at > indent:
+                self.refuse(number, "unexpected indentation")
+            key, rest = self.key(number, content)
+            if key in mapping:
+                self.refuse(number, f"duplicate key {key!r}")
+            self.pos += 1
+            rest = rest.lstrip(" ")
+            if rest and not rest.startswith("#"):
+                mapping[key] = self.inline(number, rest)
+            elif self.pos == len(self.lines):
+                mapping[key] = None
+            else:
+                _, below, text = self.lines[self.pos]
+                if below > indent:
+                    mapping[key] = self.block()
+                elif below == indent and _is_entry(text):
+                    mapping[key] = self.sequence(indent)
+                else:
+                    mapping[key] = None
+        return mapping
+
+    def sequence(self, indent: int) -> list:
+        items = []
+        while self.pos < len(self.lines):
+            number, at, content = self.lines[self.pos]
+            if at < indent or (at == indent and not _is_entry(content)):
+                break
+            if at > indent:
+                self.refuse(number, "unexpected indentation")
+            rest = content[1:].lstrip(" ")
+            if not rest or rest.startswith("#"):
+                self.refuse(number, "empty sequence entry")
+            self.pos += 1
+            items.append(self.inline(number, rest))
+        return items
+
+    def key(self, number: int, content: str):
+        """The key of a `key: value` line and the text after its colon."""
+        if content[0] in "'\"":
+            key, colon = self.quoted(number, content, 0)
+            colon = _skip_spaces(content, colon)
+            if _colon(content, colon) != colon:
+                colon = -1
+        else:
+            key, colon = None, _colon(content, 0)
+        if colon < 0:
+            self.refuse(number, "expected 'key: value'")
+        if colon > 1024:
+            self.refuse(number, "a key may be at most 1024 characters long")
+        if key is None:
+            key = self.plain(number, content[:colon].rstrip(" "))
+        return key, content[colon + 1:]
+
+    def inline(self, number: int, text: str):
+        """The value written on the line itself: a scalar or a flow collection."""
+        if text[0] in "'\"":
+            value, end = self.quoted(number, text, 0)
+            if not _COMMENT_TAIL.fullmatch(text, end):
+                self.refuse(number, "unexpected text after the quoted value")
+            return value
+        if text[0] in "[{":
+            return self.flow(number, text)
+        cut = text.find(" #")
+        return self.plain(number, text if cut < 0 else text[:cut].rstrip(" "))
+
+    def quoted(self, number: int, text: str, start: int):
+        """The quoted scalar at `start` and the index after its closing quote."""
+        quote, parts, at = text[start], [], start + 1
+        while True:
+            close = text.find(quote, at)
+            if close < 0:
+                self.refuse(number, "unclosed quote: a quoted value must end on its line")
+            parts.append(text[at:close])
+            if quote == "'" and text[close + 1:close + 2] == "'":
+                parts.append("'")
+                at = close + 2
+                continue
+            value = "".join(parts)
+            if quote == '"' and "\\" in value:
+                self.refuse(number, "backslash escapes are not supported; use single quotes")
+            return value, close + 1
+
+    def flow(self, number: int, text: str):
+        """A one-line `[a, b]` or `{k: v, ...}` of scalars."""
+        close = "]" if text[0] == "[" else "}"
+        entries: list = []
+        at = _skip_spaces(text, 1)
+        while text[at:at + 1] != close:
+            if at == len(text):
+                self.refuse(number, "unclosed flow collection: it must end on its line")
+            if close == "]":
+                entry, at = self.flow_scalar(number, text, at, ",]")
+            else:
+                key, at = self.flow_scalar(number, text, at, ",:}")
+                if text[at:at + 2] != ": ":
+                    self.refuse(number, "expected 'key: value' in a flow mapping")
+                if at > 1024:
+                    self.refuse(number, "a key may be at most 1024 characters long")
+                value, at = self.flow_scalar(number, text, at + 1, ",}")
+                entry = (key, value)
+            entries.append(entry)
+            if text[at:at + 1] == ",":
+                at = _skip_spaces(text, at + 1)
+            elif text[at:at + 1] not in ("", close):
+                self.refuse(number, f"expected ',' or {close!r} in a flow collection")
+        if not _COMMENT_TAIL.fullmatch(text, at + 1):
+            self.refuse(number, f"unexpected text after {close!r}")
+        if close == "]":
+            return entries
+        mapping = {}
+        for key, value in entries:
+            if key in mapping:
+                self.refuse(number, f"duplicate key {key!r}")
+            mapping[key] = value
+        return mapping
+
+    def flow_scalar(self, number: int, text: str, at: int, stops: str):
+        """The scalar in a flow collection at `at`, and the index of the stop after it."""
+        at = _skip_spaces(text, at)
+        if text[at:at + 1] in ("'", '"'):
+            value, at = self.quoted(number, text, at)
+            return value, _skip_spaces(text, at)
+        end = at
+        while end < len(text) and text[end] not in stops:
+            end += 1
+        plain = text[at:end].rstrip(" ")
+        if not plain:
+            self.refuse(number, "empty entry in a flow collection")
+        if any(c in plain for c in "[]{}?"):
+            self.refuse(number, "a flow collection holds only scalars")
+        return self.plain(number, plain), end
+
+    def plain(self, number: int, text: str):
+        """An unquoted scalar, resolved as YAML 1.1 resolves it."""
+        if not text:
+            self.refuse(number, "empty key")
+        if (text[0] in "&*!|>%@`#,[]{}'\"?:"
+                or (text[0] == "-" and text[1:2] in ("", " "))):
+            self.refuse(number, f"{text!r}: anchors, aliases, tags, block scalars and"
+                                " indicator characters are not supported; quote the value")
+        if ": " in text or text.endswith(":") or " #" in text:
+            self.refuse(number, f"{text!r}: a plain value may not hold ': ' or ' #';"
+                                " quote it")
+        if text in _NULLS:
+            return None
+        if text in _BOOLS:
+            return _BOOLS[text]
+        if _INT.fullmatch(text):
+            return int(text)
+        if _FLOAT.fullmatch(text):
+            return float(text)
+        if text in _SPECIAL_WORDS or _NUMBER_LIKE.match(text):
+            self.refuse(number, f"{text!r} reads as a YAML 1.1 boolean, number, date or"
+                                " time this reader does not accept; write true, false or"
+                                " a decimal number, or quote it")
+        return text
+
+
+def _is_entry(content: str) -> bool:
+    return content == "-" or content.startswith("- ")
+
+
+def _colon(text: str, at: int) -> int:
+    """The index of the first ':' from `at` on that ends a key; -1 if none."""
+    while True:
+        at = text.find(":", at)
+        if at < 0 or text[at + 1:at + 2] in ("", " "):
+            return at
+        at += 1
+
+
+def _skip_spaces(text: str, at: int) -> int:
+    while text[at:at + 1] == " ":
+        at += 1
+    return at
+
+
+def _read_yaml(text: str, path: Path):
+    """What `yaml.safe_load(text)` returns, for the campaign grammar only."""
+    return _YamlReader(text, path).document()
+
+
 def load_campaign(path: Path | str, overrides: dict | None = None) -> CampaignConfig:
     """Load a campaign YAML, applying flag overrides on top.
 
-    Unknown keys at the top level and in the guards, provider and
+    YAML outside the reader's grammar raises ConfigError naming the
+    line. Unknown keys at the top level and in the guards, provider and
     budgets maps raise ConfigError, so a typo cannot silently fall back
     to a default. So do one of those maps holding a scalar, a missing
     manifest, a value the config classes reject, a count (steps,
-    workers, budgets) that is not an integer, and a time guard that is
-    not a finite number.
+    workers, budgets) that is not an integer, a time guard that is not
+    a finite number, and a `configs` that is not a list or repeats a
+    heuristic.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = yaml.safe_load(path.read_text()) or {}
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
+    raw = _read_yaml(path.read_text(), path) or {}
     _reject_unknown_keys(raw, path)
     if raw.get("manifest") is None:
         raise ConfigError(f"campaign config {path} names no manifest")
@@ -257,7 +520,7 @@ def load_campaign(path: Path | str, overrides: dict | None = None) -> CampaignCo
         settings = _converted(raw, {
             "manifest": respath,
             "out_dir": respath,
-            "configs": tuple,
+            "configs": _configs,
             "guards": lambda guards: GuardConfig(**_converted(guards, {
                 "max_steps": lambda v: _integer(v, "guards.max_steps"),
                 "max_cost": lambda v: _money(v, "guards.max_cost"),

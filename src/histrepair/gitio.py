@@ -6,13 +6,20 @@ diffs and their hunks, and commit metadata. Diff text is read by
 `patches`, the one unified-diff parser. `run_git` decodes a byte that
 is not UTF-8 as U+FFFD, so one Latin-1 source cannot cost a bug its
 blame and context. Nothing here mutates a repository.
+
+`CallMemo`, one CLI call's memo of its blame summaries and final-patch
+verdicts, lives here because every command that needs it loads git,
+while `context` loads no sandbox.
 """
 
 from __future__ import annotations
 
 import subprocess
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TypeVar
 
 from .errors import BlameParseError, FileNotInSnapshot, GitToolError, LineOutOfRange
 from .patches import Hunk, parse_unified_diff
@@ -223,3 +230,30 @@ def blame_file_lines(repo: Path | str, ref: str, path: str,
         raise
     wanted = set(ordered)
     return [bl for bl in parse_porcelain_blame(out) if bl.final_line in wanted]
+
+
+T = TypeVar("T")
+
+
+class CallMemo:
+    """Values by key, each computed once per CLI call.
+
+    The call's final-patch verdicts are keyed by (host repo, commit,
+    patch text), its blame summaries by ("blame", host repo, bug id).
+    Single-flight: a caller asking for a key that another thread is
+    computing waits for that value instead of computing it again. A
+    computation that raises stores nothing, so the next caller for the
+    key tries again. One memo serves one CLI call.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._slots: dict[tuple, list] = {}   # key -> [key lock, value or None]
+
+    def get(self, key: tuple, compute: Callable[[], T]) -> T:
+        with self._lock:
+            slot = self._slots.setdefault(key, [threading.Lock(), None])
+        with slot[0]:
+            if slot[1] is None:
+                slot[1] = compute()
+            return slot[1]

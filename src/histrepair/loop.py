@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Callable
 
+from . import gitio
 from . import sandbox as sb
 from .config import DEFAULT_SENTINEL, GuardConfig
 from .errors import (
@@ -127,7 +128,7 @@ class LoopHarness:
     sentinel: str = DEFAULT_SENTINEL
     clock: Callable[[], float] = time.monotonic
     # one memo per CLI call, shared by its runs
-    verdicts: sb.CallMemo = field(default_factory=sb.CallMemo)
+    verdicts: gitio.CallMemo = field(default_factory=gitio.CallMemo)
 
 
 def run(bug_id: str, config: str, system_prompt: str, user_prompt: str,

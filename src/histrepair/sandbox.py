@@ -22,7 +22,7 @@ from the host, run histrepair itself inside a container.
 
 A run's verdict never comes from the sandbox the agent worked in.
 `verify` applies the final patch to a fresh sandbox at the same commit,
-runs the adapter's `test` there and destroys it; a `CallMemo` gives
+runs the adapter's `test` there and destroys it; a `gitio.CallMemo` gives
 each distinct (repo, commit, patch) one verification per CLI call.
 
 Commands run under a non-interactive bash with a pinned environment
@@ -40,12 +40,9 @@ import shutil
 import signal
 import subprocess
 import tempfile
-import threading
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TypeVar
 
 from . import gitio
 from .config import DEFAULT_COMMAND_TIMEOUT, ProjectAdapter
@@ -265,34 +262,7 @@ class Verdict:
     result: CommandResult | None  # None when the sandbox died under the command
 
 
-T = TypeVar("T")
-
-
-class CallMemo:
-    """Values by key, each computed once per CLI call.
-
-    The call's final-patch verdicts are keyed by (host repo, commit,
-    patch text), its blame summaries by ("blame", host repo, bug id).
-    Single-flight: a caller asking for a key that another thread is
-    computing waits for that value instead of computing it again. A
-    computation that raises stores nothing, so the next caller for the
-    key tries again. One memo serves one CLI call.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._slots: dict[tuple, list] = {}   # key -> [key lock, value or None]
-
-    def get(self, key: tuple, compute: Callable[[], T]) -> T:
-        with self._lock:
-            slot = self._slots.setdefault(key, [threading.Lock(), None])
-        with slot[0]:
-            if slot[1] is None:
-                slot[1] = compute()
-            return slot[1]
-
-
-def verify(handle: SandboxHandle, patch: str, memo: CallMemo,
+def verify(handle: SandboxHandle, patch: str, memo: gitio.CallMemo,
            timeout: float = DEFAULT_COMMAND_TIMEOUT, step_index: int = 0) -> bool:
     """Whether `patch` makes the tests pass at `handle`'s snapshot.
 

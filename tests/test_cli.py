@@ -537,11 +537,52 @@ def test_invalid_yaml_exits_2(tmp_path, capsys):
     assert "invalid YAML" in err
 
 
-@pytest.mark.parametrize("typo, key", [
+# (text in the toy campaign, the misspelt key that replaces it)
+KEY_TYPOS = [
     ("guards:", "guard"),
     ("  max_steps:", "guards.max_step"),
     ("  scripts_dir:", "provider.script_dir"),
-])
+]
+
+
+def test_duplicate_config_exits_2_before_any_job(toy_campaign, capsys):
+    # each job writes its record and artifacts under (bug, config): a
+    # repeated config ran the same job twice, concurrently under --workers 2
+    cfg = toy_campaign["root"] / "campaign_twice.yaml"
+    cfg.write_text(toy_campaign["campaign"].read_text().replace(
+        "configs: [non_history, fn_all, fn_pair, fl_diff]", "configs: [fn_all, fn_all]"))
+    code, out, err = invoke("batch", "--config", str(cfg), "--workers", "2",
+                            capsys=capsys)
+    assert code == 2
+    assert "heuristic configs listed more than once: ['fn_all']" in err
+    assert out == ""
+    assert not (toy_campaign["root"] / "out" / "records").exists()
+
+
+def test_scalar_configs_exits_2_and_says_it_must_be_a_list(toy_campaign, capsys):
+    cfg = toy_campaign["root"] / "campaign_scalar_configs.yaml"
+    cfg.write_text(toy_campaign["campaign"].read_text().replace(
+        "configs: [non_history, fn_all, fn_pair, fl_diff]", "configs: fn_all"))
+    code, _, err = invoke("batch", "--config", str(cfg), capsys=capsys)
+    assert code == 2
+    assert "configs must be a list of heuristic names, got 'fn_all'" in err
+    assert not (toy_campaign["root"] / "out" / "records").exists()
+
+
+def test_second_guards_block_exits_2(toy_campaign, capsys):
+    # a YAML loader that keeps the last of two equal keys would run under
+    # max_steps 5 and drop the first block's cost and time guards unseen
+    text = toy_campaign["campaign"].read_text()
+    cfg = toy_campaign["root"] / "campaign_two_guards.yaml"
+    cfg.write_text(text + "guards:\n  max_steps: 5\n")
+    code, _, err = invoke("batch", "--config", str(cfg), capsys=capsys)
+    assert code == 2
+    line = len(text.splitlines()) + 1
+    assert f"invalid YAML in {cfg}: line {line}: duplicate key 'guards'" in err
+    assert not (toy_campaign["root"] / "out" / "records").exists()
+
+
+@pytest.mark.parametrize("typo, key", KEY_TYPOS)
 def test_unknown_config_key_exits_2_and_names_it(toy_campaign, capsys, typo, key):
     text = toy_campaign["campaign"].read_text()
     assert typo in text
@@ -584,7 +625,9 @@ def test_template_dir_key_exits_2(toy_campaign, capsys):
     assert "unknown key 'template_dir'" in err
 
 
-@pytest.mark.parametrize("old, new, message", [
+# (old, new, message): an edit of the toy campaign that must exit 2 with
+# `message` before any job runs
+BAD_VALUE_EDITS = [
     ("adapter: local-python", "adapter: local-pyhton", "unknown adapter 'local-pyhton'"),
     ("backend: local", "backend: container", "run histrepair itself inside"),
     ("backend: local", "backend: vm", "'local' is the only sandbox backend"),
@@ -602,7 +645,8 @@ def test_template_dir_key_exits_2(toy_campaign, capsys):
     ('output_per_million: "0.42"', "output_per_million: -0.42",
      "provider.pricing.scripted-model.output_per_million must be a finite"
      " non-negative number, got -0.42"),
-    ('input_per_million: "0.28"', "input_per_million: .inf",
+    # 1.0e+400 overflows to an infinite float
+    ('input_per_million: "0.28"', "input_per_million: 1.0e+400",
      "provider.pricing.scripted-model.input_per_million must be a finite"
      " non-negative number, got inf"),
     ('max_cost: "1.00"', 'max_cost: "1.0o"',
@@ -615,24 +659,29 @@ def test_template_dir_key_exits_2(toy_campaign, capsys):
     ("workers: 1", "workers: 1.0", "workers must be an integer, got 1.0"),
     ("guards:\n", "budgets:\n  fn_all: 1500.9\nguards:\n",
      "budgets.fn_all must be an integer, got 1500.9"),
-    # a NaN limit would pass every `<= 0` check and never fire
+    # a NaN limit would pass every `<= 0` check and never fire; the
+    # campaign reader refuses YAML's .nan and .inf outright
     ("max_wall_time: 3600", "max_wall_time: .nan",
-     "guards.max_wall_time must be a finite number, got nan"),
-    ("max_wall_time: 3600", "max_wall_time: .inf",
+     "'.nan' reads as a YAML 1.1 boolean, number, date or time"),
+    ("max_wall_time: 3600", "max_wall_time: 1.0e+400",
      "guards.max_wall_time must be a finite number, got inf"),
     ("per_command_timeout: 60", "per_command_timeout: .nan",
-     "guards.per_command_timeout must be a finite number, got nan"),
+     "'.nan' reads as a YAML 1.1 boolean, number, date or time"),
     ("per_command_timeout: 60", "per_command_timeout: true",
      "guards.per_command_timeout must be a finite number, got True"),
     ("per_command_timeout: 60", 'per_command_timeout: "60"',
      "guards.per_command_timeout must be a finite number, got '60'"),
-], ids=["adapter-typo", "backend-container", "backend-vm", "provider-mode-typo",
-        "language-typo", "model-unpriced", "rate-missing", "rate-not-a-number",
-        "rate-negative", "rate-infinite", "max-cost-not-a-number",
-        "max-steps-fraction", "max-steps-bool", "max-steps-string", "workers-bool",
-        "workers-fraction", "budget-fraction", "max-wall-time-nan",
-        "max-wall-time-infinite", "command-timeout-nan", "command-timeout-bool",
-        "command-timeout-string"])
+]
+BAD_VALUE_IDS = ["adapter-typo", "backend-container", "backend-vm", "provider-mode-typo",
+                 "language-typo", "model-unpriced", "rate-missing", "rate-not-a-number",
+                 "rate-negative", "rate-infinite", "max-cost-not-a-number",
+                 "max-steps-fraction", "max-steps-bool", "max-steps-string", "workers-bool",
+                 "workers-fraction", "budget-fraction", "max-wall-time-nan",
+                 "max-wall-time-infinite", "command-timeout-nan", "command-timeout-bool",
+                 "command-timeout-string"]
+
+
+@pytest.mark.parametrize("old, new, message", BAD_VALUE_EDITS, ids=BAD_VALUE_IDS)
 def test_unknown_adapter_or_backend_exits_2_before_any_job(toy_campaign, capsys,
                                                            old, new, message):
     text = toy_campaign["campaign"].read_text()
@@ -726,11 +775,12 @@ def test_frozen_config_is_valid_json(toy_campaign, capsys):
 
 # modules of note besides histrepair's own: git runs through subprocess,
 # and only a crash needs traceback. numpy, scipy and requests would cost over a second of
-# every cold call; prompts render with the stdlib, not jinja2; verdicts
+# every cold call; prompts render with the stdlib, not jinja2; the
+# campaign file is read by config's own reader, not PyYAML; verdicts
 # are keyed on the patch text itself, where hashlib's libcrypto would add
 # megabytes to a run's peak RSS; and the HTTP stack loads only when the
 # http provider makes a call
-WATCHED = ("subprocess", "traceback", "numpy", "scipy", "requests", "jinja2",
+WATCHED = ("subprocess", "traceback", "numpy", "scipy", "requests", "jinja2", "yaml",
            "hashlib", "_hashlib", "urllib.request", "http.client")
 
 # campaign validation checks span detector names
@@ -742,7 +792,7 @@ JOB = GIT | {"context", "loop", "provider", "records", "sandbox"}
 COLD_LOADS = {
     "setup": SETUP,
     "study": SETUP | GIT,
-    "context": SETUP | GIT | {"context", "sandbox"},
+    "context": SETUP | GIT | {"context"},
     "repair": SETUP | JOB,
     # the thread pool's concurrent.futures loads logging, which loads traceback
     "batch": SETUP | JOB | {"traceback"},

@@ -12,9 +12,10 @@ PACKAGE = ROOT / "src" / "histrepair"
 TESTS = ROOT / "tests"
 
 # declared distribution -> the top-level module it provides
-RUNTIME = {"pyyaml": "yaml"}
-# the `test` extra: the runner, and the oracles the statistics tests use
-TEST_EXTRA = {"numpy": "numpy", "pytest": "pytest", "scipy": "scipy"}
+RUNTIME: dict[str, str] = {}
+# the `test` extra: the runner, the oracles the statistics tests use, and
+# the one the campaign-file reader is checked against
+TEST_EXTRA = {"numpy": "numpy", "pytest": "pytest", "pyyaml": "yaml", "scipy": "scipy"}
 
 
 def _third_party_imports(root: Path) -> set[str]:

@@ -21,7 +21,7 @@ from histrepair.context import (
     HistoricalContext,
     render_prompts,
 )
-from histrepair.sandbox import CallMemo
+from histrepair.gitio import CallMemo
 
 GOLDEN = Path(__file__).parent / "golden_prompts"
 

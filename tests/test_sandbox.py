@@ -356,7 +356,7 @@ def test_final_patch_carries_binary_content_that_applies(toy, handle):
 def test_verify_does_not_pass_a_patch_that_does_not_apply(handle):
     patch = ("diff --git a/calc.py b/calc.py\n--- a/calc.py\n+++ b/calc.py\n"
              "@@ -1,1 +1,1 @@\n-not a line of the snapshot\n+x = 1\n")
-    assert sb.verify(handle, patch, sb.CallMemo(), step_index=7) is False
+    assert sb.verify(handle, patch, gitio.CallMemo(), step_index=7) is False
     step, command, result = handle._log[-1]
     assert (step, command) == (7, "git apply")
     assert result.exit_code != 0
@@ -410,7 +410,7 @@ def test_verdict_memo_computes_each_key_once_under_contention():
     import sys
     import threading
 
-    memo = sb.CallMemo()
+    memo = gitio.CallMemo()
     calls = {"a": 0, "b": 0}
     count_lock = threading.Lock()
     seen = []
@@ -442,7 +442,7 @@ def test_verdict_memo_computes_each_key_once_under_contention():
 
 
 def test_verdict_memo_retries_a_key_whose_verification_raised():
-    memo = sb.CallMemo()
+    memo = gitio.CallMemo()
 
     def broken():
         raise ProvisionError("no sandbox")
