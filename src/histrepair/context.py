@@ -1,6 +1,7 @@
 """Historical context construction and prompt rendering.
 
-Three payload shapes are built from the resolved blame commit:
+Three payload shapes are built from one `gitio.read_commit` of the
+resolved blame commit (one `git show`, blind to the user's git config):
 
 * fn_all: names of every function in the post-commit version of each
   co-changed file.
@@ -117,10 +118,11 @@ def _span_or_window(found: list[spans.FunctionSpan] | None, text: str,
 
 
 def extract_fn_all(repo: Path | str, commit_id: str,
+                   changes: Iterable[gitio.ChangedFile],
                    language: str = "c_family") -> FnAll:
     """Function names per co-changed file, post-commit versions."""
     entries: list[FnAllEntry] = []
-    for change in gitio.changed_files(repo, commit_id):
+    for change in changes:
         if change.new_path is None:
             entries.append(FnAllEntry(change.old_path or "?", (), note="deleted"))
             continue
@@ -155,24 +157,23 @@ def _preimage_line(hunks: list[Hunk], new_line: int) -> int | None:
     return new_line + shift
 
 
-def extract_fn_pair(repo: Path | str, commit_id: str, entry: BlameEntry,
-                    language: str = "c_family") -> FnPair:
+def extract_fn_pair(repo: Path | str, commit_id: str, parent: str | None,
+                    entry: BlameEntry, language: str = "c_family") -> FnPair:
     """Before/after snapshots of the function holding the blamed line.
 
-    Before comes from the commit's parent at the line's pre-image,
-    mapped through the hunks of `git diff` between parent and commit:
-    the alignment git blame used to attribute the line. After is
-    matched by name in the commit's own version. A function introduced
-    by the commit has no before side. Raises FnPairUnavailable when the
-    line sits outside any function on both sides. Each version is read
-    once and scanned for spans once; in a version the detector cannot
-    scan, a side at a known line is the window around it and a side
-    matched by name is absent.
+    Before comes from `parent` (None for a root commit) at the line's
+    pre-image, mapped through the hunks of `git diff` between parent
+    and commit: the alignment git blame used to attribute the line.
+    After is matched by name in the commit's own version. A function
+    introduced by the commit has no before side. Raises
+    FnPairUnavailable when the line sits outside any function on both
+    sides. Each version is read once and scanned for spans once; in a
+    version the detector cannot scan, a side at a known line is the
+    window around it and a side matched by name is absent.
     """
     path = entry.commit_path or entry.file_path
     line = entry.commit_line or entry.line_number
     after_text = gitio.file_at(repo, commit_id, path)
-    parent = gitio.first_parent(repo, commit_id)
     before_text = None
     if parent is not None:
         try:
@@ -221,35 +222,32 @@ def extract_fn_pair(repo: Path | str, commit_id: str, entry: BlameEntry,
     return FnPair(before=before, after=after)
 
 
-def extract_fl_diff(repo: Path | str, commit_id: str,
-                    context_lines: int = 3) -> FlDiff:
+def extract_fl_diff(diff_text: str) -> FlDiff:
     """The commit's unified diff against its first parent."""
-    return FlDiff(diff_text=gitio.commit_diff(repo, commit_id, context_lines))
+    return FlDiff(diff_text=diff_text)
 
 
 def build_context(repo: Path | str, kind: str, commit_id: str,
                   entry: BlameEntry | None = None,
                   language: str = "c_family",
                   budgets: dict[str, int] = DEFAULT_BUDGETS) -> HistoricalContext:
-    """Build and truncate the payload for one heuristic kind."""
+    """Build and truncate the payload for one heuristic kind from one commit read."""
     if kind == "non_history":
         raise ValueError("non_history carries no historical context")
-    message = gitio.commit_message(repo, commit_id)
+    commit = gitio.read_commit(repo, commit_id)
     if kind == "fn_all":
-        payload = extract_fn_all(repo, commit_id, language)
+        payload = extract_fn_all(repo, commit_id, commit.changes, language)
     elif kind == "fn_pair":
         if entry is None:
             raise FnPairUnavailable("no blame entry to anchor the function pair")
-        payload = extract_fn_pair(repo, commit_id, entry, language)
+        payload = extract_fn_pair(repo, commit_id, commit.parent, entry, language)
     elif kind == "fl_diff":
-        payload = extract_fl_diff(repo, commit_id)
+        payload = extract_fl_diff(commit.diff)
     else:
         raise ValueError(f"unknown heuristic kind {kind!r}")
-    ctx = HistoricalContext(
-        kind=kind, commit_id=commit_id, commit_message=message,
-        payload=payload,
-    )
-    return truncate(ctx, budgets[kind])
+    return truncate(HistoricalContext(kind=kind, commit_id=commit_id,
+                                      commit_message=commit.message, payload=payload),
+                    budgets[kind])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Thin wrapper around the git command line plus the blame parser.
 
 All repository access goes through the git binary, by way of `run_git`:
-blame in porcelain form, file content at a revision, changed-file sets,
-diffs and their hunks, and commit metadata. Diff text is read by
-`patches`, the one unified-diff parser. `run_git` decodes a byte that
-is not UTF-8 as U+FFFD, so one Latin-1 source cannot cost a bug its
-blame and context. Nothing here mutates a repository.
+blame in porcelain form, file content at a revision, the hunks of one
+file between two commits, and `read_commit`, one `git show` per blamed
+commit for its first parent, message, changed files and diff. Diff text
+is read by `patches`, the one unified-diff parser. `run_git` decodes a
+byte that is not UTF-8 as U+FFFD, so one Latin-1 source cannot cost a
+bug its blame and context. Nothing here mutates a repository.
+
+Git reads no system or global config, so a user's settings cannot change
+a read, a patch or a verdict (nor can a global `safe.directory` apply).
 
 `CallMemo`, one CLI call's memo of its blame summaries and final-patch
 verdicts, lives here because every command that needs it loads git,
@@ -14,6 +18,8 @@ while `context` loads no sandbox.
 
 from __future__ import annotations
 
+import itertools
+import os
 import subprocess
 import threading
 from collections.abc import Callable
@@ -24,10 +30,6 @@ from typing import TypeVar
 from .errors import BlameParseError, FileNotInSnapshot, GitToolError, LineOutOfRange
 from .patches import Hunk, parse_unified_diff
 
-# sha of git's canonical empty tree; diffing a root commit against it
-# yields an all-additions patch
-EMPTY_TREE = "4b825dc642cb6eb9a060e54bf8d69288fbee4904"
-
 # header keys git blame --line-porcelain is documented to emit
 _BLAME_KEYS = {
     "author", "author-mail", "author-time", "author-tz",
@@ -36,9 +38,9 @@ _BLAME_KEYS = {
 }
 
 
-def run_git(repo: Path | str, *args: str, check: bool = True,
-            errors: str = "replace", input: str | None = None) -> str:
-    """Run a git command in `repo` and return stdout as UTF-8 text.
+def run_git(repo: Path | str, *args: str, errors: str = "replace",
+            input: str | None = None) -> str:
+    """Run a git command in `repo`, blind to system and global config; return stdout.
 
     `errors` is the decode policy; "strict" raises UnicodeDecodeError
     on a byte that is not UTF-8 instead of replacing it. `input`, when
@@ -47,8 +49,9 @@ def run_git(repo: Path | str, *args: str, check: bool = True,
     proc = subprocess.run(
         ["git", "-C", str(repo), *args],
         capture_output=True, text=True, errors=errors, input=input,
+        env={**os.environ, "GIT_CONFIG_NOSYSTEM": "1", "GIT_CONFIG_GLOBAL": os.devnull},
     )
-    if check and proc.returncode != 0:
+    if proc.returncode != 0:
         raise GitToolError(
             f"git {' '.join(args[:2])}... exited {proc.returncode}",
             stderr=proc.stderr, returncode=proc.returncode,
@@ -66,17 +69,6 @@ def file_at(repo: Path | str, ref: str, path: str) -> str:
         raise
 
 
-def first_parent(repo: Path | str, commit: str) -> str | None:
-    """First parent sha, or None for a root commit."""
-    # --quiet: a root commit prints nothing and exits non-zero
-    out = run_git(repo, "rev-parse", "--verify", "--quiet", f"{commit}^1", check=False)
-    return out.strip() or None
-
-
-def commit_message(repo: Path | str, commit: str) -> str:
-    return run_git(repo, "log", "-1", "--format=%B", commit).rstrip("\n")
-
-
 @dataclass(frozen=True)
 class ChangedFile:
     """One file touched by a commit, relative to its first parent."""
@@ -85,35 +77,36 @@ class ChangedFile:
     new_path: str | None     # None for deleted files
 
 
-def changed_files(repo: Path | str, commit: str) -> list[ChangedFile]:
-    """Files `commit` changed against its first parent.
+@dataclass(frozen=True)
+class Commit:
+    """What the history heuristics read of one commit, all from one `git show`."""
 
-    Renames are detected (-M) and carry both paths. Root commits diff
-    against the empty tree, so everything shows as added.
+    parent: str | None                # first parent; None for a root commit
+    message: str
+    changes: tuple[ChangedFile, ...]  # against the first parent, renames detected
+    diff: str                         # unified diff against the first parent, -U3
+
+
+def read_commit(repo: Path | str, commit: str) -> Commit:
+    """One read of `commit`: first parent, message, changed files and diff.
+
+    A root commit diffs as all additions (`--root`, so `log.showRoot`
+    cannot drop it) and a merge against its first parent only.
     """
-    parent = first_parent(repo, commit) or EMPTY_TREE
-    out = run_git(repo, "diff", "--name-status", "-M", parent, commit)
+    out = run_git(repo, "show", "--format=%P%x00%B%x00", "--diff-merges=first-parent",
+                  "--root", "--patch-with-raw", "-M", "-U3", commit)
+    parents, message, rest = out.split("\0", 2)
+    # after the format's newline: the raw lines, a blank line, the patch
+    raw, _, diff = rest.lstrip("\n").partition("\n\n")
     changes = []
-    for line in out.splitlines():
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        status = parts[0][0]
-        if status == "A":
-            changes.append(ChangedFile(None, parts[1]))
-        elif status == "D":
-            changes.append(ChangedFile(parts[1], None))
-        elif status in ("R", "C"):
-            changes.append(ChangedFile(parts[1], parts[2]))
-        else:
-            changes.append(ChangedFile(parts[1], parts[1]))
-    return changes
-
-
-def commit_diff(repo: Path | str, commit: str, context_lines: int = 3) -> str:
-    """Unified diff of `commit` against its first parent (or empty tree)."""
-    parent = first_parent(repo, commit) or EMPTY_TREE
-    return run_git(repo, "diff", f"-U{context_lines}", parent, commit)
+    for line in raw.splitlines():
+        # ":<modes> <shas> <status>\t<path>", a rename adding "\t<new path>"
+        meta, old, *renamed = line.split("\t")
+        status = meta.split()[-1][0]
+        changes.append(ChangedFile(None if status == "A" else old,
+                                   None if status == "D" else (renamed or [old])[0]))
+    return Commit(parent=(parents.split() or [None])[0], message=message.rstrip("\n"),
+                  changes=tuple(changes), diff=diff)
 
 
 def diff_hunks(repo: Path | str, old: str, new: str, path: str) -> list[Hunk]:
@@ -205,28 +198,19 @@ def blame_file_lines(repo: Path | str, ref: str, path: str,
     if not line_numbers:
         return []
     ordered = sorted(set(line_numbers))
-    ranges: list[tuple[int, int]] = []
-    start = prev = ordered[0]
-    for n in ordered[1:]:
-        if n == prev + 1:
-            prev = n
-            continue
-        ranges.append((start, prev))
-        start = prev = n
-    ranges.append((start, prev))
-
     args = ["blame", "--line-porcelain"]
-    for lo, hi in ranges:
-        args += ["-L", f"{lo},{hi}"]
+    # consecutive lines share their offset from their index
+    for _, group in itertools.groupby(enumerate(ordered), lambda pair: pair[1] - pair[0]):
+        lines = [n for _, n in group]
+        args += ["-L", f"{lines[0]},{lines[-1]}"]
     args += [ref, "--", path]
     try:
         out = run_git(repo, *args)
     except GitToolError as exc:
-        stderr = exc.stderr
-        if "no such path" in stderr or "does not exist" in stderr:
+        if "no such path" in exc.stderr or "does not exist" in exc.stderr:
             raise FileNotInSnapshot(f"{path} not in {ref}") from exc
-        if "has only" in stderr and "lines" in stderr:
-            raise LineOutOfRange(stderr.strip()) from exc
+        if "has only" in exc.stderr and "lines" in exc.stderr:
+            raise LineOutOfRange(exc.stderr.strip()) from exc
         raise
     wanted = set(ordered)
     return [bl for bl in parse_porcelain_blame(out) if bl.final_line in wanted]

@@ -55,6 +55,9 @@ from .errors import (
 
 TIMEOUT_EXIT_CODE = 124
 
+# seconds a timed-out command's pipes may stay open once its group is killed
+_DRAIN_GRACE_SECONDS = 0.5
+
 # the shell builtin `test` would shadow our test wrapper; disable it so
 # PATH lookup wins
 _SHELL_PRELUDE = "enable -n test 2>/dev/null\n"
@@ -181,8 +184,10 @@ def exec_command(handle: SandboxHandle, command: str,
     """Run one command in the sandbox worktree and capture both streams.
 
     On timeout the command's whole process group is killed before its
-    output is collected, so no child outlives the step. A background job
-    that outlives a command which returned normally dies at teardown.
+    output is collected, so no child outlives the step; a process that
+    left the group (`setsid`) may hold the pipes `_DRAIN_GRACE_SECONDS`
+    longer at most. A background job that outlives a command which
+    returned normally dies at teardown.
     """
     if not handle.alive:
         raise SandboxDead(f"sandbox for {handle.bug_id} is not alive")
@@ -202,7 +207,12 @@ def exec_command(handle: SandboxHandle, command: str,
             except subprocess.TimeoutExpired:
                 with contextlib.suppress(ProcessLookupError):
                     os.killpg(proc.pid, signal.SIGKILL)
-                stdout, stderr = proc.communicate()
+                try:
+                    stdout, stderr = proc.communicate(timeout=_DRAIN_GRACE_SECONDS)
+                except subprocess.TimeoutExpired as exc:
+                    # keep what was read; the with block closes the pipes, reaps the shell
+                    stdout = _decoded(exc.stdout, proc.stdout)
+                    stderr = _decoded(exc.stderr, proc.stderr)
                 timed_out = True
     except (OSError, subprocess.SubprocessError) as exc:
         raise SandboxDead(f"sandbox execution failed: {exc}") from exc
@@ -214,6 +224,12 @@ def exec_command(handle: SandboxHandle, command: str,
     )
     handle._log.append((step_index, command, result))
     return result
+
+
+def _decoded(data: bytes | None, pipe) -> str:
+    """Bytes read from a text-mode pipe, decoded as `communicate` decodes them."""
+    text = (data or b"").decode(pipe.encoding, pipe.errors)
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def run_test(handle: SandboxHandle,

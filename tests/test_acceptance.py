@@ -161,7 +161,8 @@ def test_04_heuristic_extraction_fidelity(tmp_path, snapshot_worktree):
                 tmp_path / f"fid{seed}", random.Random(seed), n_commits=5,
             )
             for sha in gt.commits[1:]:
-                extracted = context.extract_fl_diff(gt.path, sha).diff_text
+                commit = gitio.read_commit(gt.path, sha)
+                extracted = context.extract_fl_diff(commit.diff).diff_text
                 reference = subprocess.run(
                     ["git", "-C", str(gt.path), "diff", "-U3",
                      f"{sha}^", sha],
@@ -176,7 +177,7 @@ def test_04_heuristic_extraction_fidelity(tmp_path, snapshot_worktree):
                     ["git", "-C", str(wt), "apply", "_replay.patch"],
                     capture_output=True, text=True, check=True,
                 )
-                for change in gitio.changed_files(gt.path, sha):
+                for change in commit.changes:
                     assert change.new_path is not None
                     applied = (wt / change.new_path).read_text()
                     assert applied == gitio.file_at(gt.path, sha, change.new_path)
@@ -192,13 +193,14 @@ def test_04_heuristic_extraction_fidelity(tmp_path, snapshot_worktree):
         )
         entry = blame.blame_lines(repo, head, location)[0]
         assert entry.commit_id == head
-        pair = context.extract_fn_pair(repo, head, entry)
+        commit = gitio.read_commit(repo, head)
+        pair = context.extract_fn_pair(repo, head, commit.parent, entry)
         assert pair.before.body_text == "int f(int a) {\n    return a + 1;\n}"
         assert pair.after.body_text == "int f(int a) {\n    return a + 2;\n}"
         assert (pair.before.start_line, pair.before.end_line) == (1, 3)
 
         # fn_all lists exactly the functions of each co-changed file
-        fn_all = context.extract_fn_all(repo, head)
+        fn_all = context.extract_fn_all(repo, head, commit.changes)
         assert len(fn_all.entries) == 1
         assert fn_all.entries[0].file_path == "util.c"
         assert fn_all.entries[0].names == ("f", "g")

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import histrepair
-from histrepair import cli, synth
+from histrepair import cli, records, synth
 from histrepair.cli import main
 from histrepair.errors import ProvisionError
 
@@ -769,6 +769,59 @@ def test_frozen_config_is_valid_json(toy_campaign, capsys):
     assert frozen["configs"] == ["non_history", "fn_all", "fn_pair", "fl_diff"]
     assert frozen["guards"]["max_steps"] == 50
     assert frozen["provider"]["mode"] == "scripted"
+
+
+# --- git config -------------------------------------------------------------
+
+# each key, set in the user's global config, once changed a read, a patch
+# or a verdict
+HOSTILE_GIT_CONFIG = """\
+[color]
+\tui = always
+[diff]
+\tnoprefix = true
+\tmnemonicPrefix = true
+\texternal = false
+[apply]
+\twhitespace = error
+[blame]
+\tignoreRevsFile = no-such-file
+"""
+
+
+def _campaign_outputs(cfg: str, out: Path) -> dict:
+    """Exit codes and output files of study, context, batch and report.
+
+    Records are compared without wall-clock fields, other files with
+    `out` spelled `<out>`.
+    """
+    codes = [main(["study", "--config", cfg, "--out", str(out / "study")])]
+    codes += [main(["context", "--config", cfg, "--bug", BUG, "--heuristic", h,
+                    "--out", str(out / "context")]) for h in ("fn_all", "fn_pair", "fl_diff")]
+    codes.append(main(["batch", "--config", cfg, "--out", str(out / "batch")]))
+    codes.append(main(["report", "--config", cfg, "--records-dir",
+                       str(out / "batch" / "records"), "--out", str(out / "report")]))
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.parent.name == "records":
+            files[str(path.relative_to(out))] = records.comparable_record_lines(path)
+        elif path.is_file():
+            files[str(path.relative_to(out))] = path.read_text().replace(str(out), "<out>")
+    return {"codes": codes, "files": files}
+
+
+def test_user_git_config_changes_no_output(toy_campaign, tmp_path, monkeypatch):
+    # set for the CLI calls only: the toy repo is already built
+    cfg = str(toy_campaign["campaign"])
+    empty, hostile = tmp_path / "empty.gitconfig", tmp_path / "hostile.gitconfig"
+    empty.write_text("")
+    hostile.write_text(HOSTILE_GIT_CONFIG)
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(empty))
+    expected = _campaign_outputs(cfg, tmp_path / "empty")
+    assert expected["codes"] == [0] * 6
+    assert len(expected["files"]) == 43
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(hostile))
+    assert _campaign_outputs(cfg, tmp_path / "hostile") == expected
 
 
 # --- cold start -------------------------------------------------------------

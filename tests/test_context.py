@@ -35,6 +35,14 @@ def entry_for(repo, ref, path, line):
     return blame.blame_lines(repo, ref, loc)[0]
 
 
+def fn_all(repo, sha):
+    return extract_fn_all(repo, sha, gitio.read_commit(repo, sha).changes)
+
+
+def fn_pair(repo, sha, entry):
+    return extract_fn_pair(repo, sha, gitio.read_commit(repo, sha).parent, entry)
+
+
 def simple_spec(ref):
     return BugSpec(
         bug_id="bug-1",
@@ -60,7 +68,7 @@ def test_fn_all_lists_cochanged_file_functions(make_repo):
             "w.c": "int w() {\n    return 9;\n}\n",
         },
     ])
-    payload = extract_fn_all(repo, shas[1])
+    payload = fn_all(repo, shas[1])
     by_path = {e.file_path: e for e in payload.entries}
     assert set(by_path) == {"x.c", "w.c", "z.c"}
     assert by_path["x.c"].names == ("f", "g")
@@ -75,7 +83,7 @@ def test_fn_all_marks_unparseable_files(make_repo):
         {"ok.c": "int f() {\n    return 2;\n}\n",
          "broken.c": "void broken() {\n    int x = 1;\n"},
     ])
-    payload = extract_fn_all(repo, shas[1])
+    payload = fn_all(repo, shas[1])
     by_path = {e.file_path: e for e in payload.entries}
     assert by_path["broken.c"].note.startswith("unreadable:")
     assert by_path["ok.c"].names == ("f",)
@@ -93,7 +101,7 @@ def test_fn_pair_modified_line(make_repo):
     ])
     entry = entry_for(repo, shas[1], "x.c", 2)
     assert entry.commit_id == shas[1]
-    pair = extract_fn_pair(repo, shas[1], entry)
+    pair = fn_pair(repo, shas[1], entry)
     assert pair.before.body_text == BEFORE_F
     assert pair.after.body_text == "int f(int a) {\n    return a + 2;\n}"
     assert pair.before.name == pair.after.name == "f"
@@ -121,8 +129,8 @@ def test_latin1_byte_keeps_the_study_row_and_contexts(make_repo):
     assert report.exclusions == []
     assert [row.resolved_commit for row in report.rows] == [shas[1]]
 
-    assert extract_fn_all(repo, shas[1]).entries == (FnAllEntry("x.c", ("f",)),)
-    pair = extract_fn_pair(repo, shas[1], entry_for(repo, shas[1], "x.c", 3))
+    assert fn_all(repo, shas[1]).entries == (FnAllEntry("x.c", ("f",)),)
+    pair = fn_pair(repo, shas[1], entry_for(repo, shas[1], "x.c", 3))
     assert pair.before.body_text == BEFORE_F
     assert pair.after.body_text == "int f(int a) {\n    return a + 2;\n}"
 
@@ -133,7 +141,7 @@ def test_fn_pair_new_function_has_no_before(make_repo):
         {"x.c": BEFORE_F + "\n\nint g(int a) {\n    return a * 2;\n}\n"},
     ])
     entry = entry_for(repo, shas[1], "x.c", 6)  # inside g
-    pair = extract_fn_pair(repo, shas[1], entry)
+    pair = fn_pair(repo, shas[1], entry)
     assert pair.before is None
     assert pair.after.name == "g"
     assert pair.after.body_text == "int g(int a) {\n    return a * 2;\n}"
@@ -145,7 +153,7 @@ def test_fn_pair_inserted_line_recovers_before_by_name(make_repo):
         {"x.c": "int f(int a) {\n    log_call();\n    return a + 1;\n}\n"},
     ])
     entry = entry_for(repo, shas[1], "x.c", 2)  # the inserted call
-    pair = extract_fn_pair(repo, shas[1], entry)
+    pair = fn_pair(repo, shas[1], entry)
     assert pair.after.body_text == "int f(int a) {\n    log_call();\n    return a + 1;\n}"
     assert pair.before is not None
     assert pair.before.body_text == BEFORE_F
@@ -158,7 +166,7 @@ def test_fn_pair_after_version_the_detector_cannot_scan_gets_a_window(make_repo)
         {"x.c": BEFORE_F + "\n"},
         {"x.c": "int f(int a) {\n    return a + 2;\n}\n\nint g() {\n"},
     ])
-    pair = extract_fn_pair(repo, shas[1], entry_for(repo, shas[1], "x.c", 2))
+    pair = fn_pair(repo, shas[1], entry_for(repo, shas[1], "x.c", 2))
     assert pair.before.body_text == BEFORE_F
     assert (pair.after.name, pair.after.start_line, pair.after.end_line) == \
         ("(window)", 1, 5)
@@ -171,7 +179,7 @@ def test_fn_pair_before_version_the_detector_cannot_scan_is_absent(make_repo):
         {"x.c": BEFORE_F + "\nint g() {\n"},
         {"x.c": BEFORE_F + "\nint g() {\n    return 0;\n}\n"},
     ])
-    pair = extract_fn_pair(repo, shas[1], entry_for(repo, shas[1], "x.c", 5))
+    pair = fn_pair(repo, shas[1], entry_for(repo, shas[1], "x.c", 5))
     assert pair.before is None
     assert pair.after.body_text == "int g() {\n    return 0;\n}"
 
@@ -183,7 +191,7 @@ def test_fn_pair_outside_functions_unavailable(make_repo):
     ])
     entry = entry_for(repo, shas[1], "x.c", 1)
     with pytest.raises(FnPairUnavailable):
-        extract_fn_pair(repo, shas[1], entry)
+        fn_pair(repo, shas[1], entry)
 
 
 def test_fn_pair_requires_at_least_one_side():
@@ -201,7 +209,7 @@ def test_fn_pair_uses_commit_side_line_numbers(make_repo):
     entry = entry_for(repo, shas[1], "x.c", 3)  # return line, still from c0
     assert entry.commit_id == shas[0]
     assert entry.commit_line == 2
-    pair = extract_fn_pair(repo, shas[0], entry)
+    pair = fn_pair(repo, shas[0], entry)
     assert pair.after.body_text == BEFORE_F
     assert pair.before is None  # root commit has no parent
 
@@ -251,7 +259,7 @@ def test_fn_pair_before_side_follows_git_hunk_alignment(make_repo):
     repo, shas = make_repo([{"x.c": TWO_BODIES_BEFORE}, {"x.c": TWO_BODIES_AFTER}])
     entry = entry_for(repo, shas[1], "x.c", 5)
     assert entry.commit_id == shas[1]
-    pair = extract_fn_pair(repo, shas[1], entry)
+    pair = fn_pair(repo, shas[1], entry)
     assert pair.before.name == pair.after.name == "g"
     assert pair.before.body_text == "int g() {\n    c();\n    b();\n}"
     assert pair.after.body_text == "int g() {\n    a();\n}"
@@ -278,16 +286,17 @@ def test_fl_diff_matches_reference_git_diff(make_repo):
         ["git", "-C", str(repo), "diff", "-U3", shas[0], shas[1]],
         capture_output=True, text=True, check=True,
     ).stdout
-    assert extract_fl_diff(repo, shas[1]).diff_text == reference
+    assert extract_fl_diff(gitio.read_commit(repo, shas[1]).diff).diff_text == reference
 
 
 def test_fl_diff_root_commit_diffs_against_empty_tree(make_repo):
     repo, shas = make_repo([{"a.c": "alpha\n"}])
+    empty_tree = "4b825dc642cb6eb9a060e54bf8d69288fbee4904"  # git's canonical empty tree
     reference = subprocess.run(
-        ["git", "-C", str(repo), "diff", "-U3", gitio.EMPTY_TREE, shas[0]],
+        ["git", "-C", str(repo), "diff", "-U3", empty_tree, shas[0]],
         capture_output=True, text=True, check=True,
     ).stdout
-    assert extract_fl_diff(repo, shas[0]).diff_text == reference
+    assert extract_fl_diff(gitio.read_commit(repo, shas[0]).diff).diff_text == reference
     assert "+alpha" in reference
 
 
@@ -313,6 +322,29 @@ def test_build_context_carries_commit_message(make_repo):
     assert ctx.commit_message == "snapshot 1"
     assert ctx.kind == "fl_diff"
     assert not ctx.truncated
+
+
+@pytest.mark.parametrize("kind", ["fn_all", "fn_pair", "fl_diff"])
+def test_build_context_reads_the_commit_with_one_git_show(make_repo, monkeypatch, kind):
+    repo, shas = make_repo([
+        {"x.c": BEFORE_F + "\n"},
+        {"x.c": "int f(int a) {\n    return a + 2;\n}\n"},
+    ])
+    entry = entry_for(repo, shas[1], "x.c", 2)
+    calls = []
+    real = gitio.run_git
+
+    def spy(repo, *args, **kwargs):
+        calls.append(args)
+        return real(repo, *args, **kwargs)
+
+    monkeypatch.setattr(gitio, "run_git", spy)
+    build_context(repo, kind, shas[1], entry=entry)
+    # file reads are `show <ref>:<path>`; the commit itself is shown once
+    assert [args for args in calls if args[0] == "show" and args[-1] == shas[1]] == \
+        [("show", "--format=%P%x00%B%x00", "--diff-merges=first-parent", "--root",
+          "--patch-with-raw", "-M", "-U3", shas[1])]
+    assert not [args for args in calls if args[0] in ("rev-parse", "log")]
 
 
 def test_build_context_applies_budget(make_repo):

@@ -1,10 +1,11 @@
 """Git plumbing: porcelain blame parsing and repository queries."""
 
+import os
 import subprocess
 
 import pytest
 
-from histrepair import gitio
+from histrepair import gitio, synth
 from histrepair.errors import (
     BlameParseError,
     FileNotInSnapshot,
@@ -137,7 +138,7 @@ def test_changed_files_statuses(make_repo):
         {"a.txt": "one\n", "b.txt": "two\n"},
         {"a.txt": "one changed\n", "c.txt": "three\n"},
     ])
-    got = {(c.old_path, c.new_path) for c in gitio.changed_files(repo, shas[1])}
+    got = {(c.old_path, c.new_path) for c in gitio.read_commit(repo, shas[1]).changes}
     assert got == {
         ("a.txt", "a.txt"),   # modified
         ("b.txt", None),      # deleted
@@ -151,7 +152,7 @@ def test_changed_files_detects_renames(make_repo):
         {"old_name.txt": body},
         {"new_name.txt": body},
     ])
-    changes = gitio.changed_files(repo, shas[1])
+    changes = gitio.read_commit(repo, shas[1]).changes
     assert len(changes) == 1
     change = changes[0]
     assert change.old_path == "old_name.txt"
@@ -160,13 +161,13 @@ def test_changed_files_detects_renames(make_repo):
 
 def test_changed_files_root_commit_all_added(make_repo):
     repo, shas = make_repo([{"a.txt": "one\n", "b.txt": "two\n"}])
-    got = {(c.old_path, c.new_path) for c in gitio.changed_files(repo, shas[0])}
+    got = {(c.old_path, c.new_path) for c in gitio.read_commit(repo, shas[0]).changes}
     assert got == {(None, "a.txt"), (None, "b.txt")}
 
 
 def test_commit_diff_root_against_empty_tree(make_repo):
     repo, shas = make_repo([{"a.txt": "alpha\n"}])
-    diff = gitio.commit_diff(repo, shas[0])
+    diff = gitio.read_commit(repo, shas[0]).diff
     assert "--- /dev/null" in diff
     assert "+alpha" in diff
 
@@ -180,7 +181,7 @@ def test_commit_diff_matches_reference_invocation(make_repo):
         ["git", "-C", str(repo), "diff", "-U3", shas[0], shas[1]],
         capture_output=True, text=True, check=True,
     ).stdout
-    assert gitio.commit_diff(repo, shas[1]) == reference
+    assert gitio.read_commit(repo, shas[1]).diff == reference
 
 
 def test_file_add_commit_survives_later_edits(make_repo):
@@ -194,8 +195,8 @@ def test_file_add_commit_survives_later_edits(make_repo):
 
 def test_first_parent_and_root(make_repo):
     repo, shas = make_repo([{"a.txt": "1\n"}, {"a.txt": "2\n"}])
-    assert gitio.first_parent(repo, shas[0]) is None
-    assert gitio.first_parent(repo, shas[1]) == shas[0]
+    assert gitio.read_commit(repo, shas[0]).parent is None
+    assert gitio.read_commit(repo, shas[1]).parent == shas[0]
 
 
 def test_file_at_versions_and_missing(make_repo):
@@ -234,7 +235,103 @@ def test_resolve_ref_and_errors(make_repo):
 
 def test_commit_metadata(make_repo):
     repo, shas = make_repo([{"a.txt": "1\n"}, {"a.txt": "2\n"}])
-    assert gitio.commit_message(repo, shas[0]) == "snapshot 0"
+    assert gitio.read_commit(repo, shas[0]).message == "snapshot 0"
+
+
+# --- read_commit against the per-fact readers it replaced -----------------
+
+def _reference_commit(repo, commit):
+    """The commit as the former readers saw it: one git process per fact.
+
+    first_parent (`rev-parse`), commit_message (`log`), changed_files
+    (`diff --name-status -M`) and commit_diff (`diff -U3`), the last two
+    against the first parent or, for a root commit, the empty tree.
+    """
+    env = {**os.environ, "GIT_CONFIG_NOSYSTEM": "1", "GIT_CONFIG_GLOBAL": os.devnull}
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), *args], capture_output=True,
+                              text=True, errors="replace", env=env).stdout
+
+    parent = git("rev-parse", "--verify", "--quiet", f"{commit}^1").strip() or None
+    base = parent or "4b825dc642cb6eb9a060e54bf8d69288fbee4904"  # the empty tree
+    changes = []
+    for line in git("diff", "--name-status", "-M", base, commit).splitlines():
+        status, *paths = line.split("\t")
+        if status == "A":
+            changes.append(gitio.ChangedFile(None, paths[0]))
+        elif status == "D":
+            changes.append(gitio.ChangedFile(paths[0], None))
+        elif status[0] == "R":
+            changes.append(gitio.ChangedFile(paths[0], paths[1]))
+        else:
+            changes.append(gitio.ChangedFile(paths[0], paths[0]))
+    return gitio.Commit(
+        parent=parent,
+        message=git("log", "-1", "--format=%B", commit).rstrip("\n"),
+        changes=tuple(changes),
+        diff=git("diff", "-U3", base, commit),
+    )
+
+
+def _history_of_every_kind(make_repo):
+    """A repo whose commits are a root, a modify, an add, a delete, a
+    rename, a binary change, a mode change, an empty commit and a merge."""
+    stable = "stable content line one\nstable content line two\nthree\n"
+    repo, shas = make_repo([
+        {"a.txt": "one\ntwo\n", "old_name.txt": stable, "b.bin": b"\x00\x01bin"},
+        {"a.txt": "one\nTWO\n", "old_name.txt": stable, "b.bin": b"\x00\x01bin"},
+        {"a.txt": "one\nTWO\n", "old_name.txt": stable, "b.bin": b"\x00\x01bin",
+         "c.txt": "added\n"},
+        {"a.txt": "one\nTWO\n", "old_name.txt": stable, "b.bin": b"\x00\x01bin"},
+        {"a.txt": "one\nTWO\n", "new_name.txt": stable, "b.bin": b"\x00\x01bin"},
+        {"a.txt": "one\nTWO\n", "new_name.txt": stable, "b.bin": b"\x00\x02bin!"},
+    ])
+
+    def git(*args, seq=10):
+        subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True,
+                       env=synth.git_env(seq))
+
+    git("update-index", "--chmod=+x", "a.txt")
+    git("commit", "--quiet", "-m", "mode only")
+    git("commit", "--quiet", "--allow-empty", "-m", "empty")
+    git("checkout", "--quiet", "-b", "side")
+    (repo / "side.txt").write_text("side\n")
+    git("add", "side.txt")
+    git("commit", "--quiet", "-m", "side work", seq=11)
+    git("checkout", "--quiet", "main")
+    (repo / "a.txt").write_text("one\nTWO\nmain\n")
+    git("commit", "--quiet", "-am", "main work", seq=12)
+    git("merge", "--quiet", "--no-ff", "side", "-m",
+        "merge side\n\nwith a body\n\n", seq=13)
+    listed = subprocess.run(["git", "-C", str(repo), "rev-list", "--all"],
+                            capture_output=True, text=True, check=True).stdout.split()
+    return repo, shas, listed
+
+
+def test_read_commit_matches_the_per_fact_readers(make_repo):
+    repo, shas, commits = _history_of_every_kind(make_repo)
+    assert len(commits) == 11
+    for commit in commits:
+        assert gitio.read_commit(repo, commit) == _reference_commit(repo, commit), commit
+    seen = {c: gitio.read_commit(repo, c) for c in commits}
+    assert seen[shas[0]].parent is None
+    assert {ch.new_path for ch in seen[shas[0]].changes} == {"a.txt", "old_name.txt", "b.bin"}
+    assert seen[shas[4]].changes == (gitio.ChangedFile("old_name.txt", "new_name.txt"),)
+    assert "Binary files" in seen[shas[5]].diff
+    merge = seen[commits[0]]
+    assert merge.message == "merge side\n\nwith a body"
+    assert merge.changes == (gitio.ChangedFile(None, "side.txt"),)
+    assert [c for c in commits if seen[c].changes == () and seen[c].diff == ""]
+
+
+def test_read_commit_shows_a_root_commit_under_log_show_root_false(make_repo):
+    repo, shas = make_repo([{"a.txt": "alpha\n"}, {"a.txt": "beta\n"}])
+    subprocess.run(["git", "-C", str(repo), "config", "log.showRoot", "false"], check=True)
+    root = gitio.read_commit(repo, shas[0])
+    assert root == _reference_commit(repo, shas[0])
+    assert root.changes == (gitio.ChangedFile(None, "a.txt"),)
+    assert "+alpha" in root.diff
 
 
 def test_snapshot_worktree_checks_out_under_tmp_path(make_repo, snapshot_worktree, tmp_path):

@@ -112,7 +112,7 @@ def test_parse_git_style_headers(make_repo):
         {"a.txt": "one\ntwo\nthree\nfour\nfive\n"},
         {"a.txt": "one\nTWO\nthree\nfour\n"},
     ])
-    diff = gitio.commit_diff(repo, shas[1])
+    diff = gitio.read_commit(repo, shas[1]).diff
     patch = parse_unified_diff(diff)
     assert len(patch.files) == 1
     assert patch.files[0].path == "a.txt"
@@ -126,7 +126,7 @@ def test_parse_new_and_deleted_files(make_repo):
         {"old.txt": "gone\n"},
         {"new.txt": "fresh\n"},
     ])
-    patch = parse_unified_diff(gitio.commit_diff(repo, shas[1]))
+    patch = parse_unified_diff(gitio.read_commit(repo, shas[1]).diff)
     by_path = {fp.path: fp for fp in patch.files}
     assert by_path["new.txt"].old_path == "/dev/null"
     assert by_path["old.txt"].new_path == "/dev/null"
@@ -239,7 +239,7 @@ def test_diff_applies_cleanly_back(make_repo, snapshot_worktree):
         {"a.txt": "one\ntwo\nthree\n"},
         {"a.txt": "one\n2\nthree\n"},
     ])
-    diff = gitio.commit_diff(repo, shas[1])
+    diff = gitio.read_commit(repo, shas[1]).diff
     wt = snapshot_worktree(repo, shas[0])
     subprocess.run(
         ["git", "apply", "-"], input=diff, text=True,

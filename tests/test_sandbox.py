@@ -90,7 +90,8 @@ def test_sandbox_writes_leave_the_host_store_untouched(toy, tmp_path):
         assert result.exit_code == 0, result.stderr
         # the agent's commit is readable in the sandbox and absent from the host
         head = gitio.run_git(handle.worktree_path, "rev-parse", "HEAD").strip()
-        assert gitio.run_git(toy["repo"], "cat-file", "-t", head, check=False) == ""
+        with pytest.raises(GitToolError):
+            gitio.run_git(toy["repo"], "cat-file", "-t", head)
         assert "agent" in gitio.run_git(handle.worktree_path, "log", "-1", "--format=%s")
     finally:
         sb.teardown(handle, tmp_path / "artifacts", "")
@@ -226,6 +227,34 @@ def test_timeout_kills_the_whole_process_group(handle, tmp_path, command):
     while _group_alive(pgid) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not _group_alive(pgid)
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether process `pid` exists and is not a zombie."""
+    try:
+        fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return False
+    return fields[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_timeout_does_not_wait_for_a_process_that_left_the_group(handle, tmp_path):
+    # the setsid child survives the group kill and holds both pipes open
+    pid_file = tmp_path / "pid"
+    start = time.monotonic()
+    result = sb.exec_command(
+        handle, f"setsid sleep 2 & echo $! > {pid_file}; echo started", timeout=0.3)
+    took = time.monotonic() - start
+    # wait out the stray, so the test leaves nothing running
+    pid = int(pid_file.read_text())
+    deadline = time.monotonic() + 5.0
+    while _pid_alive(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert took < 1.5
+    assert result.timed_out is True
+    assert result.exit_code == sb.TIMEOUT_EXIT_CODE
+    assert "started" in result.stdout
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
