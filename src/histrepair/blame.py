@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import gitio
 from .bugs import CATEGORIES, BugRecord, BugSpec, FaultLocation, categorize_bug
@@ -39,8 +38,7 @@ from .sourcetext import executable_line_numbers
 FALLBACK_WINDOW = 5
 
 
-@dataclass(frozen=True)
-class BlameEntry:
+class BlameEntry(NamedTuple):
     """One localized line attributed to a commit."""
 
     file_path: str
@@ -53,8 +51,7 @@ class BlameEntry:
     commit_path: str = ""   # the file's path in commit_id's version
 
 
-@dataclass(frozen=True)
-class JudgeCandidate:
+class JudgeCandidate(NamedTuple):
     """What the judge sees for one candidate commit."""
 
     commit_id: str
@@ -79,8 +76,7 @@ def most_recent_judge_factory(repo: Path | str) -> CommitJudge:
     return judge
 
 
-@dataclass
-class BlameSummary:
+class BlameSummary(NamedTuple):
     """Blame outcome for one bug."""
 
     bug_id: str
@@ -235,8 +231,7 @@ def summarize_blame(repo: Path | str, spec: BugSpec,
     )
 
 
-@dataclass
-class StudyRow:
+class StudyRow(NamedTuple):
     """Per-bug line of the availability study records file."""
 
     bug_id: str
@@ -247,12 +242,11 @@ class StudyRow:
     unique_commit_count: int
 
 
-@dataclass
-class AvailabilityReport:
+class AvailabilityReport(NamedTuple):
     """Outcome of the availability study over a dataset."""
 
-    rows: list[StudyRow] = field(default_factory=list)
-    exclusions: list[tuple[str, str]] = field(default_factory=list)  # (bug_id, reason)
+    rows: list[StudyRow]
+    exclusions: list[tuple[str, str]]  # (bug_id, reason)
 
     def counts(self) -> dict[str, dict[str, int]]:
         table: dict[str, dict[str, int]] = {
@@ -281,7 +275,7 @@ def run_availability_study(records: list[BugRecord],
     `categorize_bug` sorts into a category. A bug without one is
     excluded.
     """
-    report = AvailabilityReport()
+    report = AvailabilityReport(rows=[], exclusions=[])
     for rec in records:
         bug_id = rec.spec.bug_id
         try:
@@ -350,6 +344,6 @@ def write_study_outputs(report: AvailabilityReport, out_dir: Path) -> None:
     (out_dir / "availability.txt").write_text(render_availability_table(report))
     with (out_dir / "availability_records.jsonl").open("w") as fh:
         for row in report.rows:
-            fh.write(json.dumps(asdict(row)) + "\n")
+            fh.write(json.dumps(row._asdict()) + "\n")
         for bug_id, reason in report.exclusions:
             fh.write(json.dumps({"bug_id": bug_id, "excluded": reason}) + "\n")

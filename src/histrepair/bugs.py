@@ -15,8 +15,8 @@ the parsed patch into SL, SH, SFMH or MFMH.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, EmptyPatch
 from .patches import Patch
@@ -25,28 +25,37 @@ EDIT_KINDS = ("modified", "deleted", "insertion_point")
 CATEGORIES = ("SL", "SH", "SFMH", "MFMH")
 
 
-@dataclass(frozen=True)
-class LocalizedLine:
-    """One localized line: its 1-based index and how the fix touches it."""
-
+class _LineFields(NamedTuple):
     line: int
     kind: str  # modified | deleted | insertion_point
 
-    def __post_init__(self):
+
+class LocalizedLine(_LineFields):
+    """One localized line: its 1-based index and how the fix touches it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.line < 1:
             raise ConfigError(f"line numbers are 1-based, got {self.line}")
         if self.kind not in EDIT_KINDS:
             raise ConfigError(f"unknown edit kind {self.kind!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class FaultLocation:
-    """Localized lines within one file of the buggy snapshot."""
-
+class _LocationFields(NamedTuple):
     file_path: str
     lines: tuple[LocalizedLine, ...]
 
-    def __post_init__(self):
+
+class FaultLocation(_LocationFields):
+    """Localized lines within one file of the buggy snapshot."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.lines:
             raise ConfigError(f"{self.file_path}: empty line list")
         numbers = [ln.line for ln in self.lines]
@@ -54,6 +63,7 @@ class FaultLocation:
             raise ConfigError(
                 f"{self.file_path}: line numbers must be strictly increasing"
             )
+        return self
 
     @property
     def blameable_lines(self) -> list[LocalizedLine]:
@@ -64,19 +74,24 @@ class FaultLocation:
         return [ln for ln in self.lines if ln.kind == "insertion_point"]
 
 
-@dataclass(frozen=True)
-class BugSpec:
-    """Everything the pipeline knows about one bug before repair."""
-
+class _SpecFields(NamedTuple):
     bug_id: str
     snapshot_ref: str
     locations: tuple[FaultLocation, ...]
     failing_tests: tuple[str, ...]
     bug_report: str = ""
 
-    def __post_init__(self):
+
+class BugSpec(_SpecFields):
+    """Everything the pipeline knows about one bug before repair."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.locations:
             raise ConfigError(f"{self.bug_id}: no fault locations")
+        return self
 
     @property
     def all_insertion(self) -> bool:
@@ -105,8 +120,7 @@ def categorize_bug(patch: Patch) -> str:
     return "SL" if edited[0].hunks[0].changed == 1 else "SH"
 
 
-@dataclass
-class BugRecord:
+class BugRecord(NamedTuple):
     """One manifest row: the bug spec plus where its artifacts live."""
 
     spec: BugSpec

@@ -29,14 +29,17 @@ import json
 import math
 import os
 import re
-from dataclasses import asdict, dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from .errors import ConfigError
 
 HEURISTICS = ("non_history", "fn_all", "fn_pair", "fl_diff")
+
+# the source languages a campaign may name; `spans` has one detector each
+LANGUAGES = ("c_family", "python")
 
 DEFAULT_BUDGETS = {"fl_diff": 12_000, "fn_pair": 8_000, "fn_all": 4_000}
 
@@ -45,8 +48,7 @@ DEFAULT_SENTINEL = "COMPLETE_REPAIR_SIGNAL"
 DEFAULT_COMMAND_TIMEOUT = 300.0
 
 
-@dataclass(frozen=True)
-class ProjectAdapter:
+class ProjectAdapter(NamedTuple):
     """How to build and test one project family inside its sandbox."""
 
     compile_command: str
@@ -93,34 +95,85 @@ def _seconds(value, where: str) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class GuardConfig:
+def _scripted_provider(settings: ProviderSettings, bug_id: str, config: str):
+    from .provider import ScriptedProvider
+
+    if settings.scripts_dir is None:
+        raise ConfigError("scripted provider needs scripts_dir")
+    script = Path(settings.scripts_dir) / f"{bug_id}__{config}.jsonl"
+    if not script.exists():
+        raise ConfigError(f"no scripted replies at {script}")
+    return ScriptedProvider.from_file(script)
+
+
+def _http_provider(settings: ProviderSettings, bug_id: str, config: str):
+    from .provider import HttpProvider
+
+    if not os.environ.get(settings.api_key_env):
+        raise ConfigError(
+            f"live provider configured but {settings.api_key_env} is unset"
+        )
+    if not settings.endpoint:
+        raise ConfigError("live provider needs an endpoint")
+    # urlopen would also read file: and ftp: URLs
+    if urlsplit(settings.endpoint).scheme not in ("http", "https"):
+        raise ConfigError(
+            f"provider endpoint {settings.endpoint!r} is not an http or https URL")
+    return HttpProvider(
+        endpoint=settings.endpoint,
+        model=settings.model,
+        api_key_env=settings.api_key_env,
+    )
+
+
+# provider mode -> builder; the one list of modes ProviderSettings accepts.
+# It comes first because CampaignConfig builds its default ProviderSettings
+# at import.
+_PROVIDER_BUILDERS = {"scripted": _scripted_provider, "http": _http_provider}
+
+
+def make_provider(settings: ProviderSettings, bug_id: str, config: str):
+    """Build the provider instance one (bug, config) job will query."""
+    return _PROVIDER_BUILDERS[settings.mode](settings, bug_id, config)
+
+
+class _GuardFields(NamedTuple):
     max_steps: int = 50
     max_cost: Decimal = Decimal("1.00")
     max_wall_time: float = 3600.0
     per_command_timeout: float = DEFAULT_COMMAND_TIMEOUT
 
-    def __post_init__(self):
+
+class GuardConfig(_GuardFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if (self.max_steps <= 0 or self.max_cost <= 0
                 or self.max_wall_time <= 0 or self.per_command_timeout <= 0):
             raise ValueError("guard limits must be strictly positive")
+        return self
 
 
-@dataclass
-class ProviderSettings:
-    """How to reach the model: scripted replay or a live endpoint."""
-
+class _ProviderFields(NamedTuple):
     mode: str = "scripted"            # scripted | http
     model: str = "scripted-model"
     endpoint: str = ""
     api_key_env: str = "MODEL_API_KEY"
     scripts_dir: Path | None = None   # scripted: one reply file per (bug, config)
-    pricing: dict = field(default_factory=lambda: {
+    pricing: dict = {
         "scripted-model": {"input_per_million": "0.28",
                            "output_per_million": "0.42"},
-    })
+    }
 
-    def __post_init__(self):
+
+class ProviderSettings(_ProviderFields):
+    """How to reach the model: scripted replay or a live endpoint."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in _PROVIDER_BUILDERS:
             raise ConfigError(
                 f"unknown provider mode {self.mode!r}; "
@@ -128,6 +181,11 @@ class ProviderSettings:
             )
         # every provider call is billed, so a model without two valid
         # rates would fail each job after its sandbox was built
+        self.rates()
+        return self
+
+    def rates(self) -> tuple[Decimal, Decimal]:
+        """USD per million input and output tokens of the selected model."""
         rates = self.pricing.get(self.model)
         keys = ("input_per_million", "output_per_million")
         missing = [k for k in keys if not isinstance(rates, dict) or k not in rates]
@@ -136,31 +194,28 @@ class ProviderSettings:
                 f"no pricing for model {self.model!r}: "
                 f"provider.pricing.{self.model} needs {' and '.join(missing)}"
             )
-        self._rates = tuple(
-            _money(rates[k], f"provider.pricing.{self.model}.{k}") for k in keys)
-
-    def rates(self) -> tuple[Decimal, Decimal]:
-        """USD per million input and output tokens of the selected model."""
-        return self._rates
+        return tuple(_money(rates[k], f"provider.pricing.{self.model}.{k}") for k in keys)
 
 
-@dataclass
-class CampaignConfig:
+class _CampaignFields(NamedTuple):
     manifest: Path
     out_dir: Path
     configs: tuple[str, ...] = HEURISTICS
-    guards: GuardConfig = field(default_factory=GuardConfig)
-    provider: ProviderSettings = field(default_factory=ProviderSettings)
+    guards: GuardConfig = GuardConfig()
+    provider: ProviderSettings = ProviderSettings()
     adapter: str = "local-python"
     backend: str = "local"            # the only sandbox backend
     workers: int = 1
-    budgets: dict = field(default_factory=lambda: dict(DEFAULT_BUDGETS))
+    budgets: dict = dict(DEFAULT_BUDGETS)
     language: str = "c_family"
     sentinel: str = DEFAULT_SENTINEL
 
-    def __post_init__(self):
-        from .spans import DETECTORS
 
+class CampaignConfig(_CampaignFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.configs:
             raise ConfigError("at least one heuristic config must be selected")
         unknown = [c for c in self.configs if c not in HEURISTICS]
@@ -179,10 +234,10 @@ class CampaignConfig:
                 f"unknown adapter {self.adapter!r}; "
                 f"known: {', '.join(sorted(BUILTIN_ADAPTERS))}"
             )
-        if self.language not in DETECTORS:
+        if self.language not in LANGUAGES:
             raise ConfigError(
                 f"unknown language {self.language!r}; "
-                f"known: {', '.join(sorted(DETECTORS))}"
+                f"known: {', '.join(sorted(LANGUAGES))}"
             )
         if self.backend != "local":
             raise ConfigError(
@@ -190,19 +245,34 @@ class CampaignConfig:
                 " backend; to isolate runs in a container, run histrepair"
                 " itself inside one"
             )
+        return self
 
     def freeze_into(self, out_dir: Path) -> Path:
         out_dir.mkdir(parents=True, exist_ok=True)
         frozen = out_dir / "effective_config.json"
-        frozen.write_text(json.dumps(asdict(self), indent=2, default=str) + "\n")
+        frozen.write_text(json.dumps(jsonable(self), indent=2, default=str) + "\n")
         return frozen
+
+
+def jsonable(value):
+    """`value` with each record in it, at any depth, as a dict of its fields.
+
+    json.dumps writes a NamedTuple as a list; this keeps field names.
+    """
+    if hasattr(value, "_asdict"):
+        return {k: jsonable(v) for k, v in value._asdict().items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    return value
 
 
 # every key a campaign YAML may hold, per map; anything else is a typo
 _KNOWN_KEYS = {
-    "": {f.name for f in fields(CampaignConfig)},
-    "guards": {f.name for f in fields(GuardConfig)},
-    "provider": {f.name for f in fields(ProviderSettings)},
+    "": set(CampaignConfig._fields),
+    "guards": set(GuardConfig._fields),
+    "provider": set(ProviderSettings._fields),
     "budgets": set(DEFAULT_BUDGETS),
 }
 
@@ -235,7 +305,7 @@ def _configs(value) -> tuple:
 def _converted(mapping: dict, converters: dict) -> dict:
     """The keys `mapping` sets, each through its converter if it has one.
 
-    Keys left out keep the dataclass defaults, which live only there.
+    Keys left out keep the config classes' defaults, which live only there.
     """
     return {k: converters[k](v) if k in converters else v for k, v in mapping.items()}
 
@@ -539,43 +609,3 @@ def load_campaign(path: Path | str, overrides: dict | None = None) -> CampaignCo
         return CampaignConfig(**settings)
     except (AttributeError, TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid campaign config {path}: {exc}") from exc
-
-
-def _scripted_provider(settings: ProviderSettings, bug_id: str, config: str):
-    from .provider import ScriptedProvider
-
-    if settings.scripts_dir is None:
-        raise ConfigError("scripted provider needs scripts_dir")
-    script = Path(settings.scripts_dir) / f"{bug_id}__{config}.jsonl"
-    if not script.exists():
-        raise ConfigError(f"no scripted replies at {script}")
-    return ScriptedProvider.from_file(script)
-
-
-def _http_provider(settings: ProviderSettings, bug_id: str, config: str):
-    from .provider import HttpProvider
-
-    if not os.environ.get(settings.api_key_env):
-        raise ConfigError(
-            f"live provider configured but {settings.api_key_env} is unset"
-        )
-    if not settings.endpoint:
-        raise ConfigError("live provider needs an endpoint")
-    # urlopen would also read file: and ftp: URLs
-    if urlsplit(settings.endpoint).scheme not in ("http", "https"):
-        raise ConfigError(
-            f"provider endpoint {settings.endpoint!r} is not an http or https URL")
-    return HttpProvider(
-        endpoint=settings.endpoint,
-        model=settings.model,
-        api_key_env=settings.api_key_env,
-    )
-
-
-# provider mode -> builder; the one list of modes ProviderSettings accepts
-_PROVIDER_BUILDERS = {"scripted": _scripted_provider, "http": _http_provider}
-
-
-def make_provider(settings: ProviderSettings, bug_id: str, config: str):
-    """Build the provider instance one (bug, config) job will query."""
-    return _PROVIDER_BUILDERS[settings.mode](settings, bug_id, config)

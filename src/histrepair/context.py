@@ -18,21 +18,19 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import gitio, spans
 from .bugs import BugSpec
-from .config import DEFAULT_BUDGETS
+from .config import DEFAULT_BUDGETS, jsonable
 from .errors import (
     DetectorFailure,
     FileNotInSnapshot,
     FnPairUnavailable,
     NotInFunction,
 )
-from .patches import Hunk, diff_pieces
-from .sourcetext import source_lines
+from .patches import Hunk, diff_pieces, source_lines
 
 if TYPE_CHECKING:
     from .blame import BlameEntry
@@ -40,8 +38,7 @@ if TYPE_CHECKING:
 TRUNCATION_NOTICE = "\n[payload truncated to fit the context budget]"
 
 
-@dataclass(frozen=True)
-class FunctionSnapshot:
+class FunctionSnapshot(NamedTuple):
     """One version of a function: where it lives and its full text."""
 
     file_path: str
@@ -51,8 +48,7 @@ class FunctionSnapshot:
     body_text: str
 
 
-@dataclass(frozen=True)
-class FnAllEntry:
+class FnAllEntry(NamedTuple):
     """Function names of one co-changed file, or a note if unreadable."""
 
     file_path: str
@@ -60,28 +56,30 @@ class FnAllEntry:
     note: str = ""  # "deleted", or a warning for unreadable content
 
 
-@dataclass(frozen=True)
-class FnAll:
+class FnAll(NamedTuple):
     entries: tuple[FnAllEntry, ...]
 
 
-@dataclass(frozen=True)
-class FnPair:
+class _PairFields(NamedTuple):
     before: FunctionSnapshot | None
     after: FunctionSnapshot | None
 
-    def __post_init__(self):
+
+class FnPair(_PairFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.before is None and self.after is None:
             raise FnPairUnavailable("neither side of the function pair exists")
+        return self
 
 
-@dataclass(frozen=True)
-class FlDiff:
+class FlDiff(NamedTuple):
     diff_text: str
 
 
-@dataclass(frozen=True)
-class HistoricalContext:
+class HistoricalContext(NamedTuple):
     """What the agent gets to see about the blamed commit."""
 
     kind: str  # fn_all | fn_pair | fl_diff
@@ -343,7 +341,7 @@ def _truncate_fn_pair(payload: FnPair, budget: int) -> tuple[FnPair, bool]:
     # labels and separators count against the budget too, so each side
     # gets half of what remains after that fixed overhead
     sides = (("Before", payload.before), ("After", payload.after))
-    overhead = 2 + sum(len(_render_side(label, side and replace(side, body_text="")))
+    overhead = 2 + sum(len(_render_side(label, side and side._replace(body_text="")))
                        for label, side in sides)
     side_budget = max(1, (budget - overhead) // 2)
     cut = False
@@ -354,7 +352,7 @@ def _truncate_fn_pair(payload: FnPair, budget: int) -> tuple[FnPair, bool]:
             return side
         text, did = _truncate_text_at_lines(side.body_text, side_budget)
         cut = cut or did
-        return replace(side, body_text=text)
+        return side._replace(body_text=text)
 
     before = shrink(payload.before)
     after = shrink(payload.after)
@@ -388,8 +386,7 @@ def truncate(ctx: HistoricalContext, budget: int) -> HistoricalContext:
 # ---------------------------------------------------------------------------
 # prompt rendering
 
-@dataclass(frozen=True)
-class PromptBundle:
+class PromptBundle(NamedTuple):
     """The rendered system/user prompt pair for one run."""
 
     system_prompt: str
@@ -447,7 +444,7 @@ def context_to_json(ctx: HistoricalContext) -> dict:
         "commit_id": ctx.commit_id,
         "commit_message": ctx.commit_message,
         "truncated": ctx.truncated,
-        "payload": asdict(ctx.payload),
+        "payload": jsonable(ctx.payload),
     }
 
 

@@ -23,9 +23,8 @@ import os
 import subprocess
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from .errors import BlameParseError, FileNotInSnapshot, GitToolError, LineOutOfRange
 from .patches import Hunk, parse_unified_diff
@@ -69,16 +68,14 @@ def file_at(repo: Path | str, ref: str, path: str) -> str:
         raise
 
 
-@dataclass(frozen=True)
-class ChangedFile:
+class ChangedFile(NamedTuple):
     """One file touched by a commit, relative to its first parent."""
 
     old_path: str | None     # None for added files
     new_path: str | None     # None for deleted files
 
 
-@dataclass(frozen=True)
-class Commit:
+class Commit(NamedTuple):
     """What the history heuristics read of one commit, all from one `git show`."""
 
     parent: str | None                # first parent; None for a root commit
@@ -91,10 +88,14 @@ def read_commit(repo: Path | str, commit: str) -> Commit:
     """One read of `commit`: first parent, message, changed files and diff.
 
     A root commit diffs as all additions (`--root`, so `log.showRoot`
-    cannot drop it) and a merge against its first parent only.
+    cannot drop it) and a merge against its first parent only. Colour,
+    external diff drivers, text conversion, path prefixes and the hunk
+    layout are pinned, so a host repo's own config cannot change the diff.
     """
     out = run_git(repo, "show", "--format=%P%x00%B%x00", "--diff-merges=first-parent",
-                  "--root", "--patch-with-raw", "-M", "-U3", commit)
+                  "--root", "--patch-with-raw", "-M", "-U3", "--no-color", "--no-ext-diff",
+                  "--no-textconv", "--src-prefix=a/", "--dst-prefix=b/",
+                  "--diff-algorithm=myers", "--inter-hunk-context=0", commit)
     parents, message, rest = out.split("\0", 2)
     # after the format's newline: the raw lines, a blank line, the patch
     raw, _, diff = rest.lstrip("\n").partition("\n\n")
@@ -131,16 +132,15 @@ def file_add_commit(repo: Path | str, ref: str, path: str) -> tuple[str, int]:
     return words[-2], int(words[-1])
 
 
-@dataclass
-class BlameLine:
+class BlameLine(NamedTuple):
     """One line's attribution parsed from porcelain blame output."""
 
     commit_id: str
     final_line: int            # line number in the blamed (snapshot) file
     orig_line: int             # line number in commit_id's version of the file
     author_time: int
-    orig_filename: str = ""    # path in commit_id's version (follows moves)
-    headers: dict = field(default_factory=dict)
+    orig_filename: str         # path in commit_id's version (follows moves)
+    headers: dict
 
 
 def parse_porcelain_blame(output: str) -> list[BlameLine]:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Callable
 
@@ -118,17 +117,23 @@ def _provider_messages(transcript: list[TranscriptMessage]) -> list[dict]:
     return out
 
 
-@dataclass
 class LoopHarness:
     """Everything one run needs besides the prompts."""
 
     provider: Provider
     rates: tuple[Decimal, Decimal]  # USD per million input, output tokens
-    guards: GuardConfig = field(default_factory=GuardConfig)
-    sentinel: str = DEFAULT_SENTINEL
-    clock: Callable[[], float] = time.monotonic
-    # one memo per CLI call, shared by its runs
-    verdicts: gitio.CallMemo = field(default_factory=gitio.CallMemo)
+    guards: GuardConfig
+    sentinel: str
+    clock: Callable[[], float]
+    verdicts: gitio.CallMemo        # one memo per CLI call, shared by its runs
+
+    def __init__(self, provider: Provider, rates: tuple[Decimal, Decimal],
+                 guards: GuardConfig = GuardConfig(), sentinel: str = DEFAULT_SENTINEL,
+                 clock: Callable[[], float] = time.monotonic,
+                 verdicts: gitio.CallMemo | None = None) -> None:
+        self.provider, self.rates, self.guards = provider, rates, guards
+        self.sentinel, self.clock = sentinel, clock
+        self.verdicts = gitio.CallMemo() if verdicts is None else verdicts
 
 
 def run(bug_id: str, config: str, system_prompt: str, user_prompt: str,

@@ -9,12 +9,12 @@ in each record, never from transcript claims.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 from statistics import quantiles
+from typing import NamedTuple
 
 from .bugs import CATEGORIES
 from .config import HEURISTICS
@@ -29,8 +29,7 @@ from .stats import (
 BASELINE = "non_history"
 
 
-@dataclass(frozen=True)
-class OutcomeRow:
+class OutcomeRow(NamedTuple):
     """One (bug, config) outcome distilled from its run record."""
 
     bug_id: str
@@ -84,8 +83,7 @@ def unique_pass(config_rows: list[OutcomeRow],
     return len(pass_set(config_rows) - pass_set(baseline_rows))
 
 
-@dataclass
-class OverlapReport:
+class OverlapReport(NamedTuple):
     """Exact pass counts for every non-empty subset of the configs."""
 
     regions: dict[frozenset, int]
@@ -122,8 +120,7 @@ def overlap_regions(rows: list[OutcomeRow]) -> OverlapReport:
     return OverlapReport(regions=regions)
 
 
-@dataclass(frozen=True)
-class Strata:
+class Strata(NamedTuple):
     """Distribution summary of one (category, config, outcome) cell."""
 
     n: int
@@ -152,8 +149,7 @@ def stratify(rows: list[OutcomeRow], value: str = "steps") -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
+class TradeoffPoint(NamedTuple):
     """One combo of configs: its union success rate and average cost."""
 
     combo: tuple[str, ...]
@@ -193,26 +189,24 @@ def tradeoff_frontier(rows: list[OutcomeRow]) -> list[TradeoffPoint]:
     return points
 
 
-@dataclass(frozen=True)
-class MetricsCell:
+class MetricsCell(NamedTuple):
     pass_count: int
     total: int
     rate: Fraction
     unique_vs_baseline: int | None  # None for the baseline itself
 
 
-@dataclass
-class MetricsTable:
+class MetricsTable(NamedTuple):
     """Pass counts and rates per (category, config), plus totals."""
 
-    cells: dict[tuple[str, str], MetricsCell] = field(default_factory=dict)
-    overall: dict[str, MetricsCell] = field(default_factory=dict)
+    cells: dict[tuple[str, str], MetricsCell]
+    overall: dict[str, MetricsCell]
 
 
 def metrics_table(rows: list[OutcomeRow]) -> MetricsTable:
     groups = by_config(rows)
     _require_same_universe(groups)
-    table = MetricsTable()
+    table = MetricsTable(cells={}, overall={})
     categories = [c for c in CATEGORIES
                   if any(r.category == c for r in rows)]
     for config, config_rows in groups.items():
@@ -243,8 +237,7 @@ def metrics_table(rows: list[OutcomeRow]) -> MetricsTable:
     return table
 
 
-@dataclass
-class StatTestReport:
+class StatTestReport(NamedTuple):
     """Friedman + conditional pairwise Wilcoxon for one category/metric."""
 
     metric: str                      # cost | steps
@@ -252,7 +245,7 @@ class StatTestReport:
     n_matched: int
     friedman_statistic: float | None
     friedman_p: float | None
-    pairwise_p: dict[str, float] = field(default_factory=dict)
+    pairwise_p: dict[str, float]
     alpha_corrected: float = float(BONFERRONI_ALPHA)
     note: str = ""
     configs: tuple[str, ...] = ()   # the configs the matched set spans
@@ -282,31 +275,30 @@ def stat_test_report(rows: list[OutcomeRow], metric: str,
         cfg: {r.bug_id: getattr(r, metric) for r in groups[cfg]}
         for cfg in configs
     }
-    report = StatTestReport(
-        metric=metric, category=category, n_matched=len(matched),
-        friedman_statistic=None, friedman_p=None,
-        alpha_corrected=float(bonferroni_alpha(compared)),
-        configs=tuple(configs),
-    )
     matrix = [[values[cfg][b] for cfg in configs] for b in matched]
+    stat = p = None
+    pairwise_p: dict[str, float] = {}
+    note = ""
     try:
         stat, p = friedman_test(matrix)
     except InsufficientData as exc:
-        report.note = f"insufficient data: {exc}"
-        return report
-    report.friedman_statistic = stat
-    report.friedman_p = p
-    if p < 0.05 and BASELINE in configs:
+        note = f"insufficient data: {exc}"
+    if p is not None and p < 0.05 and BASELINE in configs:
         for cfg in configs:
             if cfg == BASELINE:
                 continue
             pairs = [(values[cfg][b], values[BASELINE][b]) for b in matched]
             try:
                 _, wp, _ = wilcoxon_signed_rank(pairs)
-                report.pairwise_p[cfg] = wp
+                pairwise_p[cfg] = wp
             except Exception as exc:
-                report.note += f" {cfg}: {type(exc).__name__};"
-    return report
+                note += f" {cfg}: {type(exc).__name__};"
+    return StatTestReport(
+        metric=metric, category=category, n_matched=len(matched),
+        friedman_statistic=stat, friedman_p=p, pairwise_p=pairwise_p,
+        alpha_corrected=float(bonferroni_alpha(compared)),
+        note=note, configs=tuple(configs),
+    )
 
 
 # ---------------------------------------------------------------------------

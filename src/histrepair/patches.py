@@ -10,32 +10,31 @@ may be cut (`diff_pieces`). Parsing accepts plain
 
 Hunk bodies are read as git reads them: a hunk holds exactly the old
 and new line counts of its header, so a body line such as `-- note` or
-`++ counter` is never taken for a file header. Only "\n" ends a line.
+`++ counter` is never taken for a file header. Only "\n" ends a line:
+`source_lines`, the package's one line split, lives here so that
+`report` reads fix patches without loading the source scanners.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import EmptyPatch
-from .sourcetext import source_lines
 
 _HUNK_HEADER = re.compile(
     r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@"
 )
 
 
-@dataclass
-class Hunk:
+class Hunk(NamedTuple):
     """One @@ block: old/new start lines and the +/- line bodies."""
 
     old_start: int
     old_count: int
     new_start: int
     new_count: int
-    lines: list[str] = field(default_factory=list)  # raw lines incl. +/-/space prefix
+    lines: Sequence[str] = ()  # raw lines incl. +/-/space prefix
 
     @property
     def removed(self) -> int:
@@ -65,28 +64,38 @@ class Hunk:
         return numbers
 
 
-@dataclass
-class FilePatch:
+class FilePatch(NamedTuple):
     """All hunks touching one file."""
 
     old_path: str            # "/dev/null" for a created file
     new_path: str            # "/dev/null" for a deleted file
-    hunks: list[Hunk] = field(default_factory=list)
+    hunks: Sequence[Hunk] = ()
 
     @property
     def path(self) -> str:
         return self.new_path if self.new_path != "/dev/null" else self.old_path
 
 
-@dataclass
-class Patch:
+class Patch(NamedTuple):
     """A parsed unified diff across any number of files."""
 
-    files: list[FilePatch] = field(default_factory=list)
+    files: Sequence[FilePatch] = ()
 
     @property
     def hunk_count(self) -> int:
         return sum(len(fp.hunks) for fp in self.files)
+
+
+def source_lines(text: str) -> list[str]:
+    """The lines of `text` as git numbers them, line 1 at index 0.
+
+    Only "\n" ends a line: str.splitlines would also break at form
+    feeds and other Unicode separators. A final "\n" opens no new line.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def _strip_prefix(path: str) -> str:
@@ -138,6 +147,7 @@ def diff_pieces(text: str) -> Iterator[tuple[Hunk | None, list[str]]]:
                 old_count=int(m.group(2) or "1"),
                 new_start=int(m.group(3)),
                 new_count=int(m.group(4) or "1"),
+                lines=[],
             )
             body, old_left, new_left = hunk.lines, hunk.old_count, hunk.new_count
         piece.append(raw)
@@ -168,6 +178,7 @@ def parse_unified_diff(text: str) -> Patch:
                     files.append(FilePatch(
                         old_path=_strip_prefix(m.group(1)),
                         new_path=_strip_prefix(m.group(2)),
+                        hunks=[],
                     ))
                 current = None
                 continue
@@ -176,7 +187,8 @@ def parse_unified_diff(text: str) -> Patch:
                 continue
             if raw.startswith("+++ "):
                 new_path = _strip_prefix(raw[4:].split("\t")[0])
-                current = FilePatch(old_path=pending_old or new_path, new_path=new_path)
+                current = FilePatch(old_path=pending_old or new_path, new_path=new_path,
+                                    hunks=[])
                 files.append(current)
                 pending_old = None
 

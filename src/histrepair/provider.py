@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 from .errors import ProviderFailure
 from .records import TokenUsage
@@ -28,8 +27,7 @@ BACKOFF_BASE_SECONDS = 0.5
 REQUEST_TIMEOUT_SECONDS = 120.0
 
 
-@dataclass(frozen=True)
-class ProviderReply:
+class ProviderReply(NamedTuple):
     text: str
     usage: TokenUsage
 
@@ -39,7 +37,6 @@ class Provider(Protocol):
         ...
 
 
-@dataclass
 class ScriptedProvider:
     """Replays canned replies in order; the workhorse of every test.
 
@@ -47,7 +44,11 @@ class ScriptedProvider:
     """
 
     replies: list[dict]
-    cursor: int = 0
+    cursor: int
+
+    def __init__(self, replies: list[dict]) -> None:
+        self.replies = replies
+        self.cursor = 0
 
     @classmethod
     def from_file(cls, path: Path | str) -> "ScriptedProvider":
@@ -71,7 +72,6 @@ class ScriptedProvider:
         )
 
 
-@dataclass
 class HttpProvider:
     """Chat-completions endpoint client with bounded retry.
 
@@ -84,8 +84,13 @@ class HttpProvider:
 
     endpoint: str
     model: str
-    api_key_env: str = "MODEL_API_KEY"
-    sleeper: Callable[[float], None] = time.sleep
+    api_key_env: str
+    sleeper: Callable[[float], None]
+
+    def __init__(self, endpoint: str, model: str, api_key_env: str = "MODEL_API_KEY",
+                 sleeper: Callable[[float], None] = time.sleep) -> None:
+        self.endpoint, self.model = endpoint, model
+        self.api_key_env, self.sleeper = api_key_env, sleeper
 
     def complete(self, messages: list[dict]) -> ProviderReply:
         # imported here so that commands which never call a live model

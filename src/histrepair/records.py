@@ -10,29 +10,26 @@ records without loading the loop, the provider or the sandbox.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import HistRepairError
 
 
-@dataclass(frozen=True)
-class TokenUsage:
+class TokenUsage(NamedTuple):
     input_tokens: int
     output_tokens: int
 
 
-@dataclass
-class TranscriptMessage:
+class TranscriptMessage(NamedTuple):
     role: str        # system | user | assistant | observation
     content: str
     step_index: int
     token_usage: TokenUsage | None = None
 
 
-@dataclass
-class RunRecord:
+class RunRecord(NamedTuple):
     bug_id: str
     config: str
     transcript: list[TranscriptMessage]

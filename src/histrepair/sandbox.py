@@ -41,8 +41,8 @@ import signal
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import gitio
 from .config import DEFAULT_COMMAND_TIMEOUT, ProjectAdapter
@@ -63,8 +63,7 @@ _DRAIN_GRACE_SECONDS = 0.5
 _SHELL_PRELUDE = "enable -n test 2>/dev/null\n"
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(NamedTuple):
     stdout: str
     stderr: str
     exit_code: int
@@ -72,8 +71,7 @@ class CommandResult:
     timed_out: bool = False
 
 
-@dataclass(frozen=True)
-class TestOutcome:
+class TestOutcome(NamedTuple):
     all_passed: bool
     failing_tests: tuple[str, ...]
 
@@ -101,21 +99,26 @@ def parse_failing_block(output: str) -> TestOutcome:
     return TestOutcome(all_passed=(count == 0), failing_tests=tuple(names[:count]))
 
 
-@dataclass
 class SandboxHandle:
     """One live sandbox: its worktree, what it was made from, and its command log."""
 
     bug_id: str
     worktree_path: Path
-    alive: bool = True
+    alive: bool
     # what a twin for verification is provisioned from
-    host: Path | None = None             # the host repo
-    commit: str = ""                     # the resolved snapshot commit
-    adapter: ProjectAdapter | None = None
-    _root: Path | None = None            # temp root owning the worktree
-    _env: dict = field(default_factory=dict)
-    _log: list[tuple[int, str, CommandResult]] = field(default_factory=list)
-    _pgids: list[int] = field(default_factory=list)  # one group per command
+    host: Path | None                    # the host repo
+    commit: str                          # the resolved snapshot commit
+    adapter: ProjectAdapter | None
+
+    def __init__(self, bug_id: str, worktree_path: Path, host: Path | None = None,
+                 commit: str = "", adapter: ProjectAdapter | None = None,
+                 root: Path | None = None, env: dict | None = None) -> None:
+        self.bug_id, self.worktree_path, self.alive = bug_id, worktree_path, True
+        self.host, self.commit, self.adapter = host, commit, adapter
+        self._root = root                # temp root owning the worktree
+        self._env = env or {}
+        self._log: list[tuple[int, str, CommandResult]] = []
+        self._pgids: list[int] = []      # one group per command
 
 
 def _write_wrappers(bin_dir: Path, adapter: ProjectAdapter) -> None:
@@ -174,7 +177,7 @@ def provision(bug_id: str, repo_path: Path | str, snapshot_ref: str,
     }
     return SandboxHandle(
         bug_id=bug_id, worktree_path=worktree, host=Path(repo_path), commit=commit,
-        adapter=adapter, _root=root, _env=env,
+        adapter=adapter, root=root, env=env,
     )
 
 
@@ -269,8 +272,7 @@ def final_patch(handle: SandboxHandle) -> str:
                          errors="strict")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """One verification: whether the tests passed, and the command that decided it."""
 
     passed: bool

@@ -17,7 +17,7 @@ and Python-family sources alike; it is intentionally not a real lexer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # annotation/decorator marker followed by a name, e.g. @Override or @app.route
 _ANNOTATION = re.compile(r"@[A-Za-z_][\w.]*")
@@ -40,24 +40,11 @@ _TOKEN = re.compile(
 _ESCAPE = re.compile(r"\\.")
 
 
-@dataclass
-class CleanedSource:
+class CleanedSource(NamedTuple):
     """Comment-free views of a file, line-aligned with the original."""
 
     content_lines: list[str]    # strings intact
     structure_lines: list[str]  # string interiors blanked
-
-
-def source_lines(text: str) -> list[str]:
-    """The lines of `text` as git numbers them, line 1 at index 0.
-
-    Only "\n" ends a line: str.splitlines would also break at form
-    feeds and other Unicode separators. A final "\n" opens no new line.
-    """
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
 
 
 def clean_source(text: str) -> CleanedSource:

@@ -11,7 +11,7 @@ name and 1-based inclusive line span. Two are built in:
 * python: def/async def headers + indentation blocks.
 
 A campaign's `language` key picks one by name. Lines are numbered as
-git numbers them (`sourcetext.source_lines`). When detection fails the
+git numbers them (`patches.source_lines`). When detection fails the
 caller degrades to a fixed window around the line; that policy lives
 with the caller, not here.
 """
@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DetectorFailure, NotInFunction
-from .sourcetext import clean_source, source_lines
+from .patches import source_lines
+from .sourcetext import clean_source
 
 # control-flow keywords are excluded so `if (...) {` is not mistaken
 # for a function signature
@@ -40,8 +40,7 @@ _AFTER_PARAMS = re.compile(r"[{;)\]}]")
 _NEWLINE = re.compile("\n")
 
 
-@dataclass(frozen=True)
-class FunctionSpan:
+class FunctionSpan(NamedTuple):
     """An enclosing function: its name and inclusive 1-based line range."""
 
     name: str
@@ -126,7 +125,7 @@ def _python_spans(text: str) -> list[FunctionSpan]:
     return spans
 
 
-# detector per language name; a campaign's `language` must be one of these
+# detector per language name, one for each of `config.LANGUAGES`
 DETECTORS: dict[str, Callable[[str], list[FunctionSpan]]] = {
     "c_family": _c_family_spans,
     "python": _python_spans,

@@ -14,8 +14,8 @@ import json
 import os
 import random
 import subprocess
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .bugs import BugSpec, FaultLocation, LocalizedLine
 
@@ -57,23 +57,25 @@ def commit_all(repo: Path, message: str, seq: int) -> str:
     return _git(repo, "rev-parse", "HEAD", seq=seq).strip()
 
 
-@dataclass
-class TrackedLine:
+class TrackedLine(NamedTuple):
     text: str
     owner: str        # sha of the commit that last touched this line
     executable: bool  # by construction, not by classification
 
 
-@dataclass
 class GroundTruthRepo:
     """A built repository plus its per-line construction record."""
 
     path: Path
-    head: str = ""
-    commits: list[str] = field(default_factory=list)
-    files: dict[str, list[TrackedLine]] = field(default_factory=dict)
-    author_times: dict[str, int] = field(default_factory=dict)
-    file_add_commit: dict[str, str] = field(default_factory=dict)
+    head: str
+    commits: list[str]
+    files: dict[str, list[TrackedLine]]
+    author_times: dict[str, int]
+    file_add_commit: dict[str, str]
+
+    def __init__(self, path: Path) -> None:
+        self.path, self.head, self.commits = path, "", []
+        self.files, self.author_times, self.file_add_commit = {}, {}, {}
 
     def line_owner(self, path: str, line: int) -> str:
         return self.files[path][line - 1].owner
@@ -174,7 +176,7 @@ def build_ground_truth_repo(path: Path, rng: random.Random,
         gt.commits.append(sha)
         gt.author_times[sha] = BASE_TIME + seq * 86_400
         for idx in touched:
-            lines[idx].owner = sha
+            lines[idx] = lines[idx]._replace(owner=sha)
 
     gt.head = gt.commits[-1]
     return gt

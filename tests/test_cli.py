@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import histrepair
-from histrepair import cli, records, synth
+from histrepair import cli, gitio, records, synth
 from histrepair.cli import main
 from histrepair.errors import ProvisionError
 
@@ -789,25 +789,32 @@ HOSTILE_GIT_CONFIG = """\
 """
 
 
-def _campaign_outputs(cfg: str, out: Path) -> dict:
-    """Exit codes and output files of study, context, batch and report.
-
-    Records are compared without wall-clock fields, other files with
-    `out` spelled `<out>`.
-    """
+def _history_codes(cfg: str, out: Path) -> list[int]:
+    """Exit codes of study and of context under each history heuristic."""
     codes = [main(["study", "--config", cfg, "--out", str(out / "study")])]
-    codes += [main(["context", "--config", cfg, "--bug", BUG, "--heuristic", h,
-                    "--out", str(out / "context")]) for h in ("fn_all", "fn_pair", "fl_diff")]
-    codes.append(main(["batch", "--config", cfg, "--out", str(out / "batch")]))
-    codes.append(main(["report", "--config", cfg, "--records-dir",
-                       str(out / "batch" / "records"), "--out", str(out / "report")]))
+    return codes + [main(["context", "--config", cfg, "--bug", BUG, "--heuristic", h,
+                          "--out", str(out / "context")])
+                    for h in ("fn_all", "fn_pair", "fl_diff")]
+
+
+def _output_files(out: Path) -> dict:
+    """Records without wall-clock fields, other files with `out` spelled `<out>`."""
     files = {}
     for path in sorted(out.rglob("*")):
         if path.parent.name == "records":
             files[str(path.relative_to(out))] = records.comparable_record_lines(path)
         elif path.is_file():
             files[str(path.relative_to(out))] = path.read_text().replace(str(out), "<out>")
-    return {"codes": codes, "files": files}
+    return files
+
+
+def _campaign_outputs(cfg: str, out: Path) -> dict:
+    """Exit codes and output files of study, context, batch and report."""
+    codes = _history_codes(cfg, out)
+    codes.append(main(["batch", "--config", cfg, "--out", str(out / "batch")]))
+    codes.append(main(["report", "--config", cfg, "--records-dir",
+                       str(out / "batch" / "records"), "--out", str(out / "report")]))
+    return {"codes": codes, "files": _output_files(out)}
 
 
 def test_user_git_config_changes_no_output(toy_campaign, tmp_path, monkeypatch):
@@ -824,6 +831,18 @@ def test_user_git_config_changes_no_output(toy_campaign, tmp_path, monkeypatch):
     assert _campaign_outputs(cfg, tmp_path / "hostile") == expected
 
 
+def test_host_repo_git_config_changes_no_history_output(toy_campaign, tmp_path):
+    # the host repo's own config still applies to histrepair's git calls,
+    # so the commit read pins its colour and diff prefixes
+    cfg = str(toy_campaign["campaign"])
+    clean = _history_codes(cfg, tmp_path / "clean"), _output_files(tmp_path / "clean")
+    assert clean[0] == [0] * 4
+    for key, value in (("color.ui", "always"), ("diff.noprefix", "true")):
+        gitio.run_git(toy_campaign["repo"], "config", key, value)
+    configured = tmp_path / "configured"
+    assert (_history_codes(cfg, configured), _output_files(configured)) == clean
+
+
 # --- cold start -------------------------------------------------------------
 
 # modules of note besides histrepair's own: git runs through subprocess,
@@ -832,20 +851,23 @@ def test_user_git_config_changes_no_output(toy_campaign, tmp_path, monkeypatch):
 # campaign file is read by config's own reader, not PyYAML; verdicts
 # are keyed on the patch text itself, where hashlib's libcrypto would add
 # megabytes to a run's peak RSS; and the HTTP stack loads only when the
-# http provider makes a call
+# http provider makes a call. The records are NamedTuples and plain
+# classes: dataclasses would load inspect, ast, dis and tokenize
 WATCHED = ("subprocess", "traceback", "numpy", "scipy", "requests", "jinja2", "yaml",
-           "hashlib", "_hashlib", "urllib.request", "http.client")
+           "hashlib", "_hashlib", "urllib.request", "http.client", "dataclasses",
+           "inspect")
 
-# campaign validation checks span detector names
-SETUP = {"cli", "config", "errors", "sourcetext", "spans"}
-GIT = {"blame", "bugs", "gitio", "patches", "subprocess"}
-JOB = GIT | {"context", "loop", "provider", "records", "sandbox"}
+# campaign validation loads no span detector and no source scanner
+SETUP = {"cli", "config", "errors"}
+# blame's insertion fallback scans source text
+GIT = {"blame", "bugs", "gitio", "patches", "sourcetext", "subprocess"}
+JOB = GIT | {"context", "loop", "provider", "records", "sandbox", "spans"}
 # every histrepair module and watched module each cold call loads on the
 # toy campaign
 COLD_LOADS = {
     "setup": SETUP,
     "study": SETUP | GIT,
-    "context": SETUP | GIT | {"context"},
+    "context": SETUP | GIT | {"context", "spans"},
     "repair": SETUP | JOB,
     # the thread pool's concurrent.futures loads logging, which loads traceback
     "batch": SETUP | JOB | {"traceback"},

@@ -343,7 +343,9 @@ def test_build_context_reads_the_commit_with_one_git_show(make_repo, monkeypatch
     # file reads are `show <ref>:<path>`; the commit itself is shown once
     assert [args for args in calls if args[0] == "show" and args[-1] == shas[1]] == \
         [("show", "--format=%P%x00%B%x00", "--diff-merges=first-parent", "--root",
-          "--patch-with-raw", "-M", "-U3", shas[1])]
+          "--patch-with-raw", "-M", "-U3", "--no-color", "--no-ext-diff", "--no-textconv",
+          "--src-prefix=a/", "--dst-prefix=b/", "--diff-algorithm=myers",
+          "--inter-hunk-context=0", shas[1])]
     assert not [args for args in calls if args[0] in ("rev-parse", "log")]
 
 

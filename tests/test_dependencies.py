@@ -18,14 +18,20 @@ RUNTIME: dict[str, str] = {}
 TEST_EXTRA = {"numpy": "numpy", "pytest": "pytest", "pyyaml": "yaml", "scipy": "scipy"}
 
 
-def _third_party_imports(root: Path) -> set[str]:
+def _imported_modules(root: Path) -> set[str]:
+    """Every module an absolute import under `root` names, dotted."""
     found = set()
     for path in sorted(root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
-                found.update(alias.name.split(".")[0] for alias in node.names)
+                found.update(alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                found.add(node.module.split(".")[0])
+                found.add(node.module)
+    return found
+
+
+def _third_party_imports(root: Path) -> set[str]:
+    found = {name.split(".")[0] for name in _imported_modules(root)}
     return found - set(sys.stdlib_module_names) - {"__future__", "histrepair"}
 
 
@@ -35,6 +41,13 @@ def _declared(requirements: list[str]) -> set[str]:
 
 def test_package_imports_only_its_runtime_dependencies():
     assert _third_party_imports(PACKAGE) == set(RUNTIME.values())
+
+
+def test_package_does_not_import_dataclasses():
+    # importing it loads inspect, ast, dis and tokenize, and each class it
+    # builds costs several NamedTuples; the records are NamedTuples and
+    # plain classes, also in modules no CLI call loads, such as synth
+    assert "dataclasses" not in _imported_modules(PACKAGE)
 
 
 def test_tests_import_only_declared_dependencies():

@@ -1,10 +1,15 @@
-"""Rendered prompts stay byte-identical to the recorded golden files.
+"""Rendered prompts and JSON outputs stay byte-identical to recorded golden files.
 
 The files under `golden_prompts/` were rendered by the earlier
 jinja2-template renderer; the stdlib renderer must reproduce them
 exactly. Cases: the toy bug under each heuristic, the history-note
 branch, and a two-file spec with zero and two failing tests whose
 values hold braces, `$`, tabs and form feeds.
+
+The files under `golden_json/` were written when the package's records
+were dataclasses: the context sidecar of each case that carries a
+context, and the toy study's records file and frozen config, whose temp
+root reads `<root>`. JSON writers must keep every field name and order.
 """
 
 from pathlib import Path
@@ -20,10 +25,12 @@ from histrepair.context import (
     FunctionSnapshot,
     HistoricalContext,
     render_prompts,
+    save_context,
 )
 from histrepair.gitio import CallMemo
 
 GOLDEN = Path(__file__).parent / "golden_prompts"
+GOLDEN_JSON = Path(__file__).parent / "golden_json"
 
 ODD = "braces {{ x }} {y} {% if %} $HOME ${z} tab\there form\x0cfeed"
 
@@ -44,17 +51,17 @@ def _spec(failing_tests: tuple[str, ...]) -> BugSpec:
 
 
 def rendered_cases(tmp_path: Path) -> dict:
-    """Case name -> PromptBundle, from the renderer under test."""
+    """Case name -> (PromptBundle, context or None), from the code under test."""
     toy = synth.build_toy_campaign(tmp_path / "toy")
     cfg = load_campaign(toy["campaign"])
     (rec,) = load_manifest(cfg.manifest)
     memo = CallMemo()
-    cases = {f"toy__{h}": cli.prepare_bundle(cfg, rec, h, memo)[0] for h in HEURISTICS}
+    cases = {f"toy__{h}": cli.prepare_bundle(cfg, rec, h, memo) for h in HEURISTICS}
     cases["toy__fn_pair_note"] = render_prompts(
         rec.spec, None, repo_path=cli.AGENT_REPO_PATH, sentinel=cfg.sentinel,
         history_note=f"historical context unavailable: calc.py:{toy['buggy_line']}"
                      " is outside any function in both versions",
-    )
+    ), None
     diff = HistoricalContext(
         kind="fl_diff", commit_id="a" * 40,
         commit_message=f"Fix totals\n\n{ODD}",
@@ -63,7 +70,7 @@ def rendered_cases(tmp_path: Path) -> dict:
     cases["spec__no_tests"] = render_prompts(
         _spec(()), diff, repo_path="/work/{completion_sentinel}",
         sentinel="DONE_{repo_path}_$1",
-    )
+    ), diff
     side = FunctionSnapshot("src/a.c", "total", 2, 4, f"int total() {{\n\t{ODD}\n}}")
     pair = HistoricalContext(
         kind="fn_pair", commit_id="b" * 40, commit_message="", truncated=True,
@@ -71,8 +78,25 @@ def rendered_cases(tmp_path: Path) -> dict:
     )
     cases["spec__two_tests"] = render_prompts(
         _spec(("T::{a}", f"T::b {ODD}")), pair, repo_path=".", sentinel="S",
-    )
+    ), pair
     return cases
+
+
+def json_outputs(tmp_path: Path) -> dict:
+    """Golden file name -> text each JSON writer gives on the golden cases."""
+    outputs = {}
+    for name, (_, ctx) in rendered_cases(tmp_path).items():
+        if ctx is not None:
+            path = tmp_path / f"{name}.context.json"
+            save_context(ctx, path)
+            outputs[path.name] = path.read_text()
+    study = tmp_path / "study"
+    assert cli.main(["study", "--config", str(tmp_path / "toy" / "campaign.yaml"),
+                     "--out", str(study)]) == 0
+    for name in ("availability_records.jsonl", "effective_config.json"):
+        text = (study / name).read_text()
+        outputs[f"toy__{name}"] = text.replace(str(tmp_path.resolve()), "<root>")
+    return outputs
 
 
 @pytest.fixture(scope="module")
@@ -85,9 +109,16 @@ def cases(tmp_path_factory):
     "toy__fn_pair_note", "spec__no_tests", "spec__two_tests",
 ])
 def test_prompts_match_golden_bytes(cases, name):
-    bundle = cases[name]
+    bundle, _ = cases[name]
     system = (GOLDEN / f"{name}.system.txt").read_bytes().decode()
     user = (GOLDEN / f"{name}.user.txt").read_bytes().decode()
     assert bundle.system_prompt == system
     assert bundle.user_prompt == user
     assert bundle.token_estimate == (len(system) + len(user)) // 4
+
+
+def test_json_outputs_match_golden_bytes(tmp_path):
+    outputs = json_outputs(tmp_path)
+    assert sorted(outputs) == sorted(path.name for path in GOLDEN_JSON.iterdir())
+    for name, text in outputs.items():
+        assert text == (GOLDEN_JSON / name).read_bytes().decode(), name

@@ -2,7 +2,7 @@
 
 import pytest
 
-from histrepair import spans
+from histrepair import config, spans
 from histrepair.errors import DetectorFailure, NotInFunction
 
 C_SOURCE = """\
@@ -169,3 +169,9 @@ SPAN_QUIRKS = [
 def test_c_family_quirks(text, expected):
     got = spans.all_spans(text, "c_family")
     assert [(s.name, s.start_line, s.end_line) for s in got] == expected
+
+
+def test_detectors_are_keyed_by_the_campaign_languages():
+    # a campaign's language is checked against config.LANGUAGES without
+    # loading spans, so the two name sets must be the same
+    assert set(spans.DETECTORS) == set(config.LANGUAGES)
