@@ -17,6 +17,7 @@ inputs produce equal bytes.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -26,11 +27,12 @@ from .bugs import BugSpec
 from .config import DEFAULT_BUDGETS, jsonable
 from .errors import (
     DetectorFailure,
+    EmptyPatch,
     FileNotInSnapshot,
     FnPairUnavailable,
     NotInFunction,
 )
-from .patches import Hunk, diff_pieces, source_lines
+from .patches import Hunk, diff_pieces, parse_unified_diff, source_lines
 
 if TYPE_CHECKING:
     from .blame import BlameEntry
@@ -136,46 +138,55 @@ def extract_fn_all(repo: Path | str, commit_id: str,
     return FnAll(entries=tuple(entries))
 
 
-def _preimage_line(hunks: list[Hunk], new_line: int) -> int | None:
-    """Map a 1-based line of the new version back through -U0 hunks.
+def _preimage_line(hunks: Iterable[Hunk], new_line: int) -> int | None:
+    """Map a 1-based line of the new version back through a diff's hunks.
 
-    A line the hunks add has no pre-image (None); a line a hunk
-    replaces maps to the same offset in the old range, clamped to its
-    last line; any other line shifts by the hunks before it.
+    A context line maps one to one. A run of removed lines and the
+    added lines after it are one change: an added line maps to the same
+    offset in the removed run, clamped to its last line, or to None when
+    the run is empty. Any other line shifts by the hunks before it.
     """
-    shift = 0
+    old = new = 0
     for h in hunks:
-        if new_line < h.new_start + max(h.new_count, 1):
-            if h.new_count and new_line >= h.new_start:
-                if not h.old_count:
-                    return None
-                return h.old_start + min(new_line - h.new_start, h.old_count - 1)
+        # a side with no lines starts after the line its header names
+        old, new = h.old_start + (not h.old_count), h.new_start + (not h.new_count)
+        if new_line < new:
             break
-        shift += h.old_count - h.new_count
-    return new_line + shift
+        for _, run in itertools.groupby(h.lines, lambda text: text[:1] in ("-", "+")):
+            # a line counts on each side it appears on
+            tags = [text[:1] for text in run]
+            removed, added = len(tags) - tags.count("+"), len(tags) - tags.count("-")
+            if new_line < new + added:
+                return old + min(new_line - new, removed - 1) if removed else None
+            old, new = old + removed, new + added
+    return new_line + old - new
 
 
-def extract_fn_pair(repo: Path | str, commit_id: str, parent: str | None,
+def extract_fn_pair(repo: Path | str, commit_id: str, commit: gitio.Commit,
                     entry: BlameEntry, language: str = "c_family") -> FnPair:
     """Before/after snapshots of the function holding the blamed line.
 
-    Before comes from `parent` (None for a root commit) at the line's
-    pre-image, mapped through the hunks of `git diff` between parent
-    and commit: the alignment git blame used to attribute the line.
-    After is matched by name in the commit's own version. A function
-    introduced by the commit has no before side. Raises
-    FnPairUnavailable when the line sits outside any function on both
-    sides. Each version is read once and scanned for spans once; in a
-    version the detector cannot scan, a side at a known line is the
-    window around it and a side matched by name is absent.
+    Before comes from the parent of `commit` (`commit_id` as read by
+    `gitio.read_commit`) at the line's pre-image, mapped through the
+    hunks of the commit's diff: the alignment git blame used to
+    attribute the line. After is matched by name in the commit's own
+    version. A function introduced by the commit has no before side.
+    Raises FnPairUnavailable when the commit has no version of the
+    file, or the line sits outside any function on both sides. Each
+    version is read once and scanned for spans once; in a version the
+    detector cannot scan, a side at a known line is the window around
+    it and a side matched by name is absent.
     """
     path = entry.commit_path or entry.file_path
     line = entry.commit_line or entry.line_number
-    after_text = gitio.file_at(repo, commit_id, path)
+    try:
+        after_text = gitio.file_at(repo, commit_id, path)
+    except FileNotInSnapshot:
+        raise FnPairUnavailable(f"{path} is not in {commit_id}") from None
     before_text = None
-    if parent is not None:
+    if commit.parent is not None:
         try:
-            before_text = gitio.file_at(repo, parent, path)
+            before_text = gitio.file_at(repo, commit.parent, path)
         except FileNotInSnapshot:
             pass
 
@@ -185,7 +196,11 @@ def extract_fn_pair(repo: Path | str, commit_id: str, parent: str | None,
     after: FunctionSnapshot | None = None
 
     if before_text is not None:
-        hunks = gitio.diff_hunks(repo, parent, commit_id, path)  # type: ignore[arg-type]
+        try:
+            files = parse_unified_diff(commit.diff).files
+        except EmptyPatch:  # the commit changed no line of any file
+            files = []
+        hunks = next((fp.hunks for fp in files if fp.new_path == path), [])
         pre_line = _preimage_line(hunks, line)
         if pre_line is not None:
             try:
@@ -238,7 +253,7 @@ def build_context(repo: Path | str, kind: str, commit_id: str,
     elif kind == "fn_pair":
         if entry is None:
             raise FnPairUnavailable("no blame entry to anchor the function pair")
-        payload = extract_fn_pair(repo, commit_id, commit.parent, entry, language)
+        payload = extract_fn_pair(repo, commit_id, commit, entry, language)
     elif kind == "fl_diff":
         payload = extract_fl_diff(commit.diff)
     else:

@@ -1,15 +1,17 @@
 """Thin wrapper around the git command line plus the blame parser.
 
 All repository access goes through the git binary, by way of `run_git`:
-blame in porcelain form, file content at a revision, the hunks of one
-file between two commits, and `read_commit`, one `git show` per blamed
-commit for its first parent, message, changed files and diff. Diff text
-is read by `patches`, the one unified-diff parser. `run_git` decodes a
+blame in porcelain form, file content at a revision, and `read_commit`,
+one `git show` per blamed commit for its first parent, message, changed
+files and diff. That diff is the only one the history side reads; its
+options are pinned in one place, `read_commit`. `run_git` decodes a
 byte that is not UTF-8 as U+FFFD, so one Latin-1 source cannot cost a
 bug its blame and context. Nothing here mutates a repository.
 
 Git reads no system or global config, so a user's settings cannot change
 a read, a patch or a verdict (nor can a global `safe.directory` apply).
+Bytes above 0x7f in paths are not C-quoted (`core.quotePath=false`), so
+blame, diff headers and final patches name a non-ASCII file as on disk.
 
 `CallMemo`, one CLI call's memo of its blame summaries and final-patch
 verdicts, lives here because every command that needs it loads git,
@@ -27,7 +29,6 @@ from pathlib import Path
 from typing import NamedTuple, TypeVar
 
 from .errors import BlameParseError, FileNotInSnapshot, GitToolError, LineOutOfRange
-from .patches import Hunk, parse_unified_diff
 
 # header keys git blame --line-porcelain is documented to emit
 _BLAME_KEYS = {
@@ -46,7 +47,7 @@ def run_git(repo: Path | str, *args: str, errors: str = "replace",
     given, is written to the command's stdin.
     """
     proc = subprocess.run(
-        ["git", "-C", str(repo), *args],
+        ["git", "-c", "core.quotePath=false", "-C", str(repo), *args],
         capture_output=True, text=True, errors=errors, input=input,
         env={**os.environ, "GIT_CONFIG_NOSYSTEM": "1", "GIT_CONFIG_GLOBAL": os.devnull},
     )
@@ -89,12 +90,13 @@ def read_commit(repo: Path | str, commit: str) -> Commit:
 
     A root commit diffs as all additions (`--root`, so `log.showRoot`
     cannot drop it) and a merge against its first parent only. Colour,
-    external diff drivers, text conversion, path prefixes and the hunk
-    layout are pinned, so a host repo's own config cannot change the diff.
+    external diff drivers, text conversion, path prefixes, file order
+    and the hunk layout are pinned, so a host repo's own config cannot
+    change the diff.
     """
     out = run_git(repo, "show", "--format=%P%x00%B%x00", "--diff-merges=first-parent",
                   "--root", "--patch-with-raw", "-M", "-U3", "--no-color", "--no-ext-diff",
-                  "--no-textconv", "--src-prefix=a/", "--dst-prefix=b/",
+                  "--no-textconv", "--src-prefix=a/", "--dst-prefix=b/", "-O/dev/null",
                   "--diff-algorithm=myers", "--inter-hunk-context=0", commit)
     parents, message, rest = out.split("\0", 2)
     # after the format's newline: the raw lines, a blank line, the patch
@@ -108,17 +110,6 @@ def read_commit(repo: Path | str, commit: str) -> Commit:
                                    None if status == "D" else (renamed or [old])[0]))
     return Commit(parent=(parents.split() or [None])[0], message=message.rstrip("\n"),
                   changes=tuple(changes), diff=diff)
-
-
-def diff_hunks(repo: Path | str, old: str, new: str, path: str) -> list[Hunk]:
-    """Zero-context hunks of `path` between two commits.
-
-    The algorithm and the hunk layout are pinned so that user diff
-    settings cannot change how lines of `new` align with lines of `old`.
-    """
-    out = run_git(repo, "diff", "-U0", "--inter-hunk-context=0", "--no-color",
-                  "--no-ext-diff", "--diff-algorithm=myers", old, new, "--", path)
-    return parse_unified_diff(out).files[0].hunks if out else []
 
 
 def file_add_commit(repo: Path | str, ref: str, path: str) -> tuple[str, int]:

@@ -1,10 +1,10 @@
 """Unified diff parsing and patch structure.
 
 This is the one module that reads unified-diff text. A parsed patch is
-what bug categorization works on, and its hunks are what the fn_pair
-pre-image mapping walks (`gitio.diff_hunks`). The verbatim pieces the
-parser walks, header runs and whole hunks, are where fl_diff payloads
-may be cut (`diff_pieces`). Parsing accepts plain
+what bug categorization works on, and the hunks of a blamed commit's
+own diff (`gitio.read_commit`) are what the fn_pair pre-image mapping
+walks. The verbatim pieces the parser walks, header runs and whole
+hunks, are where fl_diff payloads may be cut (`diff_pieces`). Parsing accepts plain
 `diff -u` output as well as git's variant (diff --git headers,
 /dev/null sides, binary notices, mode lines).
 

@@ -194,7 +194,7 @@ def test_04_heuristic_extraction_fidelity(tmp_path, snapshot_worktree):
         entry = blame.blame_lines(repo, head, location)[0]
         assert entry.commit_id == head
         commit = gitio.read_commit(repo, head)
-        pair = context.extract_fn_pair(repo, head, commit.parent, entry)
+        pair = context.extract_fn_pair(repo, head, commit, entry)
         assert pair.before.body_text == "int f(int a) {\n    return a + 1;\n}"
         assert pair.after.body_text == "int f(int a) {\n    return a + 2;\n}"
         assert (pair.before.start_line, pair.before.end_line) == (1, 3)

@@ -96,7 +96,7 @@ def test_two_candidate_judge_reads_each_fact_once(make_repo, monkeypatch):
     real_run = blame.gitio.subprocess.run
 
     def counting_run(argv, *args, **kwargs):
-        spawned.append(argv[3])
+        spawned.append(argv[5])  # git -c <quotePath> -C <repo> <subcommand>
         return real_run(argv, *args, **kwargs)
     seen = []
 

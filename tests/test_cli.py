@@ -100,6 +100,31 @@ def test_context_unknown_bug_exits_3(toy_campaign, capsys):
     assert "not in the manifest" in err
 
 
+def test_context_fn_pair_on_the_add_commit_of_a_renamed_file_gets_the_notice(
+        toy_campaign, capsys):
+    # nothing above the insertion is executable, so blame anchors on the
+    # commit that added the file, which named it old.c
+    root = toy_campaign["root"]
+    repo = synth.init_repo(root / "renamed")
+    (repo / "old.c").write_text("// counter\nint count(int n) {\n    return n;\n}\n")
+    synth.commit_all(repo, "add counter", 0)
+    (repo / "old.c").rename(repo / "new.c")
+    snapshot = synth.commit_all(repo, "rename counter", 1)
+    (root / "manifest_renamed.jsonl").write_text(json.dumps({
+        "bug_id": "renamed-001", "repo_path": "renamed", "snapshot_ref": snapshot,
+        "locations": [{"file": "new.c", "lines": [{"line": 1, "kind": "insertion_point"}]}],
+        "failing_tests": ["test_count"], "bug_report_path": "bug_report.txt",
+    }) + "\n")
+    cfg = root / "campaign_renamed.yaml"
+    cfg.write_text(toy_campaign["campaign"].read_text().replace(
+        "manifest: manifest.jsonl", "manifest: manifest_renamed.jsonl"))
+    code, _, err = invoke("context", "--config", str(cfg), "--bug", "renamed-001",
+                          "--heuristic", "fn_pair", capsys=capsys)
+    assert (code, err) == (0, "")
+    user = (root / "out" / "context" / "renamed-001__fn_pair.user.txt").read_text()
+    assert "# Historical Context\nhistorical context unavailable: new.c is not in" in user
+
+
 def test_context_unknown_heuristic_is_a_usage_error(toy_campaign):
     with pytest.raises(SystemExit) as exc:
         main(["context", "--config", str(toy_campaign["campaign"]),

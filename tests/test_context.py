@@ -1,7 +1,9 @@
 """Heuristic payload extraction, truncation, and prompt rendering."""
 
 import json
+import random
 import subprocess
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,7 +29,7 @@ from histrepair.context import (
     truncate,
 )
 from histrepair.errors import FnPairUnavailable
-from histrepair.patches import Hunk, parse_unified_diff
+from histrepair.patches import parse_unified_diff, source_lines
 
 
 def entry_for(repo, ref, path, line):
@@ -40,7 +42,7 @@ def fn_all(repo, sha):
 
 
 def fn_pair(repo, sha, entry):
-    return extract_fn_pair(repo, sha, gitio.read_commit(repo, sha).parent, entry)
+    return extract_fn_pair(repo, sha, gitio.read_commit(repo, sha), entry)
 
 
 def simple_spec(ref):
@@ -214,21 +216,21 @@ def test_fn_pair_uses_commit_side_line_numbers(make_repo):
     assert pair.before is None  # root commit has no parent
 
 
-# old line each new line maps to, through one or more -U0 hunks
+# old line each new line maps to, through the hunks of a -U0 diff
 PREIMAGE_CASES = {
     # two lines inserted after old line 2
-    "pure insert": ([Hunk(2, 0, 3, 2)],
+    "pure insert": ("@@ -2,0 +3,2 @@\n+x\n+y\n",
                     {1: 1, 2: 2, 3: None, 4: None, 5: 3}),
     # old lines 2-3 deleted after new line 1
-    "pure delete": ([Hunk(2, 2, 1, 0)], {1: 1, 2: 4, 3: 5}),
-    "replace shorter": ([Hunk(2, 3, 2, 1)], {1: 1, 2: 2, 3: 5}),
-    "replace longer": ([Hunk(2, 1, 2, 3)],
+    "pure delete": ("@@ -2,2 +1,0 @@\n-b\n-c\n", {1: 1, 2: 4, 3: 5}),
+    "replace shorter": ("@@ -2,3 +2,1 @@\n-b\n-c\n-d\n+B\n", {1: 1, 2: 2, 3: 5}),
+    "replace longer": ("@@ -2,1 +2,3 @@\n-b\n+B\n+C\n+D\n",
                        {1: 1, 2: 2, 3: 2, 4: 2, 5: 3}),
-    "deleted first lines": ([Hunk(1, 2, 0, 0)], {1: 3, 2: 4}),
+    "deleted first lines": ("@@ -1,2 +0,0 @@\n-a\n-b\n", {1: 3, 2: 4}),
     # an insert, a delete and a longer replace: lines before, between
     # and after the hunks shift by the hunks before them
     "three hunks": (
-        [Hunk(2, 0, 3, 1), Hunk(5, 2, 5, 0), Hunk(9, 1, 8, 2)],
+        "@@ -2,0 +3,1 @@\n+c\n@@ -5,2 +5,0 @@\n-e\n-f\n@@ -9,1 +8,2 @@\n-i\n+H\n+I\n",
         {1: 1, 2: 2, 3: None, 4: 3, 5: 4, 6: 7, 7: 8, 8: 9, 9: 9, 10: 10, 11: 11},
     ),
 }
@@ -236,7 +238,8 @@ PREIMAGE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(PREIMAGE_CASES))
 def test_preimage_line_through_hunks(case):
-    hunks, expected = PREIMAGE_CASES[case]
+    text, expected = PREIMAGE_CASES[case]
+    hunks = parse_unified_diff("--- a/x.c\n+++ b/x.c\n" + text).files[0].hunks
     assert {n: context._preimage_line(hunks, n) for n in expected} == expected
 
 
@@ -265,14 +268,85 @@ def test_fn_pair_before_side_follows_git_hunk_alignment(make_repo):
     assert pair.after.body_text == "int g() {\n    a();\n}"
 
 
-def test_preimage_agrees_with_blame_on_unchanged_lines(make_repo):
-    repo, shas = make_repo([{"x.c": TWO_BODIES_BEFORE}, {"x.c": TWO_BODIES_AFTER}])
-    hunks = gitio.diff_hunks(repo, shas[0], shas[1], "x.c")
-    lines = gitio.blame_file_lines(repo, shas[1], "x.c", list(range(1, 7)))
-    kept = [bl for bl in lines if bl.commit_id == shas[0]]
-    assert len(kept) == 4
-    for bl in kept:
-        assert context._preimage_line(hunks, bl.final_line) == bl.orig_line
+def _reference_preimage(hunks, new_line):
+    """The mapping fn_pair used before it read the commit's own diff:
+    header arithmetic over the zero-context hunks of `_reference_hunks`."""
+    shift = 0
+    for h in hunks:
+        if new_line < h.new_start + max(h.new_count, 1):
+            if h.new_count and new_line >= h.new_start:
+                if not h.old_count:
+                    return None
+                return h.old_start + min(new_line - h.new_start, h.old_count - 1)
+            break
+        shift += h.old_count - h.new_count
+    return new_line + shift
+
+
+def _reference_hunks(repo, parent, commit, path):
+    """Zero-context hunks of `path`, from the `git diff` fn_pair ran per
+    build before it read the commit's own `git show` hunks."""
+    out = gitio.run_git(repo, "diff", "-U0", "--inter-hunk-context=0", "--no-color",
+                        "--no-ext-diff", "--diff-algorithm=myers", parent, commit, "--", path)
+    return parse_unified_diff(out).files[0].hunks if out else []
+
+
+ALIGNMENT_LINES = ["int f(int a) {", "    a();", "    b();", "    return a;", "}", "",
+                   "    c();", "// note"]
+
+
+def _random_edits(rng, count):
+    """`count` successive versions of a small C-like file, each a random
+    edit of the one before: inserts, deletes and replaces of a few
+    lines anywhere (first lines included), now and then several at once,
+    an emptied file, or a last line without its newline."""
+    lines = [rng.choice(ALIGNMENT_LINES) for _ in range(12)]
+    versions = []
+    while len(versions) < count:
+        roll = rng.random()
+        if roll < 0.05:
+            new = []
+        else:
+            new = list(lines)
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                at = rng.randint(0, len(new))
+                cut = rng.choice((0, 0, 1, 2, 3))
+                new[at:at + cut] = [rng.choice(ALIGNMENT_LINES)
+                                    for _ in range(rng.choice((0, 1, 1, 2, 3)))]
+        text = "".join(line + "\n" for line in new)
+        if text and roll > 0.9:
+            text = text[:-1]
+        if versions and text == versions[-1]:
+            continue
+        versions.append(text)
+        lines = new
+    return versions
+
+
+def test_preimage_through_the_commit_diff_matches_the_zero_context_diff_and_blame(make_repo):
+    # every commit of a chain of random edits: the map through the
+    # commit's own -U3 hunks equals the former map through `git diff
+    # -U0`, and equals blame's line in the parent on every line the
+    # commit did not change
+    repo, shas = make_repo([{"x.c": text} for text in _random_edits(random.Random(28), 40)])
+    merged = unchanged = added = 0
+    for parent, sha in zip(shas, shas[1:]):
+        new_count = len(source_lines(gitio.file_at(repo, sha, "x.c")))
+        hunks = [fp.hunks for fp in parse_unified_diff(gitio.read_commit(repo, sha).diff).files
+                 if fp.new_path == "x.c"][0]
+        reference = _reference_hunks(repo, parent, sha, "x.c")
+        got = {n: context._preimage_line(hunks, n) for n in range(1, new_count + 2)}
+        assert got == {n: _reference_preimage(reference, n) for n in got}, sha
+        merged += len(hunks) < len(reference)
+        added += list(got.values()).count(None)
+        if new_count:
+            blamed = gitio.blame_file_lines(repo, f"{parent}..{sha}", "x.c",
+                                            list(range(1, new_count + 1)))
+            for bl in blamed:
+                if bl.commit_id == parent:
+                    unchanged += 1
+                    assert got[bl.final_line] == bl.orig_line, (sha, bl.final_line)
+    assert merged and unchanged and added
 
 
 # --- fl_diff ------------------------------------------------------------
@@ -331,22 +405,24 @@ def test_build_context_reads_the_commit_with_one_git_show(make_repo, monkeypatch
         {"x.c": "int f(int a) {\n    return a + 2;\n}\n"},
     ])
     entry = entry_for(repo, shas[1], "x.c", 2)
-    calls = []
-    real = gitio.run_git
+    argvs = []
 
-    def spy(repo, *args, **kwargs):
-        calls.append(args)
-        return real(repo, *args, **kwargs)
+    def spy(argv, **kwargs):
+        argvs.append(argv)
+        return subprocess.run(argv, **kwargs)
 
-    monkeypatch.setattr(gitio, "run_git", spy)
+    monkeypatch.setattr(gitio, "subprocess", SimpleNamespace(run=spy))
     build_context(repo, kind, shas[1], entry=entry)
-    # file reads are `show <ref>:<path>`; the commit itself is shown once
-    assert [args for args in calls if args[0] == "show" and args[-1] == shas[1]] == \
-        [("show", "--format=%P%x00%B%x00", "--diff-merges=first-parent", "--root",
-          "--patch-with-raw", "-M", "-U3", "--no-color", "--no-ext-diff", "--no-textconv",
-          "--src-prefix=a/", "--dst-prefix=b/", "--diff-algorithm=myers",
-          "--inter-hunk-context=0", shas[1])]
-    assert not [args for args in calls if args[0] in ("rev-parse", "log")]
+    # the commit is shown once; fn_pair aligns its line through that
+    # diff, so no heuristic runs `git diff`. Files read as `show <ref>:<path>`
+    git = ["git", "-c", "core.quotePath=false", "-C", str(repo)]
+    reads = {"fn_all": [shas[1]], "fn_pair": [shas[1], shas[0]], "fl_diff": []}[kind]
+    assert argvs == [
+        git + ["show", "--format=%P%x00%B%x00", "--diff-merges=first-parent", "--root",
+               "--patch-with-raw", "-M", "-U3", "--no-color", "--no-ext-diff",
+               "--no-textconv", "--src-prefix=a/", "--dst-prefix=b/", "-O/dev/null",
+               "--diff-algorithm=myers", "--inter-hunk-context=0", shas[1]],
+    ] + [git + ["show", f"{ref}:x.c"] for ref in reads]
 
 
 def test_build_context_applies_budget(make_repo):

@@ -5,14 +5,15 @@ import subprocess
 
 import pytest
 
-from histrepair import gitio, synth
+from histrepair import blame, context, gitio, sandbox, synth
+from histrepair.bugs import FaultLocation, LocalizedLine
+from histrepair.config import BUILTIN_ADAPTERS
 from histrepair.errors import (
     BlameParseError,
     FileNotInSnapshot,
     GitToolError,
     LineOutOfRange,
 )
-from histrepair.patches import Hunk
 
 SHA_A = "a" * 40
 SHA_B = "b" * 40
@@ -207,22 +208,6 @@ def test_file_at_versions_and_missing(make_repo):
         gitio.file_at(repo, shas[0], "missing.txt")
 
 
-def test_diff_hunks_ignore_user_diff_settings(make_repo):
-    repo, shas = make_repo([
-        {"a.txt": "1\n2\n3\n4\n5\n6\n7\n"},
-        {"a.txt": "1\nTWO\n3\n4\n5\n6\n7\nEIGHT\n"},
-    ])
-    expected = [Hunk(2, 1, 2, 1, ["-2", "+TWO"]), Hunk(7, 0, 8, 1, ["+EIGHT"])]
-    assert gitio.diff_hunks(repo, shas[0], shas[1], "a.txt") == expected
-    assert gitio.diff_hunks(repo, shas[1], shas[1], "a.txt") == []
-    # settings that would merge the hunks, swap the algorithm, colour
-    # the headers or hand the diff to another program
-    for key, value in (("diff.interHunkContext", "10"), ("diff.algorithm", "patience"),
-                       ("color.diff", "always"), ("diff.external", "false")):
-        subprocess.run(["git", "-C", str(repo), "config", key, value], check=True)
-    assert gitio.diff_hunks(repo, shas[0], shas[1], "a.txt") == expected
-
-
 def test_resolve_ref_and_errors(make_repo):
     repo, shas = make_repo([{"a.txt": "1\n"}, {"a.txt": "2\n"}])
     assert gitio.run_git(repo, "rev-parse", "HEAD").strip() == shas[1]
@@ -332,6 +317,127 @@ def test_read_commit_shows_a_root_commit_under_log_show_root_false(make_repo):
     assert root == _reference_commit(repo, shas[0])
     assert root.changes == (gitio.ChangedFile(None, "a.txt"),)
     assert "+alpha" in root.diff
+
+
+# a rewrite that myers and patience align differently
+FROBNITZ = """\
+#include <stdio.h>
+
+// Frobs foo heartily
+int frobnitz(int foo)
+{
+    int i;
+    for(i = 0; i < 10; i++)
+    {
+        printf("Your answer is: ");
+        printf("%d\\n", foo);
+    }
+}
+
+int fact(int n)
+{
+    if(n > 1)
+    {
+        return fact(n-1) * n;
+    }
+    return 1;
+}
+
+int main(int argc, char **argv)
+{
+    frobnitz(fact(10));
+}
+"""
+FIB = """\
+#include <stdio.h>
+
+int fib(int n)
+{
+    if(n > 2)
+    {
+        return fib(n-1) + fib(n-2);
+    }
+    return 1;
+}
+
+// Frobs foo heartily
+int frobnitz(int foo)
+{
+    int i;
+    for(i = 0; i < 10; i++)
+    {
+        printf("%d\\n", foo);
+    }
+}
+
+int main(int argc, char **argv)
+{
+    frobnitz(fib(10));
+}
+"""
+TWENTY = "".join(f"{n}\n" for n in range(1, 21))
+
+
+@pytest.mark.parametrize("key", ["diff.orderFile", "diff.algorithm", "diff.interHunkContext",
+                                 "color.diff"])
+def test_read_commit_ignores_host_diff_settings(make_repo, tmp_path, key):
+    # b.c's two changes are 12 lines apart: separate hunks at -U3, one
+    # hunk under a larger inter-hunk context
+    repo, shas = make_repo([
+        {"a.c": FROBNITZ, "b.c": TWENTY, "c.c": "c\n"},
+        {"a.c": FIB, "b.c": TWENTY.replace("2\n", "TWO\n", 1).replace("15\n", "XV\n"),
+         "c.c": "C\n"},
+    ])
+    order = tmp_path / "order.txt"
+    order.write_text("c*\nb.c\n")
+    value = {"diff.orderFile": str(order), "diff.algorithm": "patience",
+             "diff.interHunkContext": "10", "color.diff": "always"}[key]
+    clean = gitio.read_commit(repo, shas[1])
+    assert [c.new_path for c in clean.changes] == ["a.c", "b.c", "c.c"]
+    plain = gitio.run_git(repo, "show", shas[1])
+    gitio.run_git(repo, "config", key, value)
+    assert gitio.run_git(repo, "show", shas[1]) != plain  # the setting takes effect
+    assert gitio.read_commit(repo, shas[1]) == clean
+
+
+# --- paths git would C-quote ------------------------------------------------
+
+CAFE_BEFORE = "int brew(int a) {\n    return a + 1;\n}\n\nint pour(int b) {\n    return b;\n}\n"
+CAFE_AFTER = CAFE_BEFORE.replace("a + 1", "a + 2")
+
+
+def test_non_ascii_path_keeps_its_history_contexts(make_repo):
+    repo, shas = make_repo([
+        {"café.c": CAFE_BEFORE, "b.c": "int b() {\n    return 0;\n}\n"},
+        {"café.c": CAFE_AFTER, "b.c": "int b() {\n    return 1;\n}\n"},
+    ])
+    location = FaultLocation("café.c", (LocalizedLine(line=2, kind="modified"),))
+    entry = blame.blame_lines(repo, shas[1], location)[0]
+    assert (entry.commit_id, entry.commit_path) == (shas[1], "café.c")
+
+    pair = context.build_context(repo, "fn_pair", shas[1], entry=entry).payload
+    assert pair.before.body_text == "int brew(int a) {\n    return a + 1;\n}"
+    assert pair.after.body_text == "int brew(int a) {\n    return a + 2;\n}"
+    fn_all = context.build_context(repo, "fn_all", shas[1]).payload
+    assert {(e.file_path, e.names, e.note) for e in fn_all.entries} == \
+        {("café.c", ("brew", "pour"), ""), ("b.c", ("b",), "")}
+    diff = context.build_context(repo, "fl_diff", shas[1]).payload.diff_text
+    assert "diff --git a/café.c b/café.c\n" in diff
+    assert "--- a/café.c\n+++ b/café.c\n" in diff
+
+
+def test_final_patch_of_a_non_ascii_path_verifies(tmp_path):
+    toy = synth.build_toy_campaign(tmp_path / "toy")
+    handle = sandbox.provision(synth.TOY_BUG_ID, toy["repo"], toy["snapshot"],
+                               BUILTIN_ADAPTERS["local-python"])
+    try:
+        sandbox.exec_command(handle, "sed -i 's/a - b  # fast path/a + b/' calc.py")
+        sandbox.exec_command(handle, "echo 'SHOTS = 2' > café.py")
+        patch = sandbox.final_patch(handle)
+        assert "diff --git a/café.py b/café.py\n" in patch
+        assert sandbox.verify(handle, patch, gitio.CallMemo())
+    finally:
+        sandbox.teardown(handle, tmp_path / "artifacts", "")
 
 
 def test_snapshot_worktree_checks_out_under_tmp_path(make_repo, snapshot_worktree, tmp_path):
