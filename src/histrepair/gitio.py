@@ -12,6 +12,10 @@ Git reads no system or global config, so a user's settings cannot change
 a read, a patch or a verdict (nor can a global `safe.directory` apply).
 Bytes above 0x7f in paths are not C-quoted (`core.quotePath=false`), so
 blame, diff headers and final patches name a non-ASCII file as on disk.
+Git still C-quotes a path that holds a `"`, a backslash or a control
+character; `patches.unquote_path` undoes that in the changed files,
+blame's filename and the diff headers `patches` parses, while diff text
+(fl_diff, final patches) stays git's verbatim output.
 
 `CallMemo`, one CLI call's memo of its blame summaries and final-patch
 verdicts, lives here because every command that needs it loads git,
@@ -29,6 +33,7 @@ from pathlib import Path
 from typing import NamedTuple, TypeVar
 
 from .errors import BlameParseError, FileNotInSnapshot, GitToolError, LineOutOfRange
+from .patches import unquote_path
 
 # header keys git blame --line-porcelain is documented to emit
 _BLAME_KEYS = {
@@ -104,10 +109,11 @@ def read_commit(repo: Path | str, commit: str) -> Commit:
     changes = []
     for line in raw.splitlines():
         # ":<modes> <shas> <status>\t<path>", a rename adding "\t<new path>"
-        meta, old, *renamed = line.split("\t")
+        meta, *paths = line.split("\t")
+        old, new = unquote_path(paths[0]), unquote_path(paths[-1])
         status = meta.split()[-1][0]
         changes.append(ChangedFile(None if status == "A" else old,
-                                   None if status == "D" else (renamed or [old])[0]))
+                                   None if status == "D" else new))
     return Commit(parent=(parents.split() or [None])[0], message=message.rstrip("\n"),
                   changes=tuple(changes), diff=diff)
 
@@ -174,7 +180,7 @@ def parse_porcelain_blame(output: str) -> list[BlameLine]:
             final_line=final_line,
             orig_line=orig_line,
             author_time=int(headers.get("author-time", "0")),
-            orig_filename=headers.get("filename", ""),
+            orig_filename=unquote_path(headers.get("filename", "")),
             headers=headers,
         ))
     return result

@@ -19,12 +19,7 @@ from typing import NamedTuple
 from .bugs import CATEGORIES
 from .config import HEURISTICS
 from .errors import EmptyScope, InsufficientData, UniverseMismatch
-from .stats import (
-    BONFERRONI_ALPHA,
-    bonferroni_alpha,
-    friedman_test,
-    wilcoxon_signed_rank,
-)
+from .stats import bonferroni_alpha, friedman_test, wilcoxon_signed_rank
 
 BASELINE = "non_history"
 
@@ -246,7 +241,7 @@ class StatTestReport(NamedTuple):
     friedman_statistic: float | None
     friedman_p: float | None
     pairwise_p: dict[str, float]
-    alpha_corrected: float = float(BONFERRONI_ALPHA)
+    alpha_corrected: float
     note: str = ""
     configs: tuple[str, ...] = ()   # the configs the matched set spans
 
@@ -368,8 +363,7 @@ def render_stat_reports(reports: list[StatTestReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_report(rows: list[OutcomeRow], out_dir: Path | str,
-                  metrics: tuple[str, ...] = ("cost", "steps")) -> dict:
+def export_report(rows: list[OutcomeRow], out_dir: Path | str) -> dict:
     """Write the full report set; returns the paths written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -379,7 +373,7 @@ def export_report(rows: list[OutcomeRow], out_dir: Path | str,
     categories = [c for c in CATEGORIES if any(r.category == c for r in rows)]
     reports = [
         stat_test_report(rows, metric, cat)
-        for metric in metrics for cat in categories
+        for metric in ("cost", "steps") for cat in categories
     ]
 
     paths = {

@@ -6,7 +6,8 @@ own diff (`gitio.read_commit`) are what the fn_pair pre-image mapping
 walks. The verbatim pieces the parser walks, header runs and whole
 hunks, are where fl_diff payloads may be cut (`diff_pieces`). Parsing accepts plain
 `diff -u` output as well as git's variant (diff --git headers,
-/dev/null sides, binary notices, mode lines).
+/dev/null sides, binary notices, mode lines, C-quoted paths, which
+`unquote_path` gives back as on disk for `patches` and `gitio` alike).
 
 Hunk bodies are read as git reads them: a hunk holds exactly the old
 and new line counts of its header, so a body line such as `-- note` or
@@ -98,7 +99,31 @@ def source_lines(text: str) -> list[str]:
     return lines
 
 
+# inside a C-quoted path: one byte as three octal digits, or an escaped
+# control character, quote or backslash
+_C_ESCAPE = re.compile(rb'\\([0-3][0-7]{2}|[abtnvfr"\\])')
+_C_ESCAPED = dict(zip(b'abtnvfr"\\', b'\a\b\t\n\v\f\r"\\'))
+
+
+def unquote_path(path: str) -> str:
+    """`path` as on disk when git printed it C-quoted, else `path` itself.
+
+    Git quotes a path that holds a `"`, a backslash or a control
+    character, even under core.quotePath=false: the path goes between
+    double quotes, with C escapes and octal bytes inside. The unescaped
+    bytes decode as UTF-8, a byte that is not UTF-8 becoming U+FFFD as
+    in `gitio.run_git`.
+    """
+    if len(path) < 2 or path[0] != '"' or path[-1] != '"':
+        return path
+    raw = _C_ESCAPE.sub(
+        lambda m: bytes([int(m[1], 8) if len(m[1]) == 3 else _C_ESCAPED[m[1][0]]]),
+        path[1:-1].encode())
+    return raw.decode("utf-8", errors="replace")
+
+
 def _strip_prefix(path: str) -> str:
+    path = unquote_path(path)
     if path == "/dev/null":
         return path
     if path.startswith(("a/", "b/")):

@@ -1,8 +1,8 @@
 """Run records: the schema of one (bug, config) run and its JSONL file.
 
 A record is one `meta` line, one `message` line per transcript entry
-and a closing `result` line, in that order; a file whose last line is
-not the `result` line is incomplete, and `batch` runs its job again.
+and a closing `result` line, in that order; a file that
+`load_run_record` refuses is incomplete, and `batch` runs its job again.
 This module imports only the stdlib and `errors`, so `report` can read
 records without loading the loop, the provider or the sandbox.
 """
@@ -79,16 +79,24 @@ def write_run_record(record: RunRecord, path: Path | str) -> None:
 def load_run_record(path: Path | str) -> RunRecord:
     """The record at `path`.
 
-    HistRepairError, naming the file and what it lacks, when a line is
-    not a record line or the meta or result line is missing.
+    HistRepairError, naming the file and what it lacks, when the file
+    is not UTF-8, a line is not a record line, the meta or result line
+    is missing, or a record line follows the result line.
     """
     path = Path(path)
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise HistRepairError(
+            f"record {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     meta: dict | None = None
     result: dict | None = None
     transcript: list[TranscriptMessage] = []
-    for number, raw in enumerate(path.read_text().splitlines(), 1):
+    for number, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
+        if result is not None:
+            raise HistRepairError(f"record {path}: line {number} follows the result line")
         try:
             obj = json.loads(raw)
             if obj["type"] == "meta":
@@ -142,11 +150,9 @@ def comparable_record_lines(path: Path | str) -> list[str]:
 
 
 def record_is_complete(path: Path) -> bool:
-    """Whether the record at `path` exists and ends with its result line."""
-    if not path.exists():
-        return False
+    """Whether the record at `path` exists and `load_run_record` reads it."""
     try:
-        lines = [l for l in path.read_text().splitlines() if l.strip()]
-        return bool(lines) and json.loads(lines[-1]).get("type") == "result"
-    except (json.JSONDecodeError, OSError):
+        load_run_record(path)
+    except (HistRepairError, OSError):
         return False
+    return True

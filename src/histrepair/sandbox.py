@@ -93,7 +93,7 @@ def parse_failing_block(output: str) -> TestOutcome:
             names.append(nm.group(1).strip())
         elif line.strip() and names:
             break
-    if count != len(names) and count > 0 and not names:
+    if count > 0 and not names:
         # count without names still identifies failure; synthesize
         names = [f"(unnamed failing test {i + 1})" for i in range(count)]
     return TestOutcome(all_passed=(count == 0), failing_tests=tuple(names[:count]))

@@ -1,11 +1,10 @@
 """Language-light source text analysis.
 
-Two cleaned views of a file are produced from one scan:
-
-* content view: comments stripped, strings kept. Used to decide whether
-  a line holds executable content.
-* structure view: comments stripped AND string interiors blanked. Used
-  for brace matching, where a '}' inside a string literal must not count.
+One scan gives one cleaned view of a file: comments stripped and string
+interiors blanked, line-aligned with the original. Brace matching reads
+it, where a '}' inside a string literal must not count, and so does the
+executable-line classifier: a string keeps its opening quote, which is
+content enough, and a string never spans a line.
 
 The scan is one pass of a compiled regex over the whole text. Each
 match is a token: a `//` or `#` line comment, a `/* */` block comment,
@@ -17,7 +16,6 @@ and Python-family sources alike; it is intentionally not a real lexer.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 # annotation/decorator marker followed by a name, e.g. @Override or @app.route
 _ANNOTATION = re.compile(r"@[A-Za-z_][\w.]*")
@@ -40,27 +38,21 @@ _TOKEN = re.compile(
 _ESCAPE = re.compile(r"\\.")
 
 
-class CleanedSource(NamedTuple):
-    """Comment-free views of a file, line-aligned with the original."""
+def clean_source(text: str) -> str:
+    """`text` with comments stripped and string interiors blanked.
 
-    content_lines: list[str]    # strings intact
-    structure_lines: list[str]  # string interiors blanked
-
-
-def clean_source(text: str) -> CleanedSource:
-    """Strip comments from `text`, preserving line structure.
-
-    Handles //, #, and /* */ comments. Comment markers inside string
-    literals are ignored. Unterminated constructs run to end of input
-    rather than raising; blame targets are frequently broken code: a
-    string closes at the end of its line, and a block comment without
-    its */ runs to the end of the text.
+    Handles //, #, and /* */ comments; a comment leaves only its
+    newlines, so lines stay aligned. A string keeps its quotes and each
+    body character becomes a blank, an escape pair counting as one.
+    Comment markers inside string literals are ignored. Unterminated
+    constructs run to end of input rather than raising; blame targets
+    are frequently broken code: a string closes at the end of its line,
+    and a block comment without its */ runs to the end of the text.
     """
-    content: list[str] = []
-    structure: list[str] = []
+    out: list[str] = []
     pos = 0
     for m in _TOKEN.finditer(text):
-        plain = text[pos:m.start()]
+        out.append(text[pos:m.start()])
         pos = m.end()
         quote = m[1]
         if quote:
@@ -68,20 +60,11 @@ def clean_source(text: str) -> CleanedSource:
             # an escape pair is one blank, as if it were one character
             if "\\" in body:
                 body = _ESCAPE.sub(" ", body)
-            content += plain, m[0]
-            structure += plain, quote + " " * len(body) + (m[3] or "")
+            out.append(quote + " " * len(body) + (m[3] or ""))
         else:
-            # a comment leaves only its newlines, so lines stay aligned
-            kept = "\n" * m[0].count("\n")
-            content += plain, kept
-            structure += plain, kept
-    tail = text[pos:]
-    content.append(tail)
-    structure.append(tail)
-    return CleanedSource(
-        content_lines="".join(content).split("\n"),
-        structure_lines="".join(structure).split("\n"),
-    )
+            out.append("\n" * m[0].count("\n"))
+    out.append(text[pos:])
+    return "".join(out)
 
 
 def is_executable_line(cleaned_line: str) -> bool:
@@ -96,9 +79,8 @@ def is_executable_line(cleaned_line: str) -> bool:
 
 def executable_line_numbers(text: str) -> set[int]:
     """1-based numbers of all executable lines in `text`."""
-    cleaned = clean_source(text)
     return {
         idx
-        for idx, line in enumerate(cleaned.content_lines, start=1)
+        for idx, line in enumerate(clean_source(text).split("\n"), start=1)
         if is_executable_line(line)
     }

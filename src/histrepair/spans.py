@@ -55,7 +55,7 @@ class FunctionSpan(NamedTuple):
 
 
 def _c_family_spans(text: str) -> list[FunctionSpan]:
-    struct = "\n".join(clean_source(text).structure_lines)
+    struct = clean_source(text)
     # offset of each '(' and '{' -> offset of its matching ')' or '}'
     closer: dict[int, int] = {}
     open_parens: list[int] = []
@@ -115,11 +115,10 @@ def _python_spans(text: str) -> list[FunctionSpan]:
             candidate = lines[j]
             if not candidate.strip():
                 continue
-            if len(candidate) - len(candidate.lstrip()) <= indent and not (
-                candidate.expandtabs()[indent:indent + 1] in (")", "]")
-            ):
-                if len(candidate.expandtabs()) - len(candidate.expandtabs().lstrip()) <= indent:
-                    break
+            expanded = candidate.expandtabs()
+            if (len(expanded) - len(expanded.lstrip()) <= indent
+                    and expanded[indent:indent + 1] not in (")", "]")):
+                break
             end = j
         spans.append(FunctionSpan(name=m.group(2), start_line=idx + 1, end_line=end + 1))
     return spans

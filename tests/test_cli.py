@@ -335,6 +335,25 @@ def test_batch_exits_3_when_a_job_failed_and_reruns_it(toy_campaign, capsys, mon
     assert "1 run, 3 skipped" in out
 
 
+@pytest.mark.parametrize("damage", [
+    lambda data: data[data.index(b"\n") + 1:],   # no meta line: the record names no bug
+    lambda data: data[:-60] + b"\xff" + data[-60:],
+], ids=["no-meta-line", "not-utf-8"])
+def test_batch_reruns_a_record_that_report_refuses(toy_campaign, capsys, damage):
+    cfg = str(toy_campaign["campaign"])
+    assert invoke("batch", "--config", cfg)[0] == 0
+    record = toy_campaign["root"] / "out" / "records" / f"{BUG}__fn_all.jsonl"
+    intact = records.comparable_record_lines(record)
+    record.write_bytes(damage(record.read_bytes()))
+    capsys.readouterr()
+    assert invoke("report", "--config", cfg, capsys=capsys)[0] == 3
+    code, out, _ = invoke("batch", "--config", cfg, capsys=capsys)
+    assert code == 0
+    assert f"[1/1] {BUG} fn_all: " in out and "1 run, 3 skipped" in out
+    assert records.comparable_record_lines(record) == intact
+    assert invoke("report", "--config", cfg, capsys=capsys)[0] == 0
+
+
 def _spy_blame(monkeypatch, fail=False):
     """Record the bug of every blame; with `fail`, every blame raises."""
     from histrepair import blame
@@ -524,7 +543,8 @@ def test_report_after_batch(toy_campaign, capsys):
 @pytest.mark.parametrize("cut, complaint", [
     (lambda text: text[:-40], "is not a record line"),
     (lambda text: "".join(text.splitlines(keepends=True)[:-1]), "no result line"),
-], ids=["cut-mid-line", "no-result-line"])
+    (lambda text: text + text.splitlines(keepends=True)[1], "follows the result line"),
+], ids=["cut-mid-line", "no-result-line", "line-after-result"])
 def test_report_names_a_bad_record(toy_campaign, capsys, cut, complaint):
     cfg = str(toy_campaign["campaign"])
     assert invoke("repair", "--config", cfg, "--bug", BUG, "--heuristic", "non_history")[0] == 0

@@ -426,6 +426,39 @@ def test_non_ascii_path_keeps_its_history_contexts(make_repo):
     assert "--- a/café.c\n+++ b/café.c\n" in diff
 
 
+QUOTED = 'a"b.c'          # git C-quotes a path holding '"' or a backslash
+BACKSLASHED = "tab\\there.c"
+QUOTED_BEFORE = ("int f(void) {\n    return 1;\n}\nint g(void) {\n    return 2;\n}\n"
+                 "int k(void) {\n    return 4;\n}\n")
+# a new function above g shifts it, so only the diff's hunks map its
+# changed line back to g; read as is, the line falls in k
+QUOTED_AFTER = QUOTED_BEFORE.replace(
+    "int g(void) {\n    return 2;",
+    "int h(void) {\n    return 9;\n}\nint g(void) {\n    return 3;")
+
+
+def test_c_quoted_paths_keep_their_history_contexts(make_repo):
+    repo, shas = make_repo([
+        {QUOTED: QUOTED_BEFORE, BACKSLASHED: "int t(void) {\n    return 0;\n}\n"},
+        {QUOTED: QUOTED_AFTER, BACKSLASHED: "int t(void) {\n    return 0;\n}\n"},
+    ])
+    added = gitio.read_commit(repo, shas[0])
+    assert {c.new_path for c in added.changes} == {QUOTED, BACKSLASHED}
+    fn_all = context.build_context(repo, "fn_all", shas[0]).payload
+    assert {(e.file_path, e.names, e.note) for e in fn_all.entries} == \
+        {(QUOTED, ("f", "g", "k"), ""), (BACKSLASHED, ("t",), "")}
+
+    location = FaultLocation(QUOTED, (LocalizedLine(line=8, kind="modified"),))
+    entry = blame.blame_lines(repo, shas[1], location)[0]
+    assert (entry.commit_id, entry.commit_path) == (shas[1], QUOTED)
+    pair = context.build_context(repo, "fn_pair", shas[1], entry=entry).payload
+    assert pair.before.body_text == "int g(void) {\n    return 2;\n}"
+    assert pair.after.body_text == "int g(void) {\n    return 3;\n}"
+    # the fl_diff text stays git's own
+    diff = context.build_context(repo, "fl_diff", shas[1]).payload.diff_text
+    assert '--- "a/a\\"b.c"\n+++ "b/a\\"b.c"\n' in diff
+
+
 def test_final_patch_of_a_non_ascii_path_verifies(tmp_path):
     toy = synth.build_toy_campaign(tmp_path / "toy")
     handle = sandbox.provision(synth.TOY_BUG_ID, toy["repo"], toy["snapshot"],

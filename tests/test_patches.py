@@ -8,7 +8,7 @@ import pytest
 from histrepair import gitio
 from histrepair.bugs import categorize_bug
 from histrepair.errors import EmptyPatch
-from histrepair.patches import FilePatch, Hunk, Patch, parse_unified_diff
+from histrepair.patches import FilePatch, Hunk, Patch, parse_unified_diff, unquote_path
 
 TWO_FILE_DIFF = """\
 --- a/src/alpha.c
@@ -137,6 +137,40 @@ def test_parse_binary_notice():
     patch = parse_unified_diff(text)
     assert patch.files[0].hunks == []
     assert patch.files[0].path == "img.png"
+
+
+@pytest.mark.parametrize("printed, on_disk", [
+    ("plain.c", "plain.c"),
+    ("café.c", "café.c"),                   # core.quotePath=false
+    ('"a\\"b.c"', 'a"b.c'),
+    ('"tab\\\\there.c"', "tab\\there.c"),
+    ('"\\a\\b\\t\\n\\v\\f\\r.c"', "\a\b\t\n\v\f\r.c"),
+    ('"ctl\\001\\177é.c"', "ctl\x01\x7fé.c"),
+    ('"caf\\303\\251.c"', "café.c"),        # octal UTF-8 bytes
+    ('"latin\\351.c"', "latin\ufffd.c"),     # a byte that is not UTF-8
+    ('"', '"'),
+])
+def test_unquote_path_reads_git_c_quoting(printed, on_disk):
+    assert unquote_path(printed) == on_disk
+
+
+def test_unquote_path_inverts_git_quoting(make_repo):
+    names = ['a"b', "back\\slash", "tab\there", "new\nline", "ctl\x01\x1f\x7f", "café",
+             "sp ace", 'all"\\\t\x07é']
+    repo, _ = make_repo([{name: "x\n" for name in names}])
+    printed = gitio.run_git(repo, "ls-files").splitlines()
+    assert sum(line.startswith('"') for line in printed) == len(names) - 2
+    assert sorted(map(unquote_path, printed)) == \
+        sorted(gitio.run_git(repo, "ls-files", "-z").split("\0")[:-1])
+
+
+def test_parse_unquotes_header_paths():
+    text = ('--- "a/a\\"b.c"\n+++ "b/a\\"b.c"\n@@ -1 +1 @@\n-x\n+y\n'
+            'Binary files "a/i\\\\m.png" and "b/i\\\\m.png" differ\n'
+            '--- /dev/null\n+++ "b/new\\tfile.c"\n@@ -0,0 +1 @@\n+z\n')
+    files = parse_unified_diff(text).files
+    assert [(fp.old_path, fp.new_path) for fp in files] == [
+        ('a"b.c', 'a"b.c'), ("i\\m.png", "i\\m.png"), ("/dev/null", "new\tfile.c")]
 
 
 def test_parse_rejects_empty_input():

@@ -2,11 +2,12 @@
 
 `oracle_clean_source`, `oracle_is_executable_line` and
 `oracle_c_family_spans` are the earlier implementations, kept as the
-reference: a state machine that visits every character, and a bracket
-walk from every signature candidate over the oracle's structure lines.
-The regex versions in `sourcetext` and `spans` must give the same
-lines, the same spans in the same order, and the same DetectorFailure
-messages.
+reference: a state machine that visits every character and gives two
+views (strings kept, string interiors blanked), and a bracket walk from
+every signature candidate over the oracle's structure lines. The regex
+versions in `sourcetext` and `spans` must give the structure lines, the
+executable lines of the content view, the same spans in the same order,
+and the same DetectorFailure messages.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 
 from histrepair import gitio, spans, synth
 from histrepair.errors import DetectorFailure
-from histrepair.sourcetext import clean_source, is_executable_line
+from histrepair.sourcetext import clean_source, executable_line_numbers
 
 _ANNOTATION = re.compile(r"@[A-Za-z_][\w.]*")
 
@@ -163,12 +164,11 @@ def _outcome(detect, *args):
 
 def assert_scans_agree(text: str) -> list | str:
     """Check every output against the oracle; return the span outcome."""
-    cleaned = clean_source(text)
     content, structure = oracle_clean_source(text)
-    assert cleaned.content_lines == content, repr(text)
-    assert cleaned.structure_lines == structure, repr(text)
-    assert ([is_executable_line(line) for line in content]
-            == [oracle_is_executable_line(line) for line in content]), repr(text)
+    assert clean_source(text) == "\n".join(structure), repr(text)
+    assert executable_line_numbers(text) == {
+        number for number, line in enumerate(content, 1)
+        if oracle_is_executable_line(line)}, repr(text)
     found = _outcome(spans.all_spans, text, "c_family")
     assert found == _outcome(oracle_c_family_spans, structure), repr(text)
     return found

@@ -34,49 +34,42 @@ def test_executable_line_classifier_table():
 
 
 def test_clean_strips_line_comments():
+    # one string, line-aligned with the text
     cleaned = clean_source("int a = 1; // trailing note\n# full line\nint b;\n")
-    assert cleaned.content_lines == ["int a = 1; ", "", "int b;", ""]
+    assert cleaned == "int a = 1; \n\nint b;\n"
 
 
 def test_clean_strips_block_comments_preserving_lines():
     src = "a\n/* first\nsecond */\nb\n"
-    cleaned = clean_source(src)
-    assert cleaned.content_lines == ["a", "", "", "b", ""]
+    assert clean_source(src).split("\n") == ["a", "", "", "b", ""]
 
 
 def test_clean_inline_block_comment():
-    cleaned = clean_source("int b; /* note */ int c;\n")
-    assert cleaned.content_lines[0] == "int b;  int c;"
+    assert clean_source("int b; /* note */ int c;\n") == "int b;  int c;\n"
 
 
 def test_comment_markers_inside_strings_survive():
+    # the string closes at its own quote, so only the real comment goes
     src = 'char *s = "no // comment"; // real one\n'
-    cleaned = clean_source(src)
-    assert cleaned.content_lines[0] == 'char *s = "no // comment"; '
+    assert clean_source(src) == 'char *s = "' + " " * 13 + '"; \n'
 
 
 def test_hash_inside_string_survives():
     cleaned = clean_source('url = "http://x#frag"  # trailing\n')
-    assert cleaned.content_lines[0] == 'url = "http://x#frag"  '
+    assert cleaned == 'url = "' + " " * 13 + '"  \n'
 
 
 def test_structure_view_blanks_string_interiors():
-    cleaned = clean_source('if (s == "}") {\n')
-    line = cleaned.structure_lines[0]
-    assert "}" not in line.rstrip()[:-1] or line.rstrip().endswith("{")
-    assert line.count("}") == 0
-    assert line.rstrip().endswith("{")
+    assert clean_source('if (s == "}") {\n') == 'if (s == " ") {\n'
 
 
 def test_escaped_quote_does_not_close_string():
-    cleaned = clean_source('s = "a\\"b"; // gone\n')
-    assert cleaned.content_lines[0] == 's = "a\\"b"; '
+    # the escape pair is one blank
+    assert clean_source('s = "a\\"b"; // gone\n') == 's = "   "; \n'
 
 
 def test_unterminated_string_closes_at_eol():
-    cleaned = clean_source('x = "abc\ny = 2\n')
-    assert cleaned.content_lines[0] == 'x = "abc'
-    assert cleaned.content_lines[1] == "y = 2"
+    assert clean_source('x = "abc\ny = 2\n').split("\n") == ['x = "   ', "y = 2", ""]
 
 
 def test_executable_line_numbers_mixed_file():
@@ -91,9 +84,10 @@ def test_executable_line_numbers_mixed_file():
     assert executable_line_numbers(src) == {1, 5}
 
 
-# (text, content lines, structure lines) for corners of the scanner
+# (text, content lines, cleaned lines) for corners of the scanner; the
+# content lines keep string bodies, as the classifier's reference
 CLEAN_QUIRKS = [
-    # an escape pair is one blank in the structure view
+    # an escape pair is one blank
     ('s = "a\\nb";', ['s = "a\\nb";'], ['s = "   ";']),
     ("c = '\\\\';", ["c = '\\\\';"], ["c = ' ';"]),
     # a backslash before a newline escapes nothing; the string closes at EOL
@@ -112,6 +106,6 @@ CLEAN_QUIRKS = [
 
 @pytest.mark.parametrize("text, content, structure", CLEAN_QUIRKS)
 def test_clean_source_quirks(text, content, structure):
-    cleaned = clean_source(text)
-    assert cleaned.content_lines == content
-    assert cleaned.structure_lines == structure
+    assert clean_source(text).split("\n") == structure
+    assert executable_line_numbers(text) == {
+        number for number, line in enumerate(content, 1) if is_executable_line(line)}

@@ -120,6 +120,14 @@ def test_python_spans_match_hand_count():
     assert got == {("a", 1, 2), ("b", 4, 5)}
 
 
+def test_python_spans_expand_tab_indents():
+    # a tab indents to the next multiple of 8: one tab is deeper than 4 spaces
+    text = ("class K:\n\tdef a(self):\n\t\treturn 1\n\tdef b(self,\n\t):\n\t\treturn 2\n"
+            "def c():\n\treturn 3\n    def d():\n\treturn 4\nx = 5\n")
+    got = {(s.name, s.start_line, s.end_line) for s in spans.all_spans(text, "python")}
+    assert got == {("a", 2, 3), ("b", 4, 6), ("c", 7, 10), ("d", 9, 10)}
+
+
 def test_python_enclosing_span():
     span = spans.innermost_span(spans.all_spans(PY_SOURCE, "python"), 11)
     assert span.name == "fetch"
