@@ -5,11 +5,16 @@ A dataset is a JSONL manifest, one record per bug:
     {"bug_id": "...", "repo_path": "...", "snapshot_ref": "...",
      "locations": [{"file": "...", "lines": [{"line": 7, "kind": "modified"}]}],
      "failing_tests": ["..."], "bug_report_path": "...",
-     "fix_patch_path": "..."}   # fix_patch_path optional
+     "fix_patch_path": "..."}   # the two paths are optional
 
-Relative paths resolve against the manifest's own directory. A fix
-patch is read with `patches.parse_unified_diff`; `categorize_bug` sorts
-the parsed patch into SL, SH, SFMH or MFMH.
+Relative paths resolve against the manifest's own directory, and a
+named bug report or fix patch must exist. The bug id names the bug's
+files (records, prompts, scripted replies), so it must be one plain
+path component. A row, location or line with a key not shown above, a
+value of the wrong type, or a line number that is not an integer is
+refused with the manifest line that holds it. A fix patch is read with
+`patches.parse_unified_diff`; `categorize_bug` sorts the parsed patch
+into SL, SH, SFMH or MFMH.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import json
 from pathlib import Path
 from typing import NamedTuple
 
+from .config import _integer
 from .errors import ConfigError, EmptyPatch
 from .patches import Patch
 
@@ -128,62 +134,98 @@ class BugRecord(NamedTuple):
     fix_patch_path: Path | None = None
 
 
-def _parse_location(obj: dict) -> FaultLocation:
-    lines = tuple(
-        LocalizedLine(line=int(ln["line"]), kind=str(ln["kind"]))
-        for ln in obj["lines"]
-    )
-    return FaultLocation(file_path=obj["file"], lines=lines)
+# the keys each level of a manifest row may hold, and those it must
+_ROW_KEYS = {"bug_id", "repo_path", "snapshot_ref", "locations", "failing_tests",
+             "bug_report_path", "fix_patch_path"}
+_ROW_REQUIRED = ("bug_id", "repo_path", "snapshot_ref", "locations")
+_LOCATION_KEYS = {"file", "lines"}
+_LINE_KEYS = {"line", "kind"}
+_JSON_NAMES = {str: "string", list: "array", dict: "object"}
 
 
-def parse_record(obj: dict, base: Path) -> BugRecord:
+def _typed(value, kind: type, where: str):
+    """`value` itself; ConfigError unless a JSON string, array or object, as `kind` says."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{where} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _fields(obj, keys: set[str], required, where: str) -> dict:
+    """`obj` itself; ConfigError unless an object with only `keys` and every `required`."""
+    _typed(obj, dict, where)
+    unknown = sorted(set(obj) - keys)
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ConfigError(f"{where} is missing field {missing[0]!r}")
+    return obj
+
+
+def _parse_line(obj) -> LocalizedLine:
+    obj = _fields(obj, _LINE_KEYS, _LINE_KEYS, "a line")
+    return LocalizedLine(line=_integer(obj["line"], "line"), kind=obj["kind"])
+
+
+def _parse_location(obj) -> FaultLocation:
+    obj = _fields(obj, _LOCATION_KEYS, _LOCATION_KEYS, "a location")
+    return FaultLocation(file_path=_typed(obj["file"], str, "file"),
+                         lines=tuple(map(_parse_line, _typed(obj["lines"], list, "lines"))))
+
+
+def _named_file(obj: dict, key: str, base: Path) -> Path | None:
+    """The file a row's optional path key names; ConfigError if it is missing."""
+    if not obj.get(key):
+        return None
+    path = (base / _typed(obj[key], str, key)).resolve()
+    if not path.is_file():
+        raise ConfigError(f"{key} {obj[key]!r} names no file ({path})")
+    return path
+
+
+def parse_record(obj, base: Path) -> BugRecord:
     """Build a BugRecord from one decoded manifest object."""
-    try:
-        locations = tuple(_parse_location(loc) for loc in obj["locations"])
-        report_text = obj.get("bug_report", "")
-        if obj.get("bug_report_path"):
-            report_path = (base / obj["bug_report_path"]).resolve()
-            if report_path.exists():
-                report_text = report_path.read_text()
-        spec = BugSpec(
-            bug_id=str(obj["bug_id"]),
-            snapshot_ref=str(obj["snapshot_ref"]),
-            locations=locations,
-            failing_tests=tuple(obj.get("failing_tests", [])),
-            bug_report=report_text,
-        )
-        patch_path = None
-        if obj.get("fix_patch_path"):
-            patch_path = (base / obj["fix_patch_path"]).resolve()
-        return BugRecord(
-            spec=spec,
-            repo_path=(base / obj["repo_path"]).resolve(),
-            fix_patch_path=patch_path,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"manifest record missing field {exc}") from exc
+    obj = _fields(obj, _ROW_KEYS, _ROW_REQUIRED, "a manifest row")
+    bug_id = _typed(obj["bug_id"], str, "bug_id")
+    # the id names files, so it must stay one plain path component
+    if bug_id in ("", ".", "..") or "/" in bug_id or "\0" in bug_id:
+        raise ConfigError(f"bug_id {bug_id!r} must be one plain path component")
+    report_path = _named_file(obj, "bug_report_path", base)
+    spec = BugSpec(
+        bug_id=bug_id,
+        snapshot_ref=_typed(obj["snapshot_ref"], str, "snapshot_ref"),
+        locations=tuple(map(_parse_location, _typed(obj["locations"], list, "locations"))),
+        failing_tests=tuple(_typed(t, str, "a failing test") for t in
+                            _typed(obj.get("failing_tests", []), list, "failing_tests")),
+        bug_report=report_path.read_text() if report_path else "",
+    )
+    return BugRecord(
+        spec=spec,
+        repo_path=(base / _typed(obj["repo_path"], str, "repo_path")).resolve(),
+        fix_patch_path=_named_file(obj, "fix_patch_path", base),
+    )
 
 
 def load_manifest(path: Path | str) -> list[BugRecord]:
-    """Read a JSONL manifest. Raises ConfigError on malformed records."""
+    """Read a JSONL manifest. Raises ConfigError, naming the line, on a malformed row."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"manifest not found: {path}")
-    base = path.parent
     records: list[BugRecord] = []
+    seen: set[str] = set()
     for idx, raw in enumerate(path.read_text().splitlines(), start=1):
         if not raw.strip():
             continue
         try:
-            obj = json.loads(raw)
+            rec = parse_record(json.loads(raw), path.parent)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{idx}: invalid JSON: {exc}") from exc
-        records.append(parse_record(obj, base))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{idx}: {exc}") from exc
+        if rec.spec.bug_id in seen:
+            raise ConfigError(f"{path}:{idx}: duplicate bug_id {rec.spec.bug_id}")
+        seen.add(rec.spec.bug_id)
+        records.append(rec)
     if not records:
         raise ConfigError(f"manifest is empty: {path}")
-    seen: set[str] = set()
-    for rec in records:
-        if rec.spec.bug_id in seen:
-            raise ConfigError(f"duplicate bug_id {rec.spec.bug_id}")
-        seen.add(rec.spec.bug_id)
     return records

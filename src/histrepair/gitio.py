@@ -10,6 +10,12 @@ bug its blame and context. Nothing here mutates a repository.
 
 Git reads no system or global config, so a user's settings cannot change
 a read, a patch or a verdict (nor can a global `safe.directory` apply).
+Git sees one environment, built at import: `PATH`, the
+`GIT_CONFIG_COUNT`/`GIT_CONFIG_KEY_<n>`/`GIT_CONFIG_VALUE_<n>` entries
+(how a `safe.directory` is passed on), `LC_ALL=C.UTF-8`, and the two
+variables that turn the system and global config off. A `GIT_DIR` or
+`GIT_INDEX_FILE` set by a git hook, a `LANGUAGE` that translates the
+errors `file_at` reads, or an API key never reaches a git process.
 Bytes above 0x7f in paths are not C-quoted (`core.quotePath=false`), so
 blame, diff headers and final patches name a non-ASCII file as on disk.
 Git still C-quotes a path that holds a `"`, a backslash or a control
@@ -43,6 +49,14 @@ _BLAME_KEYS = {
 }
 
 
+_GIT_ENV = {
+    **{k: v for k, v in os.environ.items()
+       if k in ("PATH", "GIT_CONFIG_COUNT")
+       or k.startswith(("GIT_CONFIG_KEY_", "GIT_CONFIG_VALUE_"))},
+    "LC_ALL": "C.UTF-8", "GIT_CONFIG_NOSYSTEM": "1", "GIT_CONFIG_GLOBAL": os.devnull,
+}
+
+
 def run_git(repo: Path | str, *args: str, errors: str = "replace",
             input: str | None = None) -> str:
     """Run a git command in `repo`, blind to system and global config; return stdout.
@@ -54,7 +68,7 @@ def run_git(repo: Path | str, *args: str, errors: str = "replace",
     proc = subprocess.run(
         ["git", "-c", "core.quotePath=false", "-C", str(repo), *args],
         capture_output=True, text=True, errors=errors, input=input,
-        env={**os.environ, "GIT_CONFIG_NOSYSTEM": "1", "GIT_CONFIG_GLOBAL": os.devnull},
+        env=_GIT_ENV,
     )
     if proc.returncode != 0:
         raise GitToolError(

@@ -51,7 +51,7 @@ def by_config(rows: list[OutcomeRow]) -> dict[str, list[OutcomeRow]]:
     return out
 
 
-def _require_same_universe(groups: dict[str, list[OutcomeRow]]) -> set[str]:
+def _require_same_universe(groups: dict[str, list[OutcomeRow]]) -> None:
     universes = {cfg: universe(rows) for cfg, rows in groups.items()}
     reference = next(iter(universes.values()), set())
     offenders: set[str] = set()
@@ -61,7 +61,17 @@ def _require_same_universe(groups: dict[str, list[OutcomeRow]]) -> set[str]:
         raise UniverseMismatch(
             f"configs cover different bug sets; not in all: {', '.join(sorted(offenders))}"
         )
-    return reference
+
+
+def _groups(rows: list[OutcomeRow]) -> dict[str, list[OutcomeRow]]:
+    """The rows by config, in HEURISTICS order, once every config covers the same bugs."""
+    groups = by_config(rows)
+    _require_same_universe(groups)
+    return {cfg: groups[cfg] for cfg in sorted(groups, key=HEURISTICS.index)}
+
+
+def _categories(rows: list[OutcomeRow]) -> list[str]:
+    return [c for c in CATEGORIES if any(r.category == c for r in rows)]
 
 
 def plausible_at_1(rows: list[OutcomeRow]) -> Fraction:
@@ -100,17 +110,12 @@ class OverlapReport(NamedTuple):
 
 def overlap_regions(rows: list[OutcomeRow]) -> OverlapReport:
     """Partition the union of pass sets by exactly-which-configs."""
-    groups = by_config(rows)
-    _require_same_universe(groups)
-    configs = sorted(groups, key=HEURISTICS.index)
-    passes = {cfg: pass_set(groups[cfg]) for cfg in configs}
+    passes = {cfg: pass_set(g) for cfg, g in _groups(rows).items()}
     regions: dict[frozenset, int] = {}
-    for size in range(1, len(configs) + 1):
-        for subset in combinations(configs, size):
+    for size in range(1, len(passes) + 1):
+        for subset in combinations(passes, size):
             inside = set.intersection(*(passes[c] for c in subset))
-            outside = set.union(
-                set(), *(passes[c] for c in configs if c not in subset),
-            )
+            outside = set.union(set(), *(passes[c] for c in passes if c not in subset))
             regions[frozenset(subset)] = len(inside - outside)
     return OverlapReport(regions=regions)
 
@@ -159,26 +164,21 @@ def tradeoff_frontier(rows: list[OutcomeRow]) -> list[TradeoffPoint]:
     running all combo members on it, so cost grows monotonically with
     combo inclusion while success can only improve.
     """
-    groups = by_config(rows)
-    bugs = sorted(_require_same_universe(groups))
-    configs = sorted(groups, key=HEURISTICS.index)
-    passes = {cfg: pass_set(groups[cfg]) for cfg in configs}
-    costs = {
-        cfg: {r.bug_id: Fraction(r.cost) for r in groups[cfg]}
-        for cfg in configs
-    }
+    groups = _groups(rows)
+    n = len(universe(rows))
+    passes = {cfg: pass_set(g) for cfg, g in groups.items()}
+    # one cost per (config, bug), summed over the universe
+    costs = {cfg: sum({r.bug_id: Fraction(r.cost) for r in g}.values(), Fraction(0))
+             for cfg, g in groups.items()}
     points = []
-    for size in range(1, len(configs) + 1):
-        for subset in combinations(configs, size):
+    for size in range(1, len(groups) + 1):
+        for subset in combinations(groups, size):
             union = set.union(*(passes[c] for c in subset))
-            rate = Fraction(len(union), len(bugs)) if bugs else Fraction(0)
-            total = sum(
-                (costs[c][b] for c in subset for b in bugs),
-                start=Fraction(0),
-            )
-            avg = total / len(bugs) if bugs else Fraction(0)
+            total = sum((costs[c] for c in subset), Fraction(0))
             points.append(TradeoffPoint(
-                combo=subset, success_rate=rate, avg_cost=avg,
+                combo=subset,
+                success_rate=Fraction(len(union), n) if n else Fraction(0),
+                avg_cost=total / n if n else Fraction(0),
             ))
     points.sort(key=lambda p: (len(p.combo), p.avg_cost, p.combo))
     return points
@@ -198,37 +198,25 @@ class MetricsTable(NamedTuple):
     overall: dict[str, MetricsCell]
 
 
+def _cell(rows: list[OutcomeRow], baseline_rows: list[OutcomeRow] | None) -> MetricsCell:
+    """One config's cell; no #Unique without baseline rows to compare with."""
+    return MetricsCell(
+        pass_count=sum(r.passed for r in rows), total=len(rows), rate=plausible_at_1(rows),
+        unique_vs_baseline=None if baseline_rows is None else unique_pass(rows, baseline_rows),
+    )
+
+
 def metrics_table(rows: list[OutcomeRow]) -> MetricsTable:
-    groups = by_config(rows)
-    _require_same_universe(groups)
+    groups = _groups(rows)
     table = MetricsTable(cells={}, overall={})
-    categories = [c for c in CATEGORIES
-                  if any(r.category == c for r in rows)]
     for config, config_rows in groups.items():
-        baseline_rows = groups.get(BASELINE, [])
-        for cat in categories:
+        base = groups.get(BASELINE) if config != BASELINE else None
+        for cat in _categories(rows):
             scoped = [r for r in config_rows if r.category == cat]
-            if not scoped:
-                continue
-            unique = None
-            if config != BASELINE and baseline_rows:
-                base_scoped = [r for r in baseline_rows if r.category == cat]
-                unique = unique_pass(scoped, base_scoped)
-            table.cells[(cat, config)] = MetricsCell(
-                pass_count=sum(1 for r in scoped if r.passed),
-                total=len(scoped),
-                rate=plausible_at_1(scoped),
-                unique_vs_baseline=unique,
-            )
-        unique_all = None
-        if config != BASELINE and baseline_rows:
-            unique_all = unique_pass(config_rows, baseline_rows)
-        table.overall[config] = MetricsCell(
-            pass_count=sum(1 for r in config_rows if r.passed),
-            total=len(config_rows),
-            rate=plausible_at_1(config_rows),
-            unique_vs_baseline=unique_all,
-        )
+            if scoped:
+                table.cells[(cat, config)] = _cell(
+                    scoped, base and [r for r in base if r.category == cat])
+        table.overall[config] = _cell(config_rows, base)
     return table
 
 
@@ -248,8 +236,10 @@ class StatTestReport(NamedTuple):
 
 def matched_set(rows: list[OutcomeRow]) -> list[str]:
     """Bugs passed by every configuration present in `rows`."""
-    groups = by_config(rows)
-    _require_same_universe(groups)
+    return _matched(_groups(rows))
+
+
+def _matched(groups: dict[str, list[OutcomeRow]]) -> list[str]:
     sets = [pass_set(g) for g in groups.values()]
     return sorted(set.intersection(*sets)) if sets else []
 
@@ -261,16 +251,11 @@ def stat_test_report(rows: list[OutcomeRow], metric: str,
     The Bonferroni divisor is the number of configs in the category
     that are compared against the baseline.
     """
-    scoped = [r for r in rows if r.category == category]
-    matched = matched_set(scoped)
-    groups = by_config(scoped)
-    configs = sorted(groups, key=HEURISTICS.index)
-    compared = sum(1 for cfg in configs if cfg != BASELINE)
-    values = {
-        cfg: {r.bug_id: getattr(r, metric) for r in groups[cfg]}
-        for cfg in configs
-    }
-    matrix = [[values[cfg][b] for cfg in configs] for b in matched]
+    groups = _groups([r for r in rows if r.category == category])
+    matched = _matched(groups)
+    compared = [cfg for cfg in groups if cfg != BASELINE]
+    values = {cfg: {r.bug_id: getattr(r, metric) for r in g} for cfg, g in groups.items()}
+    matrix = [[by_bug[b] for by_bug in values.values()] for b in matched]
     stat = p = None
     pairwise_p: dict[str, float] = {}
     note = ""
@@ -278,10 +263,8 @@ def stat_test_report(rows: list[OutcomeRow], metric: str,
         stat, p = friedman_test(matrix)
     except InsufficientData as exc:
         note = f"insufficient data: {exc}"
-    if p is not None and p < 0.05 and BASELINE in configs:
-        for cfg in configs:
-            if cfg == BASELINE:
-                continue
+    if p is not None and p < 0.05 and BASELINE in groups:
+        for cfg in compared:
             pairs = [(values[cfg][b], values[BASELINE][b]) for b in matched]
             try:
                 _, wp, _ = wilcoxon_signed_rank(pairs)
@@ -291,47 +274,32 @@ def stat_test_report(rows: list[OutcomeRow], metric: str,
     return StatTestReport(
         metric=metric, category=category, n_matched=len(matched),
         friedman_statistic=stat, friedman_p=p, pairwise_p=pairwise_p,
-        alpha_corrected=float(bonferroni_alpha(compared)),
-        note=note, configs=tuple(configs),
+        alpha_corrected=float(bonferroni_alpha(len(compared))),
+        note=note, configs=tuple(groups),
     )
 
 
 # ---------------------------------------------------------------------------
 # rendering and export
 
-def _fmt_rate(rate: Fraction) -> str:
-    return f"{float(rate) * 100:.1f}"
+def _table_row(category: str, config: str, cell: MetricsCell) -> str:
+    unique = "-" if cell.unique_vs_baseline is None else str(cell.unique_vs_baseline)
+    return (f"{category:<10}{config:<14}{cell.pass_count:>7}{cell.total:>7}"
+            f"{float(cell.rate) * 100:>12.1f}%{unique:>9}")
 
 
 def render_metrics_table(table: MetricsTable) -> str:
     """Plain-text table: per category and config, #Pass / rate / #Unique."""
-    lines = []
     header = (f"{'Category':<10}{'Config':<14}{'#Pass':>7}{'Total':>7}"
               f"{'Plausible@1':>13}{'#Unique':>9}")
-    lines.append(header)
-    lines.append("-" * len(header))
-    cats = [c for c in CATEGORIES if any(k[0] == c for k in table.cells)]
-    for cat in cats:
-        for config in HEURISTICS:
-            cell = table.cells.get((cat, config))
-            if cell is None:
-                continue
-            unique = "-" if cell.unique_vs_baseline is None else str(cell.unique_vs_baseline)
-            lines.append(
-                f"{cat:<10}{config:<14}{cell.pass_count:>7}{cell.total:>7}"
-                f"{_fmt_rate(cell.rate):>12}%{unique:>9}"
-            )
+    lines = [header, "-" * len(header)]
+    for cat in [c for c in CATEGORIES if any(k[0] == c for k in table.cells)]:
+        lines += [_table_row(cat, cfg, table.cells[(cat, cfg)])
+                  for cfg in HEURISTICS if (cat, cfg) in table.cells]
         lines.append("")
     lines.append("Overall:")
-    for config in HEURISTICS:
-        cell = table.overall.get(config)
-        if cell is None:
-            continue
-        unique = "-" if cell.unique_vs_baseline is None else str(cell.unique_vs_baseline)
-        lines.append(
-            f"{'ALL':<10}{config:<14}{cell.pass_count:>7}{cell.total:>7}"
-            f"{_fmt_rate(cell.rate):>12}%{unique:>9}"
-        )
+    lines += [_table_row("ALL", cfg, table.overall[cfg])
+              for cfg in HEURISTICS if cfg in table.overall]
     return "\n".join(lines) + "\n"
 
 
@@ -363,52 +331,35 @@ def render_stat_reports(reports: list[StatTestReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
 def export_report(rows: list[OutcomeRow], out_dir: Path | str) -> dict:
     """Write the full report set; returns the paths written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # the whole table checks the universe first, so a mismatch names
+    # every offending bug, not one category's
     table = metrics_table(rows)
-    overlap = overlap_regions(rows)
-    frontier = tradeoff_frontier(rows)
-    categories = [c for c in CATEGORIES if any(r.category == c for r in rows)]
     reports = [
         stat_test_report(rows, metric, cat)
-        for metric in ("cost", "steps") for cat in categories
+        for metric in ("cost", "steps") for cat in _categories(rows)
     ]
-
-    paths = {
-        "table": out_dir / "metrics_table.txt",
-        "overlap": out_dir / "overlap_regions.json",
-        "frontier": out_dir / "tradeoff_points.json",
-        "stats": out_dir / "significance.txt",
-        "stats_json": out_dir / "significance.json",
+    files = {
+        "table": ("metrics_table.txt", render_metrics_table(table)),
+        "overlap": ("overlap_regions.json", _json(overlap_regions(rows).to_json())),
+        "frontier": ("tradeoff_points.json", _json([
+            {"combo": list(p.combo), "success_rate": float(p.success_rate),
+             "avg_cost": float(p.avg_cost)}
+            for p in tradeoff_frontier(rows)
+        ])),
+        "stats": ("significance.txt", render_stat_reports(reports)),
+        # the configs a report spans are in significance.txt's header
+        "stats_json": ("significance.json", _json([
+            {k: v for k, v in r._asdict().items() if k != "configs"} for r in reports
+        ])),
     }
-    paths["table"].write_text(render_metrics_table(table))
-    paths["overlap"].write_text(
-        json.dumps(overlap.to_json(), indent=2) + "\n"
-    )
-    frontier_json = [
-        {
-            "combo": list(p.combo),
-            "success_rate": float(p.success_rate),
-            "avg_cost": float(p.avg_cost),
-        }
-        for p in frontier
-    ]
-    paths["frontier"].write_text(json.dumps(frontier_json, indent=2) + "\n")
-    paths["stats"].write_text(render_stat_reports(reports))
-    stats_json = [
-        {
-            "metric": r.metric,
-            "category": r.category,
-            "n_matched": r.n_matched,
-            "friedman_statistic": r.friedman_statistic,
-            "friedman_p": r.friedman_p,
-            "pairwise_p": r.pairwise_p,
-            "alpha_corrected": r.alpha_corrected,
-            "note": r.note,
-        }
-        for r in reports
-    ]
-    paths["stats_json"].write_text(json.dumps(stats_json, indent=2) + "\n")
-    return {k: str(v) for k, v in paths.items()}
+    for name, text in files.values():
+        (out_dir / name).write_text(text)
+    return {key: str(out_dir / name) for key, (name, _) in files.items()}

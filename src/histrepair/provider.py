@@ -16,7 +16,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol
 
-from .errors import ProviderFailure
+from .errors import ConfigError, ProviderFailure
 from .records import TokenUsage
 
 # money carries six fractional digits, enough for sub-cent token prices
@@ -52,10 +52,25 @@ class ScriptedProvider:
 
     @classmethod
     def from_file(cls, path: Path | str) -> "ScriptedProvider":
+        """One reply per non-blank JSONL line, each checked as a live reply is.
+
+        ConfigError, naming the file and line, unless the line is an
+        object whose text is a string and whose token counts, where
+        given, are non-negative integers; an absent count is 0.
+        """
         replies = []
-        for raw in Path(path).read_text().splitlines():
-            if raw.strip():
-                replies.append(json.loads(raw))
+        for number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+            if not raw.strip():
+                continue
+            try:
+                reply = json.loads(raw)
+                _checked_reply(reply["text"], (reply.get("input_tokens", 0),
+                                               reply.get("output_tokens", 0)))
+            except (LookupError, TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"{path}:{number}: bad scripted reply: {type(exc).__name__}: {exc}"
+                ) from exc
+            replies.append(reply)
         return cls(replies=replies)
 
     def complete(self, messages: list[dict]) -> ProviderReply:
@@ -151,6 +166,11 @@ def _parse_reply(raw: bytes) -> ProviderReply:
         counts = (data["usage"]["prompt_tokens"], data["usage"]["completion_tokens"])
     except (LookupError, TypeError, ValueError) as exc:
         raise ValueError(f"{type(exc).__name__}: {exc}") from exc
+    return _checked_reply(text, counts)
+
+
+def _checked_reply(text, counts: tuple) -> ProviderReply:
+    """ValueError unless `text` is a string and `counts` non-negative integers."""
     if not isinstance(text, str):
         raise ValueError(f"content is {type(text).__name__}, not a string")
     # bool is an int subclass, so test the exact type

@@ -240,6 +240,23 @@ def test_repair_heuristic_outside_campaign_exits_2(toy_campaign, tmp_path, capsy
     assert "not among campaign configs" in err
 
 
+def test_repair_with_a_negative_scripted_token_count_exits_2_before_any_sandbox(
+        toy_campaign, capsys, monkeypatch):
+    # billed, the reply would make the run's cost negative, so the cost
+    # guard could never fire
+    script = toy_campaign["scripts"] / f"{BUG}__non_history.jsonl"
+    lines = script.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "input_tokens": -5000000})
+    script.write_text("\n".join(lines) + "\n")
+    provisions = []
+    monkeypatch.setattr("histrepair.sandbox.provision",
+                        lambda *args, **kwargs: provisions.append(args))
+    code, _, err = invoke("repair", "--config", str(toy_campaign["campaign"]),
+                          "--bug", BUG, "--heuristic", "non_history", capsys=capsys)
+    assert code == 2 and f"{script}:2: bad scripted reply" in err, err
+    assert provisions == []
+
+
 # --- batch and resume -------------------------------------------------------
 
 def test_batch_runs_all_then_resumes(toy_campaign, capsys):
@@ -779,6 +796,88 @@ def test_empty_manifest_exits_2(toy_campaign, capsys):
     assert "manifest is empty" in err
 
 
+def _set(path, value):
+    """A change to the toy manifest row: set the key at `path` to `value`."""
+    def change(row):
+        *keys, last = path
+        target = row
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        return row
+    return change
+
+
+def _drop(key):
+    def change(row):
+        del row[key]
+        return row
+    return change
+
+
+# (change to a valid second row, what the error must say)
+BAD_MANIFEST_ROWS = {
+    "bug-id-climbs-out": (_set(["bug_id"], "../escaped"), "one plain path component"),
+    "bug-id-with-slash": (_set(["bug_id"], "a/b"), "one plain path component"),
+    "bug-id-dot-dot": (_set(["bug_id"], ".."), "one plain path component"),
+    "bug-id-dot": (_set(["bug_id"], "."), "one plain path component"),
+    "bug-id-empty": (_set(["bug_id"], ""), "one plain path component"),
+    "bug-id-nul": (_set(["bug_id"], "a\0b"), "one plain path component"),
+    "bug-id-number": (_set(["bug_id"], 7), "bug_id must be a JSON string"),
+    "line-word": (_set(["locations", 0, "lines", 0, "line"], "five"),
+                  "line must be an integer, got 'five'"),
+    "line-float": (_set(["locations", 0, "lines", 0, "line"], 5.5),
+                   "line must be an integer, got 5.5"),
+    "line-bool": (_set(["locations", 0, "lines", 0, "line"], True),
+                  "line must be an integer, got True"),
+    "row-array": (lambda row: [row], "a manifest row must be a JSON object"),
+    "location-string": (_set(["locations", 0], "calc.py"),
+                        "a location must be a JSON object"),
+    "lines-object": (_set(["locations", 0, "lines"], {"line": 5, "kind": "modified"}),
+                     "lines must be a JSON array"),
+    "failing-tests-string": (_set(["failing_tests"], "test_add"),
+                             "failing_tests must be a JSON array"),
+    "failing-test-number": (_set(["failing_tests"], [1]), "a failing test must be"),
+    "unknown-row-key": (_set(["bug_reprot_path"], "bug_report.txt"),
+                        "unknown key 'bug_reprot_path' in a manifest row"),
+    "unknown-location-key": (_set(["locations", 0, "path"], "calc.py"),
+                             "unknown key 'path' in a location"),
+    "unknown-line-key": (_set(["locations", 0, "lines", 0, "knd"], "modified"),
+                         "unknown key 'knd' in a line"),
+    "inline-bug-report": (_set(["bug_report"], "totals are wrong"),
+                          "unknown key 'bug_report' in a manifest row"),
+    "missing-field": (_drop("snapshot_ref"), "missing field 'snapshot_ref'"),
+    "missing-bug-report": (_set(["bug_report_path"], "no_such_report.txt"),
+                           "bug_report_path 'no_such_report.txt' names no file"),
+    "missing-fix-patch": (_set(["fix_patch_path"], "no_such.patch"),
+                          "fix_patch_path 'no_such.patch' names no file"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_MANIFEST_ROWS))
+def test_bad_manifest_row_exits_2_and_names_its_line(toy_campaign, capsys, case):
+    change, complaint = BAD_MANIFEST_ROWS[case]
+    manifest = toy_campaign["manifest"]
+    good = json.loads(manifest.read_text())
+    bad = change({**json.loads(manifest.read_text()), "bug_id": "toy-002"})
+    manifest.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    code, _, err = invoke("study", "--config", str(toy_campaign["campaign"]),
+                          capsys=capsys)
+    assert code == 2, err
+    assert f"{manifest}:2: " in err and complaint in err, err
+
+
+def test_bug_id_cannot_name_a_file_outside_out(toy_campaign, tmp_path, capsys):
+    manifest = toy_campaign["manifest"]
+    row = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps({**row, "bug_id": "../escaped"}) + "\n")
+    code, _, err = invoke("context", "--config", str(toy_campaign["campaign"]),
+                          "--bug", "../escaped", "--heuristic", "fl_diff",
+                          "--out", str(tmp_path / "out" / "ctx"), capsys=capsys)
+    assert code == 2 and f"{manifest}:1: " in err
+    assert list(tmp_path.rglob("escaped*")) == []
+
+
 def test_out_override_wins(toy_campaign, tmp_path, capsys):
     other = tmp_path / "elsewhere"
     code, _, _ = invoke(
@@ -886,6 +985,58 @@ def test_host_repo_git_config_changes_no_history_output(toy_campaign, tmp_path):
         gitio.run_git(toy_campaign["repo"], "config", key, value)
     configured = tmp_path / "configured"
     assert (_history_codes(cfg, configured), _output_files(configured)) == clean
+
+
+CLI = "import sys; from histrepair.cli import main; sys.exit(main())"
+
+
+def _cold_campaign_outputs(root: Path, name: str, extra_env: dict) -> dict:
+    """Exit codes, output and files of cold study, context, repair and report calls.
+
+    The calls write under `root/out_<name>`, and `extra_env` joins the
+    environment each CLI process starts with.
+    """
+    cfg = root / f"campaign_{name}.yaml"
+    cfg.write_text((root / "campaign.yaml").read_text().replace(
+        "out_dir: out\n", f"out_dir: out_{name}\n"))
+    src = str(Path(histrepair.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, **extra_env}
+    calls = [["study"], *(["context", "--bug", BUG, "--heuristic", h]
+                          for h in ("fn_all", "fn_pair", "fl_diff")),
+             *(["repair", "--bug", BUG, "--heuristic", h]
+               for h in ("non_history", "fn_all", "fn_pair", "fl_diff")), ["report"]]
+    out = root / f"out_{name}"
+    results = []
+    for call in calls:
+        proc = subprocess.run([sys.executable, "-c", CLI, call[0], "--config", str(cfg),
+                               *call[1:]], capture_output=True, text=True, env=env)
+        results.append((proc.returncode, proc.stdout.replace(str(out), "<out>"),
+                        proc.stderr))
+    return {"calls": results, "files": _output_files(out)}
+
+
+def _tree_bytes(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_git_sees_only_its_own_environment(toy_campaign, tmp_path):
+    # as inside a git hook: GIT_DIR and friends name another repository,
+    # GIT_CONFIG_PARAMETERS carries config, and LANGUAGE translates git
+    root = toy_campaign["root"]
+    decoy = synth.init_repo(tmp_path / "decoy")
+    (decoy / "calc.py").write_text("def add(a, b):\n    return 0\n")
+    synth.commit_all(decoy, "decoy", 0)
+    before = _tree_bytes(decoy)
+    clean = _cold_campaign_outputs(root, "clean", {})
+    assert [code for code, _, _ in clean["calls"]] == [0] * 9
+    hostile = _cold_campaign_outputs(root, "hostile", {
+        "GIT_DIR": str(decoy / ".git"), "GIT_WORK_TREE": str(decoy),
+        "GIT_INDEX_FILE": str(decoy / ".git" / "index"),
+        "GIT_CONFIG_PARAMETERS": "'diff.noprefix'='true' 'color.ui'='always'",
+        "LC_ALL": "C.UTF-8", "LANGUAGE": "de",
+    })
+    assert hostile == clean
+    assert _tree_bytes(decoy) == before
 
 
 # --- cold start -------------------------------------------------------------

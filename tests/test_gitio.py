@@ -2,6 +2,8 @@
 
 import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +208,43 @@ def test_file_at_versions_and_missing(make_repo):
     assert gitio.file_at(repo, shas[1], "a.txt") == "v2\n"
     with pytest.raises(FileNotInSnapshot):
         gitio.file_at(repo, shas[0], "missing.txt")
+
+
+def test_git_sees_only_its_allowlisted_environment(make_repo, tmp_path):
+    # a fresh interpreter, since git's environment is built at import
+    repo, _ = make_repo([{"a.txt": "v1\n"}])
+    probe = (
+        "import sys\n"
+        "from histrepair import gitio\n"
+        "from histrepair.errors import FileNotInSnapshot\n"
+        "repo = sys.argv[1]\n"
+        "try:\n"
+        "    gitio.file_at(repo, 'HEAD', 'missing.txt')\n"
+        "except FileNotInSnapshot:\n"
+        "    print('FileNotInSnapshot')\n"
+        "print(gitio.run_git(repo, '-c', 'alias.env=!env', 'env'), end='')\n"
+    )
+    src = str(Path(gitio.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "MODEL_API_KEY": "sk-secret",
+           "GIT_DIR": str(tmp_path / "decoy"), "GIT_INDEX_FILE": str(tmp_path / "index"),
+           "LC_ALL": "C.UTF-8", "LANGUAGE": "de", "GIT_CONFIG_COUNT": "1",
+           "GIT_CONFIG_KEY_0": "safe.directory", "GIT_CONFIG_VALUE_0": str(repo)}
+    proc = subprocess.run([sys.executable, "-c", probe, str(repo)], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    first, *lines = proc.stdout.splitlines()
+    # the error git prints in English is what file_at maps
+    assert first == "FileNotInSnapshot"
+    seen = dict(line.split("=", 1) for line in lines if "=" in line)
+    # git puts its own exec path in front
+    assert seen["LC_ALL"] == "C.UTF-8" and seen["PATH"].endswith(os.environ["PATH"])
+    assert (seen["GIT_CONFIG_COUNT"], seen["GIT_CONFIG_KEY_0"], seen["GIT_CONFIG_VALUE_0"]) \
+        == ("1", "safe.directory", str(repo))
+    assert (seen["GIT_CONFIG_NOSYSTEM"], seen["GIT_CONFIG_GLOBAL"]) == ("1", os.devnull)
+    for name in ("MODEL_API_KEY", "GIT_INDEX_FILE", "LANGUAGE"):
+        assert name not in seen
+    # git sets GIT_DIR itself for an alias; it names the repo, not the decoy
+    assert seen.get("GIT_DIR") in (None, ".git", str(repo / ".git"))
 
 
 def test_resolve_ref_and_errors(make_repo):

@@ -4,13 +4,14 @@ import copy
 import http.client
 import io
 import json
+import re
 import urllib.error
 import urllib.request
 from decimal import Decimal
 
 import pytest
 
-from histrepair.errors import ProviderFailure
+from histrepair.errors import ConfigError, ProviderFailure
 from histrepair.provider import (
     BACKOFF_BASE_SECONDS,
     MAX_ATTEMPTS,
@@ -50,6 +51,26 @@ def test_scripted_provider_from_file(tmp_path):
     provider = ScriptedProvider.from_file(path)
     assert provider.complete([]).usage == TokenUsage(5, 7)
     assert provider.complete([]).usage == TokenUsage(0, 0)
+
+
+@pytest.mark.parametrize("line", [
+    '{"text": "a", "input_tokens": -5000000}',
+    '{"text": "a", "output_tokens": -1}',
+    '{"text": "a", "input_tokens": true}',
+    '{"text": "a", "input_tokens": 5.5}',
+    '{"text": "a", "output_tokens": "40"}',
+    '{"text": 7}',
+    '{"input_tokens": 5}',
+    '["a"]',
+    '"a"',
+    '{"text": "a"',
+], ids=["negative-input", "negative-output", "bool", "float", "string-count",
+        "text-not-a-string", "no-text", "array", "string", "invalid-json"])
+def test_scripted_reply_is_checked_like_a_live_one(tmp_path, line):
+    path = tmp_path / "replies.jsonl"
+    path.write_text('{"text": "good", "input_tokens": 5}\n' + line + "\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: bad scripted reply"):
+        ScriptedProvider.from_file(path)
 
 
 GOOD_PAYLOAD = {
