@@ -87,6 +87,12 @@ class BlameSummary(NamedTuple):
     resolution_method: str       # single | judge | fallback
 
 
+def _entry(bl: gitio.BlameLine, path: str, **fallback) -> BlameEntry:
+    return BlameEntry(file_path=path, line_number=bl.final_line, commit_id=bl.commit_id,
+                      author_time=bl.author_time, commit_line=bl.orig_line,
+                      commit_path=bl.orig_filename or path, **fallback)
+
+
 def blame_lines(repo: Path | str, ref: str,
                 location: FaultLocation) -> list[BlameEntry]:
     """Blame the modified/deleted lines of one location.
@@ -99,19 +105,7 @@ def blame_lines(repo: Path | str, ref: str,
         return []
     raw = gitio.blame_file_lines(repo, ref, location.file_path, targets)
     by_line = {bl.final_line: bl for bl in raw}
-    entries = []
-    for num in targets:
-        bl = by_line[num]
-        entries.append(BlameEntry(
-            file_path=location.file_path,
-            line_number=num,
-            commit_id=bl.commit_id,
-            author_time=bl.author_time,
-            is_fallback=False,
-            commit_line=bl.orig_line,
-            commit_path=bl.orig_filename or location.file_path,
-        ))
-    return entries
+    return [_entry(by_line[num], location.file_path) for num in targets]
 
 
 def fallback_blame(repo: Path | str, ref: str, path: str,
@@ -132,21 +126,10 @@ def fallback_blame(repo: Path | str, ref: str, path: str,
     anchor = next((n for n in range(insert_line - 1, 0, -1) if n in numbers), None)
     if anchor is None:
         raise NoFallbackAnchor(f"{path}: no executable line above {insert_line}")
-    raw = gitio.blame_file_lines(repo, ref, path, [anchor])
-    bl = raw[0]
-    note = "" if insert_line - anchor <= FALLBACK_WINDOW else (
-        f"window extended to {insert_line - anchor} lines"
-    )
-    return BlameEntry(
-        file_path=path,
-        line_number=anchor,
-        commit_id=bl.commit_id,
-        author_time=bl.author_time,
-        is_fallback=True,
-        anchor_note=note,
-        commit_line=bl.orig_line,
-        commit_path=bl.orig_filename or path,
-    )
+    gap = insert_line - anchor
+    note = "" if gap <= FALLBACK_WINDOW else f"window extended to {gap} lines"
+    return _entry(gitio.blame_file_lines(repo, ref, path, [anchor])[0], path,
+                  is_fallback=True, anchor_note=note)
 
 
 def resolve_insertion(repo: Path | str, ref: str, path: str,
@@ -161,14 +144,9 @@ def resolve_insertion(repo: Path | str, ref: str, path: str,
     except NoFallbackAnchor:
         pass
     add_commit, add_time = gitio.file_add_commit(repo, ref, path)
-    return BlameEntry(
-        file_path=path,
-        line_number=1,
-        commit_id=add_commit,
-        author_time=add_time,
-        is_fallback=True,
-        anchor_note="no executable line above insertion; using file add commit",
-    )
+    return BlameEntry(file_path=path, line_number=1, commit_id=add_commit,
+                      author_time=add_time, is_fallback=True,
+                      anchor_note="no executable line above insertion; using file add commit")
 
 
 def summarize_blame(repo: Path | str, spec: BugSpec,
@@ -210,15 +188,11 @@ def summarize_blame(repo: Path | str, spec: BugSpec,
         for loc in spec.locations:
             for ln in loc.insertion_lines:
                 entries.append(resolve_insertion(repo, ref, loc.file_path, ln.line))
-        counts = Counter(e.commit_id for e in entries if e.is_fallback)
-        top = max(counts.values())
-        tied = [sha for sha, n in counts.items() if n == top]
-        times = {
-            sha: max(e.author_time for e in entries
-                     if e.is_fallback and e.commit_id == sha)
-            for sha in tied
-        }
-        resolved = max(tied, key=lambda sha: (times[sha], sha))
+        # the commit with the most anchors, then the newest
+        anchors = [e for e in entries if e.is_fallback]
+        counts = Counter(e.commit_id for e in anchors)
+        times = {e.commit_id: e.author_time for e in anchors}
+        resolved = max(counts, key=lambda sha: (counts[sha], times[sha], sha))
         method = "fallback"
 
     return BlameSummary(

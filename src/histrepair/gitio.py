@@ -8,9 +8,16 @@ options are pinned in one place, `read_commit`. `run_git` decodes a
 byte that is not UTF-8 as U+FFFD, so one Latin-1 source cannot cost a
 bug its blame and context. Nothing here mutates a repository.
 
+History reads run `git --no-replace-objects --git-dir=<view>` with
+`GIT_OBJECT_DIRECTORY` naming the host's objects: a host's view is a
+bare dir under the temp root with its own config, links to the host's
+refs and a copy of its `HEAD`, so no host config, attributes, replace
+refs or grafts reach a read. Its `rev-parse` is the only git process
+run in a host. Views last the process.
+
 Git reads no system or global config, so a user's settings cannot change
 a read, a patch or a verdict (nor can a global `safe.directory` apply).
-Git sees one environment, built at import: `PATH`, the
+Git sees one environment (plus a view's object dir), built at import: `PATH`, the
 `GIT_CONFIG_COUNT`/`GIT_CONFIG_KEY_<n>`/`GIT_CONFIG_VALUE_<n>` entries
 (how a `safe.directory` is passed on), `LC_ALL=C.UTF-8`, and the two
 variables that turn the system and global config off. A `GIT_DIR` or
@@ -30,9 +37,12 @@ while `context` loads no sandbox.
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import os
+import shutil
 import subprocess
+import tempfile
 import threading
 from collections.abc import Callable
 from pathlib import Path
@@ -57,18 +67,22 @@ _GIT_ENV = {
 }
 
 
-def run_git(repo: Path | str, *args: str, errors: str = "replace",
+def run_git(repo: Path | str | _View, *args: str, errors: str = "replace",
             input: str | None = None) -> str:
     """Run a git command in `repo`, blind to system and global config; return stdout.
 
-    `errors` is the decode policy; "strict" raises UnicodeDecodeError
-    on a byte that is not UTF-8 instead of replacing it. `input`, when
-    given, is written to the command's stdin.
+    `repo` is a sandbox, a host's view, or a host for its view's one
+    `rev-parse`. `errors` is the decode policy; "strict" raises
+    UnicodeDecodeError on a byte that is not UTF-8 instead of replacing
+    it. `input`, when given, is written to the command's stdin.
     """
+    view = isinstance(repo, _View)
+    where = (("--no-replace-objects", f"--git-dir={repo.git_dir}") if view
+             else ("-C", str(repo)))
     proc = subprocess.run(
-        ["git", "-c", "core.quotePath=false", "-C", str(repo), *args],
+        ["git", "-c", "core.quotePath=false", *where, *args],
         capture_output=True, text=True, errors=errors, input=input,
-        env=_GIT_ENV,
+        env={**_GIT_ENV, "GIT_OBJECT_DIRECTORY": repo.objects} if view else _GIT_ENV,
     )
     if proc.returncode != 0:
         raise GitToolError(
@@ -78,10 +92,43 @@ def run_git(repo: Path | str, *args: str, errors: str = "replace",
     return proc.stdout
 
 
+class _View(NamedTuple):
+    git_dir: str
+    objects: str      # the host's object dir
+
+
+def _view(host: Path | str) -> _View:
+    """`host`'s view, written once per process."""
+    def write() -> _View:
+        objects, head, *linked = run_git(
+            host, "rev-parse", "--path-format=absolute",
+            *(arg for name in ("objects", "HEAD", "refs", "packed-refs", "shallow")
+              for arg in ("--git-path", name))).splitlines()
+        view = Path(tempfile.mkdtemp(prefix="histrepair.view-"))  # not a sandbox's prefix
+        atexit.register(shutil.rmtree, view, ignore_errors=True)
+        # live refs; links are slow metadata writes, so none to a file the host lacks
+        for name, target in zip(("refs", "packed-refs", "shallow"), linked):
+            if os.path.lexists(target):
+                (view / name).symlink_to(target)
+        # git refuses a symlinked HEAD
+        (view / "HEAD").write_bytes(Path(head).read_bytes())
+        # with either line missing, a .gitattributes in the working directory applies
+        (view / "config").write_text("[core]\n\trepositoryformatversion = 0\n\tbare = true\n")
+        return _View(str(view), objects)
+    return _MEMO.get(("view", str(host)), write)
+
+
+def snapshot(host: Path | str, ref: str) -> tuple[str, str]:
+    """The host's object dir and the commit `ref` names, resolved once per process."""
+    return _MEMO.get(("snapshot", str(host), ref), lambda: (
+        _view(host).objects,
+        run_git(_view(host), "rev-parse", "--verify", f"{ref}^{{commit}}").strip()))
+
+
 def file_at(repo: Path | str, ref: str, path: str) -> str:
     """Content of `path` as of `ref`."""
     try:
-        return run_git(repo, "show", f"{ref}:{path}")
+        return run_git(_view(repo), "show", f"{ref}:{path}")
     except GitToolError as exc:
         if "does not exist" in exc.stderr or "exists on disk, but not in" in exc.stderr:
             raise FileNotInSnapshot(f"{path} not in {ref}") from exc
@@ -110,10 +157,10 @@ def read_commit(repo: Path | str, commit: str) -> Commit:
     A root commit diffs as all additions (`--root`, so `log.showRoot`
     cannot drop it) and a merge against its first parent only. Colour,
     external diff drivers, text conversion, path prefixes, file order
-    and the hunk layout are pinned, so a host repo's own config cannot
-    change the diff.
+    and the hunk layout are pinned against config that reaches the view
+    through the `GIT_CONFIG_*` environment.
     """
-    out = run_git(repo, "show", "--format=%P%x00%B%x00", "--diff-merges=first-parent",
+    out = run_git(_view(repo), "show", "--format=%P%x00%B%x00", "--diff-merges=first-parent",
                   "--root", "--patch-with-raw", "-M", "-U3", "--no-color", "--no-ext-diff",
                   "--no-textconv", "--src-prefix=a/", "--dst-prefix=b/", "-O/dev/null",
                   "--diff-algorithm=myers", "--inter-hunk-context=0", commit)
@@ -134,8 +181,8 @@ def read_commit(repo: Path | str, commit: str) -> Commit:
 
 def file_add_commit(repo: Path | str, ref: str, path: str) -> tuple[str, int]:
     """The commit (reachable from ref) that added `path`, and its author time."""
-    out = run_git(repo, "log", "--format=%H %at", "--diff-filter=A", "--follow",
-                  ref, "--", path)
+    out = run_git(_view(repo), "log", "--format=%H %at", "--diff-filter=A",
+                  "--follow", ref, "--", path)
     # newest first, so the last line is the add that started the file
     words = out.split()
     if not words:
@@ -216,7 +263,7 @@ def blame_file_lines(repo: Path | str, ref: str, path: str,
         args += ["-L", f"{lines[0]},{lines[-1]}"]
     args += [ref, "--", path]
     try:
-        out = run_git(repo, *args)
+        out = run_git(_view(repo), *args)
     except GitToolError as exc:
         if "no such path" in exc.stderr or "does not exist" in exc.stderr:
             raise FileNotInSnapshot(f"{path} not in {ref}") from exc
@@ -238,7 +285,7 @@ class CallMemo:
     Single-flight: a caller asking for a key that another thread is
     computing waits for that value instead of computing it again. A
     computation that raises stores nothing, so the next caller for the
-    key tries again. One memo serves one CLI call.
+    key tries again. One memo serves one CLI call (`_MEMO`, a process).
     """
 
     def __init__(self) -> None:
@@ -252,3 +299,6 @@ class CallMemo:
             if slot[1] is None:
                 slot[1] = compute()
             return slot[1]
+
+
+_MEMO = CallMemo()   # this process's views and snapshot resolutions

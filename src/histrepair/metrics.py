@@ -264,13 +264,15 @@ def stat_test_report(rows: list[OutcomeRow], metric: str,
     except InsufficientData as exc:
         note = f"insufficient data: {exc}"
     if p is not None and p < 0.05 and BASELINE in groups:
+        untested = []
         for cfg in compared:
             pairs = [(values[cfg][b], values[BASELINE][b]) for b in matched]
             try:
                 _, wp, _ = wilcoxon_signed_rank(pairs)
                 pairwise_p[cfg] = wp
             except Exception as exc:
-                note += f" {cfg}: {type(exc).__name__};"
+                untested.append(f"{cfg}: {type(exc).__name__}")
+        note = "; ".join(untested)
     return StatTestReport(
         metric=metric, category=category, n_matched=len(matched),
         friedman_statistic=stat, friedman_p=p, pairwise_p=pairwise_p,
@@ -322,11 +324,12 @@ def render_stat_reports(reports: list[StatTestReport]) -> str:
             f"{head}  Friedman chi2={rep.friedman_statistic:.4f} "
             f"p={rep.friedman_p:.4g}"
         )
-        if rep.pairwise_p:
-            for cfg, p in rep.pairwise_p.items():
-                mark = "*" if p < rep.alpha_corrected else " "
-                lines.append(f"    {cfg} vs {BASELINE}: p={p:.4g} {mark}")
-        elif rep.friedman_p >= 0.05:
+        for cfg, p in rep.pairwise_p.items():
+            mark = "*" if p < rep.alpha_corrected else " "
+            lines.append(f"    {cfg} vs {BASELINE}: p={p:.4g} {mark}")
+        for cfg, reason in (part.split(": ", 1) for part in rep.note.split("; ") if part):
+            lines.append(f"    {cfg} vs {BASELINE}: not tested ({reason})")
+        if rep.friedman_p >= 0.05:
             lines.append("    (no pairwise tests: Friedman not significant)")
     return "\n".join(lines) + "\n"
 

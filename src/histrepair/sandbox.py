@@ -5,19 +5,19 @@ at the commit its snapshot ref names, with `compile` and `test` wrapper
 commands installed ahead of PATH so the agent sees the same abstract
 toolset regardless of the project underneath.
 
-Provisioning runs three git processes: one `rev-parse` in the host repo
-that resolves the snapshot and names the host's object store, a
-`git init` without templates, and one `checkout --detach` of the
-snapshot after `.git/objects/info/alternates` is written to point at
-that store. The sandbox reads the host's objects instead of copying them, so the cost of
-provisioning and teardown does not grow with the size of history, and
-git writes every new object (an agent's commit, a `gc` or `repack`) into
-the sandbox's own store, never into the host's. The sandbox has no
-`origin` and no refs, so `git log --all` shows only the snapshot's
-ancestry. What remains visible: the alternates file names the host's
-path, and `git cat-file --batch-all-objects` lists every host object,
-the future fix included; the snapshot-only base that ROADMAP item 2
-plans would close that. There is no container backend: to isolate runs
+Provisioning runs two git processes: a `git init` without templates,
+and one `checkout --detach` of the snapshot (`gitio.snapshot`, resolved
+once per process) after `.git/objects/info/alternates` is written to
+point at the host's object store. The sandbox reads the host's objects
+instead of copying them, so the cost of provisioning and teardown does
+not grow with the size of history, and git writes every new object (an
+agent's commit, a `gc` or `repack`) into the sandbox's own store, never
+into the host's. The sandbox has no `origin` and no refs, so
+`git log --all` shows only the snapshot's ancestry. What remains
+visible: the alternates file names the host's path, and
+`git cat-file --batch-all-objects` lists every host object, the future
+fix included; the snapshot-only base that ROADMAP item 2 plans would
+close that. There is no container backend: to isolate runs
 from the host, run histrepair itself inside a container.
 
 A run's verdict never comes from the sandbox the agent worked in.
@@ -107,14 +107,15 @@ class SandboxHandle:
     alive: bool
     # what a twin for verification is provisioned from
     host: Path | None                    # the host repo
-    commit: str                          # the resolved snapshot commit
+    ref: str                             # the snapshot ref
+    commit: str                          # the commit it resolved to
     adapter: ProjectAdapter | None
 
     def __init__(self, bug_id: str, worktree_path: Path, host: Path | None = None,
-                 commit: str = "", adapter: ProjectAdapter | None = None,
+                 ref: str = "", commit: str = "", adapter: ProjectAdapter | None = None,
                  root: Path | None = None, env: dict | None = None) -> None:
         self.bug_id, self.worktree_path, self.alive = bug_id, worktree_path, True
-        self.host, self.commit, self.adapter = host, commit, adapter
+        self.host, self.ref, self.commit, self.adapter = host, ref, commit, adapter
         self._root = root                # temp root owning the worktree
         self._env = env or {}
         self._log: list[tuple[int, str, CommandResult]] = []
@@ -138,17 +139,14 @@ def provision(bug_id: str, repo_path: Path | str, snapshot_ref: str,
               adapter: ProjectAdapter) -> SandboxHandle:
     """Create a fresh sandbox checked out at the buggy snapshot.
 
-    `snapshot_ref` is resolved to its commit in the host repo before any
-    temp dir exists, by the same `rev-parse` that names the host's
-    object store. The new repository borrows that store through its
-    alternates file, and the one checkout writes the worktree at that
-    commit, so it cannot land on anything else. An unknown ref or a
-    failed checkout raises ProvisionError.
+    `snapshot_ref` is resolved to its commit (`gitio.snapshot`) before
+    any temp dir exists. The new repository borrows the host's object
+    store through its alternates file, and the one checkout writes the
+    worktree at that commit, so it cannot land on anything else. An
+    unknown ref or a failed checkout raises ProvisionError.
     """
     try:
-        objects, commit = gitio.run_git(
-            repo_path, "rev-parse", "--path-format=absolute", "--git-path", "objects",
-            "--verify", f"{snapshot_ref}^{{commit}}").splitlines()
+        objects, commit = gitio.snapshot(repo_path, snapshot_ref)
     except GitToolError as exc:
         raise ProvisionError(f"unknown snapshot {snapshot_ref!r}: {exc.stderr}") from exc
     root = Path(tempfile.mkdtemp(prefix=f"histrepair-{bug_id}-"))
@@ -176,8 +174,8 @@ def provision(bug_id: str, repo_path: Path | str, snapshot_ref: str,
         "PYTHONDONTWRITEBYTECODE": "1",
     }
     return SandboxHandle(
-        bug_id=bug_id, worktree_path=worktree, host=Path(repo_path), commit=commit,
-        adapter=adapter, root=root, env=env,
+        bug_id=bug_id, worktree_path=worktree, host=Path(repo_path), ref=snapshot_ref,
+        commit=commit, adapter=adapter, root=root, env=env,
     )
 
 
@@ -300,7 +298,7 @@ def verify(handle: SandboxHandle, patch: str, memo: gitio.CallMemo,
 
 
 def _verify_fresh(agent: SandboxHandle, patch: str, timeout: float) -> Verdict:
-    fresh = provision(agent.bug_id, agent.host, agent.commit, agent.adapter)
+    fresh = provision(agent.bug_id, agent.host, agent.ref, agent.adapter)
     try:
         start = time.monotonic()
         try:

@@ -96,7 +96,7 @@ def test_two_candidate_judge_reads_each_fact_once(make_repo, monkeypatch):
     real_run = blame.gitio.subprocess.run
 
     def counting_run(argv, *args, **kwargs):
-        spawned.append(argv[5])  # git -c <quotePath> -C <repo> <subcommand>
+        spawned.append(argv[5])  # git -c <quotePath> <two location args> <subcommand>
         return real_run(argv, *args, **kwargs)
     seen = []
 
@@ -110,7 +110,8 @@ def test_two_candidate_judge_reads_each_fact_once(make_repo, monkeypatch):
     recorded = blame.summarize_blame(repo, spec, judge=recording_judge)
     monkeypatch.undo()
 
-    assert counted == ["blame"]
+    # the repo's first read writes its view from one rev-parse in the repo
+    assert counted == ["rev-parse", "blame"]
     assert default.resolved_commit == recorded.resolved_commit == shas[1]
     assert seen == [
         blame.JudgeCandidate(shas[0], synth.BASE_TIME),
@@ -216,7 +217,9 @@ def test_resolve_insertion_below_long_header_is_one_read_one_scan(
     entry = blame.resolve_insertion(repo, shas[0], "f.c", insert_line)
     monkeypatch.undo()
 
-    assert len(spawned) <= 2, spawned
+    # one rev-parse writes the repo's view; at most two reads run in it
+    assert spawned[0][3:6] == ["-C", str(repo), "rev-parse"], spawned
+    assert len(spawned) <= 3, spawned
     assert len(scans) == 1
     assert entry.commit_id == shas[0]
     if anchor_line is None:

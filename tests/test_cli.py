@@ -425,6 +425,37 @@ def test_batch_whose_blame_raises_fails_each_history_job(toy_campaign, capsys,
     assert [p.name for p in records_dir.glob("*.jsonl")] == [f"{BUG}__non_history.jsonl"]
 
 
+def test_batch_runs_one_process_in_the_host_and_two_per_sandbox(toy_campaign, capsys,
+                                                                monkeypatch):
+    # the host's view is written from one rev-parse in the host; the
+    # snapshot resolves once in the view; a sandbox runs only init and
+    # checkout, whichever job first needs the view or the snapshot
+    from histrepair import sandbox as sb
+
+    argvs, sandboxes = [], []
+    real_run, real_provision = subprocess.run, sb.provision
+
+    def spy(argv, **kwargs):
+        argvs.append(argv)
+        return real_run(argv, **kwargs)
+
+    def provision(*args):
+        sandboxes.append(args[0])
+        return real_provision(*args)
+    monkeypatch.setattr(gitio, "subprocess", SimpleNamespace(run=spy))
+    monkeypatch.setattr(sb, "provision", provision)
+    code, _, _ = invoke("batch", "--config", str(toy_campaign["campaign"]),
+                        "--workers", "2", capsys=capsys)
+    assert code == 0
+    host = str(toy_campaign["repo"])
+    assert [argv[3:6] for argv in argvs if host in argv] == [["-C", host, "rev-parse"]]
+    subcommands = [argv[5] for argv in argvs]
+    assert sum(argv[5:7] == ["rev-parse", "--verify"] for argv in argvs) == 1
+    assert subcommands.count("rev-parse") == 2
+    assert len(sandboxes) == 4 + 1  # one per run, then one verification
+    assert subcommands.count("init") == subcommands.count("checkout") == len(sandboxes)
+
+
 # --- final verification -----------------------------------------------------
 
 def _spy_tests(monkeypatch):
@@ -975,16 +1006,49 @@ def test_user_git_config_changes_no_output(toy_campaign, tmp_path, monkeypatch):
     assert _campaign_outputs(cfg, tmp_path / "hostile") == expected
 
 
+# each makes a history read that runs in the host repo itself fail or
+# change: blame exits 128 on the missing ignore-revs file, `-diff` makes
+# fl_diff's diff "Binary files ... differ", and the replace ref swaps the
+# blamed commit for its parent
+HOSTILE_HOST_CONFIG = (("color.ui", "always"), ("diff.noprefix", "true"),
+                       ("blame.ignoreRevsFile", "/nonexistent"),
+                       ("blame.markUnblamableLines", "true"), ("blame.date", "relative"))
+
+
 def test_host_repo_git_config_changes_no_history_output(toy_campaign, tmp_path):
-    # the host repo's own config still applies to histrepair's git calls,
-    # so the commit read pins its colour and diff prefixes
-    cfg = str(toy_campaign["campaign"])
+    # history reads run in a view of the host repo, which reads none of
+    # the host's config, worktree attributes or replace refs
+    cfg, repo = str(toy_campaign["campaign"]), toy_campaign["repo"]
     clean = _history_codes(cfg, tmp_path / "clean"), _output_files(tmp_path / "clean")
     assert clean[0] == [0] * 4
-    for key, value in (("color.ui", "always"), ("diff.noprefix", "true")):
-        gitio.run_git(toy_campaign["repo"], "config", key, value)
-    configured = tmp_path / "configured"
-    assert (_history_codes(cfg, configured), _output_files(configured)) == clean
+    for key, value in HOSTILE_HOST_CONFIG:
+        gitio.run_git(repo, "config", key, value)
+    (repo / ".gitattributes").write_text("*.py -diff\n")
+    gitio.run_git(repo, "replace", toy_campaign["snapshot"], f"{toy_campaign['snapshot']}~1")
+    hostile = tmp_path / "hostile"
+    assert (_history_codes(cfg, hostile), _output_files(hostile)) == clean
+
+
+@pytest.mark.parametrize("hostile", ["working directory attributes",
+                                     "explicit bare repositories"])
+def test_cli_side_git_settings_change_no_history_output(toy_campaign, tmp_path,
+                                                        monkeypatch, hostile):
+    # a view is bare in its own config, so attributes in the directory the
+    # CLI runs from do not apply; it is named with --git-dir, which
+    # safe.bareRepository=explicit allows where `-C <view>` is refused
+    cfg = str(toy_campaign["campaign"])
+    clean = _history_codes(cfg, tmp_path / "clean"), _output_files(tmp_path / "clean")
+    if hostile == "working directory attributes":
+        (tmp_path / "cwd").mkdir()
+        (tmp_path / "cwd" / ".gitattributes").write_text("*.py -diff\n")
+        monkeypatch.chdir(tmp_path / "cwd")
+    else:
+        # as a user would pass it, in the environment git is given
+        monkeypatch.setattr(gitio, "_GIT_ENV", {
+            **gitio._GIT_ENV, "GIT_CONFIG_COUNT": "1",
+            "GIT_CONFIG_KEY_0": "safe.bareRepository", "GIT_CONFIG_VALUE_0": "explicit"})
+    out = tmp_path / "hostile"
+    assert (_history_codes(cfg, out), _output_files(out)) == clean
 
 
 CLI = "import sys; from histrepair.cli import main; sys.exit(main())"

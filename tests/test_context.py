@@ -414,8 +414,11 @@ def test_build_context_reads_the_commit_with_one_git_show(make_repo, monkeypatch
     monkeypatch.setattr(gitio, "subprocess", SimpleNamespace(run=spy))
     build_context(repo, kind, shas[1], entry=entry)
     # the commit is shown once; fn_pair aligns its line through that
-    # diff, so no heuristic runs `git diff`. Files read as `show <ref>:<path>`
-    git = ["git", "-c", "core.quotePath=false", "-C", str(repo)]
+    # diff, so no heuristic runs `git diff`. Files read as `show <ref>:<path>`,
+    # all in the repo's view, which entry_for's blame wrote
+    view = argvs[0][4]
+    assert view.startswith("--git-dir=") and str(repo) not in view
+    git = ["git", "-c", "core.quotePath=false", "--no-replace-objects", view]
     reads = {"fn_all": [shas[1]], "fn_pair": [shas[1], shas[0]], "fl_diff": []}[kind]
     assert argvs == [
         git + ["show", "--format=%P%x00%B%x00", "--diff-merges=first-parent", "--root",

@@ -257,6 +257,27 @@ def test_resolve_ref_and_errors(make_repo):
     assert err.value.stderr
 
 
+@pytest.mark.parametrize("layout", ["packed refs", "shallow clone"])
+def test_history_reads_follow_packed_refs_and_shallow_hosts(make_repo, tmp_path, layout):
+    # a view links the host's packed-refs and shallow files: a packed
+    # branch still resolves, and a shallow tip reads as a root commit
+    repo, shas = make_repo([{"a.txt": "1\n2\n"}, {"a.txt": "1\ntwo\n"}])
+    if layout == "packed refs":
+        gitio.run_git(repo, "pack-refs", "--all")
+        assert not (repo / ".git" / "refs" / "heads" / "main").exists()
+    else:
+        clone = tmp_path / "shallow"
+        gitio.run_git(tmp_path, "clone", "--quiet", "--depth", "1", repo.as_uri(), str(clone))
+        assert (clone / ".git" / "shallow").is_file()
+        repo = clone
+    assert gitio.snapshot(repo, "main")[1] == shas[1]
+    assert gitio.file_at(repo, "main", "a.txt") == "1\ntwo\n"
+    assert {bl.commit_id for bl in gitio.blame_file_lines(repo, "main", "a.txt", [1, 2])} \
+        == ({shas[0], shas[1]} if layout == "packed refs" else {shas[1]})
+    assert gitio.read_commit(repo, "main").parent == (
+        shas[0] if layout == "packed refs" else None)
+
+
 def test_commit_metadata(make_repo):
     repo, shas = make_repo([{"a.txt": "1\n"}, {"a.txt": "2\n"}])
     assert gitio.read_commit(repo, shas[0]).message == "snapshot 0"

@@ -324,6 +324,25 @@ def test_bonferroni_divisor_counts_the_configs_present():
     assert "fn_pair vs non_history: p=0.03125 *" in rendered
 
 
+def test_stat_report_names_each_pairwise_test_that_could_not_run():
+    # fn_all and fn_pair take the baseline's steps on every bug: both
+    # Wilcoxons are degenerate, and each gets its own line
+    rows = []
+    for i in range(8):
+        for cfg in (BASELINE, "fn_all", "fn_pair"):
+            rows.append(row(f"m{i}", cfg, True, steps=20 + i))
+        rows.append(row(f"m{i}", "fl_diff", True, steps=10 + i))
+    report = stat_test_report(rows, "steps", "SL")
+    assert report.friedman_p < 0.05
+    assert list(report.pairwise_p) == ["fl_diff"]
+    assert report.note == "fn_all: DegenerateAllZero; fn_pair: DegenerateAllZero"
+    assert render_stat_reports([report]).splitlines()[-3:] == [
+        "    fl_diff vs non_history: p=0.007812 *",
+        "    fn_all vs non_history: not tested (DegenerateAllZero)",
+        "    fn_pair vs non_history: not tested (DegenerateAllZero)",
+    ]
+
+
 def test_stat_report_notes_insufficient_data():
     rows = dataset(["only"], {cfg: {"only"} for cfg in CONFIGS})
     report = stat_test_report(rows, "steps", "SL")

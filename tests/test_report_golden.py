@@ -1,14 +1,17 @@
 """The five report files stay byte-identical for one fixed outcome table.
 
 The files under `golden_report/` are what `metrics.export_report`
-wrote for `golden_rows()` before the report code was consolidated. The
-table spans all four categories and all four configs, and reaches each
-branch of the renderers:
+wrote for `golden_rows()` before the report code was consolidated; the
+two significance files were written again when `significance.txt` began
+to name each pairwise test that could not run. The table spans all four
+categories and all four configs, and reaches each branch of the
+renderers:
 
 - SL: every config passes the seven matched bugs with the same step
   ranking, so Friedman is significant and each pairwise Wilcoxon line
   prints (marked at the corrected alpha); its costs are flat against
-  the baseline for fn_pair, so that Wilcoxon is degenerate and noted;
+  the baseline for fn_pair, so that Wilcoxon is degenerate and named in
+  both significance files;
 - SH: Friedman runs but is not significant on either metric;
 - SFMH: one matched bug, too few to test;
 - MFMH: no bug passes under every config;
@@ -89,7 +92,8 @@ def test_golden_table_reaches_every_branch():
     text = (GOLDEN / "significance.txt").read_text()
     assert "[steps] SL: N=7  Friedman" in text
     assert "fl_diff vs non_history: p=0.01562 *" in text
-    assert "fn_pair: DegenerateAllZero;" in (GOLDEN / "significance.json").read_text()
+    assert "fn_pair vs non_history: not tested (DegenerateAllZero)" in text
+    assert '"note": "fn_pair: DegenerateAllZero"' in (GOLDEN / "significance.json").read_text()
     assert "no pairwise tests: Friedman not significant" in text
     assert "[steps] SFMH: N=1  insufficient data" in text
     assert "[steps] MFMH: N=0  insufficient data" in text
